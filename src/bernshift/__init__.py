@@ -17,12 +17,10 @@ from .bernoulli import (
 )
 from .denom import (
     DenomFactorization,
-    DivisibilityReport,
     PsiValue,
     denom_exact,
     denom_formula,
     denom_via_psi,
-    denominator_property_sweep,
     integrality_witness,
     psi,
     psi_matrix,
@@ -32,7 +30,6 @@ from .denom import (
 from .errors import CapacityError, InvariantViolation
 from .exact_arith import (
     Poly,
-    Rational,
     binomial,
     forward_difference,
     is_prime,
@@ -58,12 +55,10 @@ __all__ = [
     "BsTable",
     "CapacityError",
     "DenomFactorization",
-    "DivisibilityReport",
     "InvariantViolation",
     "PROPERTIES",
     "Poly",
     "PsiValue",
-    "Rational",
     "VerifyReport",
     "antidiagonal_sum",
     "bernoulli_denominator",
@@ -78,7 +73,6 @@ __all__ = [
     "denom_exact",
     "denom_formula",
     "denom_via_psi",
-    "denominator_property_sweep",
     "forward_difference",
     "grabisch_b",
     "hermite_stern_check",

@@ -10,7 +10,7 @@ cached values.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .errors import CapacityError, InvariantViolation
 from .exact_arith import Poly, is_prime, primes_up_to
@@ -42,26 +42,35 @@ class BernoulliCache:
     def capacity(self) -> int:
         return len(self._values) - 1
 
+    def __getitem__(self, n: int) -> Fraction:
+        """B_n; CapacityError past the sealed capacity."""
+        if n < 0:
+            raise ValueError(f"B_{n}: index must be non-negative")
+        if n >= len(self._values):
+            raise CapacityError(f"B_{n} requested but cache is sealed at capacity {self.capacity}")
+        return self._values[n]
+
     def __repr__(self) -> str:
         return f"BernoulliCache(capacity={self.capacity})"
 
 
 def bernoulli_number(cache: BernoulliCache, n: int) -> Fraction:
     """Exact B_n from the sealed cache."""
-    if n < 0:
-        raise ValueError("bernoulli_number: n must be non-negative")
-    if n > cache.capacity:
-        raise CapacityError(f"B_{n} requested but cache is sealed at capacity {cache.capacity}")
-    return cache._values[n]
+    return cache[n]
 
 
 def bernoulli_polynomial(cache: BernoulliCache, n: int) -> Poly:
     """B_n(x) = sum(C(n, v) * B_{n-v} * x^v), a monic polynomial of degree n."""
     if n < 0:
         raise ValueError("bernoulli_polynomial: n must be non-negative")
-    if n > cache.capacity:
-        raise CapacityError(f"B_{n}(x) requested but cache is sealed at capacity {cache.capacity}")
-    return Poly([comb(n, v) * cache._values[n - v] for v in range(n + 1)])
+    return Poly([comb(n, v) * cache[n - v] for v in range(n + 1)])
+
+
+def clausen_primes(n: int) -> list[int]:
+    """The primes p with p - 1 | n, increasing; for even n these divide denom(B_n)."""
+    if n < 1:
+        raise ValueError("clausen_primes: n must be >= 1")
+    return [p for p in primes_up_to(n + 1) if n % (p - 1) == 0]
 
 
 def bernoulli_denominator(n: int) -> int:
@@ -77,11 +86,7 @@ def bernoulli_denominator(n: int) -> int:
         return 2
     if n % 2:
         return 1
-    value = 1
-    for p in primes_up_to(n + 1):
-        if n % (p - 1) == 0:
-            value *= p
-    return value
+    return prod(clausen_primes(n))
 
 
 def von_staudt_clausen_witness(cache: BernoulliCache, n: int) -> int:
@@ -93,10 +98,7 @@ def von_staudt_clausen_witness(cache: BernoulliCache, n: int) -> int:
     """
     if n < 2 or n % 2:
         raise ValueError("von_staudt_clausen_witness: n must be even and >= 2")
-    total = bernoulli_number(cache, n)
-    for p in primes_up_to(n + 1):
-        if n % (p - 1) == 0:
-            total += Fraction(1, p)
+    total = cache[n] + sum(Fraction(1, p) for p in clausen_primes(n))
     if total.denominator != 1:
         raise InvariantViolation(f"B_{n} + sum(1/p) = {total} is not an integer")
     return int(total)

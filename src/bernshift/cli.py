@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 from .bernoulli import BernoulliCache
 from .denom import denom_formula, psi
 from .errors import InvariantViolation
-from .exact_arith import is_prime
 from .render import (
     CSV,
     FORMATS,
@@ -79,8 +78,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_psi(args: argparse.Namespace) -> int:
-    if args.p < 2 or not is_prime(args.p):
-        raise UsageError(f"p must be prime, got {args.p}")
     result = psi(args.r, args.s, args.p)
     if args.fmt == JSON:
         payload: dict[str, object] = {

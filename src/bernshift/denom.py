@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .bernoulli import BernoulliCache, bernoulli_denominator
+from .bernoulli import BernoulliCache, clausen_primes
 from .errors import InvariantViolation
 from .exact_arith import binomial, is_prime, least_positive_residue, primes_up_to
 from .umbral import bs_direct
@@ -126,8 +126,7 @@ def _bernoulli_denominator_factorization(n: int) -> DenomFactorization:
         return DenomFactorization(eps2=0, primes=())
     if n == 1:
         return DenomFactorization(eps2=1, primes=())
-    odd = tuple(p for p in primes_up_to(n + 1) if p >= 3 and n % (p - 1) == 0)
-    return DenomFactorization(eps2=1, primes=odd)
+    return DenomFactorization(eps2=1, primes=tuple(p for p in clausen_primes(n) if p >= 3))
 
 
 def denom_formula(r: int, s: int) -> DenomFactorization:
@@ -219,101 +218,3 @@ def psi_matrix(p: int) -> tuple[tuple[int, ...], ...]:
             row.append(value)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-@dataclass(frozen=True)
-class DivisibilityReport:
-    """Per-part pass counts and failure witnesses for the denominator sweep."""
-
-    max_r: int
-    max_s: int
-    part_counts: dict[str, int]
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def instances(self) -> int:
-        return sum(self.part_counts.values())
-
-
-def denominator_property_sweep(cache: BernoulliCache, max_r: int, max_s: int) -> DivisibilityReport:
-    """Check the structural properties of denom(B[r,s]) over a rectangle.
-
-    Covers: symmetry in (r, s); the r = 0 row equal to the classical
-    denominators; the closed form of the r = 1 row; oddness for r, s >= 2;
-    divisibility by 3 for r, s >= 1; the forced prime divisors p - 1 | r for
-    even ranks; squarefreeness with all prime factors <= r + s + 1; and the
-    exact list of keys where the denominator is 1.
-    """
-    if max_r + max_s > cache.capacity:
-        raise ValueError("sweep exceeds cache capacity")
-    denoms = {
-        (r, s): denom_exact(cache, r, s)
-        for r in range(max_r + 1)
-        for s in range(max_s + 1)
-    }
-    counts = {
-        "symmetry": 0,
-        "row0-classical": 0,
-        "row1-closed-form": 0,
-        "odd-for-rank2+": 0,
-        "three-divides": 0,
-        "even-rank-forced-primes": 0,
-        "squarefree-bounded": 0,
-        "unit-exceptions": 0,
-    }
-    failures: list[str] = []
-
-    def check(part: str, ok: bool, witness: str) -> None:
-        counts[part] += 1
-        if not ok:
-            failures.append(f"{part} at {witness}")
-
-    bound = min(max_r, max_s)
-    for (r, s), d in sorted(denoms.items()):
-        if r <= bound and s <= bound:
-            check("symmetry", d == denoms[(s, r)], f"(r={r}, s={s}): {d} != {denoms[(s, r)]}")
-        if r == 0:
-            check("row0-classical", d == bernoulli_denominator(s), f"(0, s={s}): {d}")
-        if r == 1:
-            if s == 0:
-                expected = 2
-            elif s == 1:
-                expected = 3
-            elif s % 2 == 0:
-                expected = bernoulli_denominator(s)
-            else:
-                expected = bernoulli_denominator(s + 1)
-            check("row1-closed-form", d == expected, f"(1, s={s}): {d} != {expected}")
-        if r >= 2 and s >= 2:
-            check("odd-for-rank2+", d % 2 == 1, f"(r={r}, s={s}): {d} is even")
-        if r >= 1 and s >= 1:
-            check("three-divides", d % 3 == 0, f"(r={r}, s={s}): 3 does not divide {d}")
-        if r >= 2 and r % 2 == 0:
-            forced = [p for p in primes_up_to(r + 1) if p >= 3 and r % (p - 1) == 0]
-            ok = all(d % p == 0 for p in forced)
-            check("even-rank-forced-primes", ok, f"(r={r}, s={s}): {d} misses one of {forced}")
-        rest = d
-        square_ok = True
-        for p in primes_up_to(r + s + 1):
-            if rest % p == 0:
-                rest //= p
-                if rest % p == 0:
-                    square_ok = False
-        check(
-            "squarefree-bounded",
-            square_ok and rest == 1,
-            f"(r={r}, s={s}): {d} has a square factor or a prime factor > {r + s + 1}",
-        )
-        unit_expected = (r, s) == (0, 0) or (s == 0 and r % 2 and r >= 3) or (r == 0 and s % 2 and s >= 3)
-        check(
-            "unit-exceptions",
-            (d == 1) == unit_expected,
-            f"(r={r}, s={s}): denominator {d} vs expected-unit={unit_expected}",
-        )
-    return DivisibilityReport(
-        max_r=max_r, max_s=max_s, part_counts=counts, failures=tuple(failures)
-    )

@@ -11,8 +11,6 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -40,17 +38,41 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i in range(bound + 1) if sieve[i]]
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below this
+# bound, the least composite that passes all of them (Sorenson & Webster,
+# "Strong pseudoprimes to twelve prime bases").
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; adequate for the small bounds used here."""
+    """Deterministic Miller-Rabin primality test, exact for n below _MR_EXACT_BELOW.
+
+    Raises ValueError above that bound rather than answer "probably prime".
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < _MR_BASES[-1] ** 2:
+        return True
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime: {n} is beyond the deterministic Miller-Rabin bound")
+    d, k = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        k += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -159,13 +181,6 @@ class Poly:
 
     def __rmul__(self, other: Scalar) -> "Poly":
         return self * other
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """Substitution self(inner(x)), evaluated by Horner over Poly arithmetic."""
-        acc = Poly()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + c
-        return acc
 
     def compose_neg(self) -> "Poly":
         """The polynomial x -> self(-x): odd-index coefficients change sign."""

@@ -22,10 +22,6 @@ _JSON_SAFE = 2**53
 JsonInt = Union[int, str]
 
 
-def format_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 def json_int(n: int) -> JsonInt:
     """Decimal string beyond the double-exact range, plain int inside it."""
     return n if abs(n) <= _JSON_SAFE else str(n)
@@ -72,7 +68,7 @@ def render_fraction_table(grid: list[list[Fraction]], fmt: str) -> str:
     if fmt == JSON:
         return render_json([[fraction_record(q) for q in row] for row in grid])
     return render_cells(
-        [[format_fraction(q) for q in row] for row in grid],
+        [[str(q) for q in row] for row in grid],
         fmt,
         latex_cells=[[latex_fraction(q) for q in row] for row in grid],
     )
@@ -88,10 +84,10 @@ def render_fraction_value(q: Fraction, fmt: str) -> str:
     if fmt == JSON:
         return render_json(fraction_record(q))
     if fmt == CSV:
-        return _csv_text([[format_fraction(q)]])
+        return _csv_text([[str(q)]])
     if fmt == LATEX:
         return latex_fraction(q) + "\n"
-    return format_fraction(q) + "\n"
+    return str(q) + "\n"
 
 
 def render_coefficients(coeffs: tuple[Fraction, ...], fmt: str) -> str:
@@ -99,7 +95,7 @@ def render_coefficients(coeffs: tuple[Fraction, ...], fmt: str) -> str:
     if fmt == JSON:
         return render_json([fraction_record(c) for c in coeffs])
     if fmt == CSV:
-        return _csv_text([[format_fraction(c) for c in coeffs]])
+        return _csv_text([[str(c) for c in coeffs]])
     if fmt == LATEX:
         return " & ".join(latex_fraction(c) for c in coeffs) + " \\\\\n"
-    return ", ".join(format_fraction(c) for c in coeffs) + "\n"
+    return ", ".join(str(c) for c in coeffs) + "\n"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bernoulli import BernoulliCache, bernoulli_number, bernoulli_polynomial
+from .bernoulli import BernoulliCache, bernoulli_polynomial
 from .errors import CapacityError, InvariantViolation
 from .exact_arith import Poly, forward_difference
 
@@ -34,7 +34,7 @@ def bs_direct(cache: BernoulliCache, r: int, s: int) -> Fraction:
     _check_key(cache, r, s)
     acc = Fraction(0)
     for v in range(r + 1):
-        b = cache._values[s + v]
+        b = cache[s + v]
         if b:
             acc += comb(r, v) * b
     return acc
@@ -66,7 +66,7 @@ def bs_table_recursive(cache: BernoulliCache, max_r: int, max_s: int) -> BsTable
         raise CapacityError(
             f"{max_r}x{max_s} table needs B_{max_r + max_s} but cache capacity is {cache.capacity}"
         )
-    row = [bernoulli_number(cache, s) for s in range(max_r + max_s + 1)]
+    row = [cache[s] for s in range(max_r + max_s + 1)]
     rows = [tuple(row[: max_s + 1])]
     for _ in range(max_r):
         row = [row[s] + row[s + 1] for s in range(len(row) - 1)]
@@ -83,7 +83,7 @@ def bs_via_difference(cache: BernoulliCache, r: int, s: int) -> Fraction:
     _check_key(cache, r, s)
 
     def f(n: int) -> Fraction:
-        b = cache._values[n]
+        b = cache[n]
         return -b if n % 2 else b
 
     sign = -1 if (r + s) % 2 else 1

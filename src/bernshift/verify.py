@@ -8,6 +8,7 @@ across worker processes and merges, with results independent of the split.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
@@ -16,23 +17,23 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .bernoulli import (
     BernoulliCache,
     bernoulli_denominator,
-    bernoulli_number,
-    bernoulli_polynomial,
+    clausen_primes,
     hermite_stern_check,
     von_staudt_clausen_witness,
 )
 from .denom import (
-    denom_exact,
     denom_formula,
     denom_via_psi,
-    denominator_property_sweep,
     integrality_witness,
     psi,
     psi_matrix,
+    psi_periodicity_check,
+    psi_reciprocity_check,
 )
 from .errors import InvariantViolation
 from .exact_arith import primes_up_to
 from .umbral import (
+    BsTable,
     antidiagonal_sum,
     bs_direct,
     bs_polynomial,
@@ -65,14 +66,25 @@ def _rows(rows: Rows, max_r: int, start: int = 0) -> Sequence[int]:
     return [r for r in rows if r >= start]
 
 
+def _table(max_r: int, max_s: int) -> BsTable:
+    """B[r,s] for the whole rectangle, filled once by the recurrence."""
+    return bs_table_recursive(BernoulliCache(max_r + max_s + 2), max_r, max_s)
+
+
+def _exceptional_zero(r: int, s: int) -> bool:
+    """The keys where B[r,s] = 0: (n, 0) and (0, n) with odd n >= 3."""
+    return (s == 0 and r >= 3 and r % 2 == 1) or (r == 0 and s >= 3 and s % 2 == 1)
+
+
 def _sweep_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
-    cache = BernoulliCache(max_r + max_s + 2)
+    table = _table(max_r, max_s)
+    swapped = table if max_r == max_s else _table(max_s, max_r)
     instances, failures = 0, []
     for r in _rows(rows, max_r):
         for s in range(max_s + 1):
             instances += 1
-            a = bs_direct(cache, r, s)
-            b = bs_direct(cache, s, r)
+            a = table[r, s]
+            b = swapped[s, r]
             if (a if r % 2 == 0 else -a) != (b if s % 2 == 0 else -b):
                 failures.append(f"(r={r}, s={s}): {a} vs {b}")
     return instances, failures, []
@@ -127,16 +139,13 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_nonvanishing(max_r: int, max_s: int, rows: Rows) -> SweepResult:
-    cache = BernoulliCache(max_r + max_s + 2)
+    table = _table(max_r, max_s)
     instances, failures, notes = 0, [], []
     for r in _rows(rows, max_r):
         for s in range(max_s + 1):
             instances += 1
-            value = bs_direct(cache, r, s)
-            expected_zero = (s == 0 and r >= 3 and r % 2 == 1) or (
-                r == 0 and s >= 3 and s % 2 == 1
-            )
-            if expected_zero:
+            value = table[r, s]
+            if _exceptional_zero(r, s):
                 if value != 0:
                     failures.append(f"(r={r}, s={s}): expected 0, got {value}")
                 else:
@@ -147,12 +156,12 @@ def _sweep_nonvanishing(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_denominators(max_r: int, max_s: int, rows: Rows) -> SweepResult:
-    cache = BernoulliCache(max_r + max_s + 2)
+    table = _table(max_r, max_s)
     instances, failures = 0, []
     for r in _rows(rows, max_r):
         for s in range(max_s + 1):
             instances += 1
-            exact = denom_exact(cache, r, s)
+            exact = table[r, s].denominator
             formula = denom_formula(r, s)
             if formula.value != exact:
                 failures.append(f"(r={r}, s={s}): formula {formula.value} != exact {exact}")
@@ -179,10 +188,9 @@ def _sweep_integrality(max_r: int, max_s: int, rows: Rows) -> SweepResult:
             psi3 = psi(r, s, 3).value
             if not (psi2 == psi3 == 2 ** (r - 1) and psi2 % 2 == 0 and psi3 % 3 != 0):
                 failures.append(f"(r={r}, s={s}): psi(2)={psi2}, psi(3)={psi3}")
-            for p in primes_up_to(r + s + 1):
-                if p >= 5 and (r % (p - 1) == 0 or s % (p - 1) == 0):
-                    if psi(r, s, p).value % p == 0:
-                        failures.append(f"(r={r}, s={s}): p={p} divides psi")
+            for p in set(clausen_primes(r) + clausen_primes(s)):
+                if p >= 5 and psi(r, s, p).value % p == 0:
+                    failures.append(f"(r={r}, s={s}): p={p} divides psi")
     return instances, failures, []
 
 
@@ -205,35 +213,21 @@ def _sweep_psi_congruences(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     for p in primes_up_to(min(37, bound + 1)):
         if p < 3:
             continue
-        vals = {
-            (r, s): psi(r, s, p).value
-            for r in range(1, bound + 1)
-            for s in range(bound + 1)
-        }
+        step = p - 1
         for r in range(1, bound + 1):
-            for s in range(1, bound + 1):
-                # shift periodicity: exact equality within a residue class of s
-                if s - (p - 1) >= 1:
+            for s in range(bound + 1):
+                if s > step:
                     instances += 1
-                    if vals[(r, s)] != vals[(r, s - (p - 1))]:
-                        failures.append(
-                            f"p={p}: psi({r},{s}) = {vals[(r, s)]} != psi({r},{s - (p - 1)})"
-                        )
-                # reciprocity mod p, extended down to r, s >= 1
+                    if not psi_periodicity_check(r, r, s, s - step, p):
+                        failures.append(f"p={p}: shift periodicity fails at (r={r}, s={s})")
+                if r > step:
+                    instances += 1
+                    if not psi_periodicity_check(r, r - step, s, s, p):
+                        failures.append(f"p={p}: rank periodicity fails at (r={r}, s={s})")
                 if r <= s:
                     instances += 1
-                    lhs = vals[(r, s)] if r % 2 == 0 else -vals[(r, s)]
-                    rhs = vals[(s, r)] if s % 2 == 0 else -vals[(s, r)]
-                    if (lhs - rhs) % p != 0:
+                    if not psi_reciprocity_check(r, s, p):
                         failures.append(f"p={p}: reciprocity fails at (r={r}, s={s})")
-        for s in range(bound + 1):
-            # rank periodicity: congruence mod p within a residue class of r
-            for r in range(p, bound + 1):
-                instances += 1
-                if (vals[(r, s)] - vals[(r - (p - 1), s)]) % p != 0:
-                    failures.append(
-                        f"p={p}: psi({r},{s}) !== psi({r - (p - 1)},{s}) mod {p}"
-                    )
     return instances, failures, []
 
 
@@ -261,17 +255,90 @@ def _sweep_staudt_clausen(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     for n in range(bound + 1):
         instances += 1
         closed = bernoulli_denominator(n)
-        exact = bernoulli_number(cache, n).denominator
+        exact = cache[n].denominator
         if closed != exact:
             failures.append(f"n={n}: closed form {closed} != exact {exact}")
     return instances, failures, []
 
 
 def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Rows) -> SweepResult:
-    cache = BernoulliCache(max_r + max_s + 2)
-    report = denominator_property_sweep(cache, max_r, max_s)
-    notes = [f"{part}: {count} checks" for part, count in sorted(report.part_counts.items())]
-    return report.instances, list(report.failures), notes
+    """Structural facts about denom(B[r,s]), counted per part over the rectangle.
+
+    Symmetry in (r, s); the r = 0 row is the classical denominator; the
+    closed form of the r = 1 row; oddness for r, s >= 2; divisibility by 3
+    for r, s >= 1; the forced primes p - 1 | r for even ranks; squarefree
+    with every prime factor <= r + s + 1; and denominator 1 exactly at
+    (0, 0) and the exceptional zeros.
+    """
+    table = _table(max_r, max_s)
+    counts = dict.fromkeys(
+        (
+            "symmetry",
+            "row0-classical",
+            "row1-closed-form",
+            "odd-for-rank2+",
+            "three-divides",
+            "even-rank-forced-primes",
+            "squarefree-bounded",
+            "unit-exceptions",
+        ),
+        0,
+    )
+    failures: list[str] = []
+
+    def check(part: str, ok: bool, witness: str) -> None:
+        counts[part] += 1
+        if not ok:
+            failures.append(f"{part} at {witness}")
+
+    bound = min(max_r, max_s)
+    for r in range(max_r + 1):
+        for s in range(max_s + 1):
+            d = table[r, s].denominator
+            if r <= bound and s <= bound:
+                d_swapped = table[s, r].denominator
+                check("symmetry", d == d_swapped, f"(r={r}, s={s}): {d} != {d_swapped}")
+            if r == 0:
+                check("row0-classical", d == bernoulli_denominator(s), f"(0, s={s}): {d}")
+            if r == 1:
+                if s == 0:
+                    expected = 2
+                elif s == 1:
+                    expected = 3
+                else:  # the classical denominator at s rounded up to even
+                    expected = bernoulli_denominator(s + s % 2)
+                check("row1-closed-form", d == expected, f"(1, s={s}): {d} != {expected}")
+            if r >= 2 and s >= 2:
+                check("odd-for-rank2+", d % 2 == 1, f"(r={r}, s={s}): {d} is even")
+            if r >= 1 and s >= 1:
+                check("three-divides", d % 3 == 0, f"(r={r}, s={s}): 3 does not divide {d}")
+            if r >= 2 and r % 2 == 0:
+                forced = [p for p in clausen_primes(r) if p >= 3]
+                check(
+                    "even-rank-forced-primes",
+                    all(d % p == 0 for p in forced),
+                    f"(r={r}, s={s}): {d} misses one of {forced}",
+                )
+            rest = d
+            square_ok = True
+            for p in primes_up_to(r + s + 1):
+                if rest % p == 0:
+                    rest //= p
+                    if rest % p == 0:
+                        square_ok = False
+            check(
+                "squarefree-bounded",
+                square_ok and rest == 1,
+                f"(r={r}, s={s}): {d} has a square factor or a prime factor > {r + s + 1}",
+            )
+            unit_expected = (r, s) == (0, 0) or _exceptional_zero(r, s)
+            check(
+                "unit-exceptions",
+                (d == 1) == unit_expected,
+                f"(r={r}, s={s}): denominator {d} vs expected-unit={unit_expected}",
+            )
+    notes = [f"{part}: {count} checks" for part, count in sorted(counts.items())]
+    return sum(counts.values()), failures, notes
 
 
 class PropertySpec(NamedTuple):
@@ -326,15 +393,21 @@ def _chunk_worker(name: str, max_r: int, max_s: int, rows: list[int]) -> SweepRe
     return PROPERTIES[name].runner(max_r, max_s, rows)
 
 
+def plan_chunks(max_r: int, jobs: int, cpus: int) -> list[list[int]]:
+    """Rows 0..max_r dealt round-robin to min(jobs, cpus) workers; empty chunks dropped."""
+    workers = max(1, min(jobs, cpus))
+    chunks = (list(range(k, max_r + 1, workers)) for k in range(workers))
+    return [c for c in chunks if c]
+
+
 def run_verify(name: str, max_r: int, max_s: int, jobs: int = 1) -> VerifyReport:
-    """Run one property sweep, optionally splitting rows across processes."""
+    """Run one property sweep, optionally splitting rows across up to os.cpu_count() processes."""
     spec = PROPERTIES[name]
     start = perf_counter()
-    if jobs <= 1 or not spec.parallel:
+    chunks = plan_chunks(max_r, jobs, os.cpu_count() or 1) if spec.parallel else []
+    if len(chunks) < 2:
         instances, failures, notes = spec.runner(max_r, max_s, None)
     else:
-        chunks = [list(range(k, max_r + 1, jobs)) for k in range(jobs)]
-        chunks = [c for c in chunks if c]
         instances, failures, notes = 0, [], []
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(_chunk_worker, name, max_r, max_s, c) for c in chunks]

@@ -24,7 +24,7 @@ from bernshift.denom import (
     psi_periodicity_check,
     psi_reciprocity_check,
 )
-from bernshift.exact_arith import Poly, binomial, primes_up_to
+from bernshift.exact_arith import binomial, primes_up_to
 from bernshift.umbral import (
     antidiagonal_sum,
     bs_direct,
@@ -268,11 +268,13 @@ def test_11_classical_layer(cache):
                 rhs = sum(comb(n, v) * polys[n - v](x) * y**v for v in range(n + 1))
                 if polys[n](x + y) != rhs:
                     bad.append(("translation", n))
-    one_minus_x = Poly([1, -1])
+    # degree n: agreement of B_n(1 - x) and (-1)^n B_n(x) at n + 1 points is identity
     for n in range(41):
-        reflected = polys[n].compose(one_minus_x)
-        if reflected != (polys[n] if n % 2 == 0 else -polys[n]):
-            bad.append(("reflection", n))
+        sign = 1 if n % 2 == 0 else -1
+        for k in range(n + 1):
+            x = Fraction(k - n // 2, 3)
+            if polys[n](1 - x) != sign * polys[n](x):
+                bad.append(("reflection", n))
     _report(
         "classical layer (witnesses, denominators, translation, reflection)",
         not bad,

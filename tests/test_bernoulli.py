@@ -93,11 +93,14 @@ class TestBernoulliPolynomials:
                     assert polys[n](x + y) == rhs
 
     def test_reflection_identity(self, cache):
-        one_minus_x = Poly([1, -1])
+        # B_n(1 - x) = (-1)^n B_n(x): both sides have degree n, so agreement
+        # at n + 1 distinct points is equality of polynomials
         for n in range(41):
             poly = bernoulli_polynomial(cache, n)
-            reflected = poly.compose(one_minus_x)
-            assert reflected == (poly if n % 2 == 0 else -poly)
+            sign = 1 if n % 2 == 0 else -1
+            for k in range(n + 1):
+                x = Fraction(k - n // 2, 3)
+                assert poly(1 - x) == sign * poly(x)
 
 
 class TestBernoulliDenominator:

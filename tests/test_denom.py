@@ -8,7 +8,6 @@ from bernshift.denom import (
     denom_exact,
     denom_formula,
     denom_via_psi,
-    denominator_property_sweep,
     integrality_witness,
     psi,
     psi_matrix,
@@ -244,31 +243,6 @@ class TestPsiMatrix:
             psi_matrix(4)
         with pytest.raises(ValueError):
             psi_matrix(3)
-
-
-class TestDivisibilitySweep:
-    def test_clean_at_desk_scale(self, cache):
-        report = denominator_property_sweep(cache, 16, 16)
-        assert report.ok
-        assert report.failures == ()
-        assert report.instances == sum(report.part_counts.values())
-        assert set(report.part_counts) == {
-            "symmetry",
-            "row0-classical",
-            "row1-closed-form",
-            "odd-for-rank2+",
-            "three-divides",
-            "even-rank-forced-primes",
-            "squarefree-bounded",
-            "unit-exceptions",
-        }
-        assert all(count > 0 for count in report.part_counts.values())
-
-    def test_rejects_overflow(self):
-        from bernshift.bernoulli import BernoulliCache
-
-        with pytest.raises(ValueError):
-            denominator_property_sweep(BernoulliCache(3), 2, 2)
 
 
 def test_integrality_violation_reports_witness(cache, monkeypatch):

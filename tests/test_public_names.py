@@ -1,0 +1,26 @@
+"""The package's exported names, and the ones the benchmark in perfbench/ imports.
+
+perfbench/ drives the library through a fixed set of names; checking them
+here keeps a rename from surfacing only when the slow benchmark suite runs.
+"""
+
+import bernshift
+from bernshift import cli, umbral, verify
+
+
+def test_every_exported_name_exists():
+    missing = [name for name in bernshift.__all__ if not hasattr(bernshift, name)]
+    assert missing == []
+
+
+def test_names_the_benchmark_imports_exist():
+    for name in ("PROPERTIES", "BernoulliCache", "bs_direct", "bs_table_recursive", "denom_exact", "psi"):
+        assert hasattr(bernshift, name), name
+    assert umbral.bs_direct is bernshift.bs_direct
+    assert callable(cli.main)
+    assert callable(verify.run_verify)
+    for spec in verify.PROPERTIES.values():
+        assert callable(spec.runner)
+        assert isinstance(spec.parallel, bool)
+        assert spec.default_r >= 1 and spec.default_s >= 1
+    assert {"runner", "parallel", "default_r", "default_s"} <= set(type(spec)._fields)

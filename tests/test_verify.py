@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from bernshift.umbral import BsTable
 from bernshift.verify import (
     PROPERTIES,
     VerifyReport,
+    plan_chunks,
     report_payload,
     report_text,
     run_verify,
@@ -25,6 +27,47 @@ SMALL = {
     "denom-divisibility": (10, 10),
 }
 
+# (instances, notes) at the SMALL ranges: a change to what any sweep checks,
+# or how it counts, shows up here.
+PINNED = {
+    "reciprocity": (121, ()),
+    "antidiagonal": (21, ()),
+    "paths": (66, ()),
+    "poly-reciprocity": (81, ()),
+    "nonvanishing": (
+        121,
+        (
+            "zero at (r=0, s=3)",
+            "zero at (r=0, s=5)",
+            "zero at (r=0, s=7)",
+            "zero at (r=0, s=9)",
+            "zero at (r=3, s=0)",
+            "zero at (r=5, s=0)",
+            "zero at (r=7, s=0)",
+            "zero at (r=9, s=0)",
+        ),
+    ),
+    "denominators": (121, ()),
+    "integrality": (81, ()),
+    "psi-matrix": (115, ()),
+    "psi-congruences": (598, ()),
+    "hermite-stern": (180, ()),
+    "staudt-clausen": (46, ()),
+    "denom-divisibility": (
+        621,
+        (
+            "even-rank-forced-primes: 55 checks",
+            "odd-for-rank2+: 81 checks",
+            "row0-classical: 11 checks",
+            "row1-closed-form: 11 checks",
+            "squarefree-bounded: 121 checks",
+            "symmetry: 121 checks",
+            "three-divides: 100 checks",
+            "unit-exceptions: 121 checks",
+        ),
+    ),
+}
+
 
 @pytest.mark.parametrize("name", sorted(PROPERTIES))
 def test_each_property_passes_at_small_scale(name):
@@ -34,6 +77,12 @@ def test_each_property_passes_at_small_scale(name):
     assert report.failures == ()
     assert report.instances > 0
     assert report.property_name == name
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTIES))
+def test_pinned_instances_and_notes(name):
+    report = run_verify(name, *SMALL[name])
+    assert (report.instances, report.notes) == PINNED[name]
 
 
 def test_instance_counts():
@@ -58,6 +107,52 @@ def test_jobs_do_not_change_results():
         split.failures,
         split.notes,
     )
+
+
+@pytest.mark.parametrize("name", sorted(n for n, spec in PROPERTIES.items() if spec.parallel))
+def test_two_jobs_match_one(name):
+    solo = run_verify(name, *SMALL[name], jobs=1)
+    split = run_verify(name, *SMALL[name], jobs=2)
+    assert (solo.instances, solo.failures, solo.notes) == (
+        split.instances,
+        split.failures,
+        split.notes,
+    )
+
+
+def test_plan_chunks_deals_rows_round_robin():
+    for max_r in range(6):
+        for jobs in range(1, 5):
+            expected = [list(range(k, max_r + 1, jobs)) for k in range(jobs)]
+            assert plan_chunks(max_r, jobs, cpus=4) == [c for c in expected if c]
+
+
+def test_plan_chunks_clamps_absurd_jobs_to_cpus():
+    chunks = plan_chunks(80, 10**9, cpus=2)
+    assert chunks == [list(range(0, 81, 2)), list(range(1, 81, 2))]
+    assert plan_chunks(80, 10**9, cpus=1) == [list(range(81))]
+
+
+def test_denom_divisibility_parts_at_desk_scale():
+    report = run_verify("denom-divisibility", 16, 16)
+    assert report.ok
+    assert report.failures == ()
+    counts = {}
+    for note in report.notes:
+        part, _, rest = note.partition(": ")
+        counts[part] = int(rest.removesuffix(" checks"))
+    assert report.instances == sum(counts.values())
+    assert set(counts) == {
+        "symmetry",
+        "row0-classical",
+        "row1-closed-form",
+        "odd-for-rank2+",
+        "three-divides",
+        "even-rank-forced-primes",
+        "squarefree-bounded",
+        "unit-exceptions",
+    }
+    assert all(count > 0 for count in counts.values())
 
 
 def test_report_text_and_payload():
@@ -90,7 +185,11 @@ def test_unknown_property_raises():
 def test_failures_are_reported_with_witnesses(monkeypatch):
     import bernshift.verify as verify
 
-    monkeypatch.setattr(verify, "bs_direct", lambda cache, r, s: Fraction(r + 1))
+    def fake_table(cache, max_r, max_s):
+        rows = tuple(tuple(Fraction(r + 1) for _ in range(max_s + 1)) for r in range(max_r + 1))
+        return BsTable(max_r, max_s, rows)
+
+    monkeypatch.setattr(verify, "bs_table_recursive", fake_table)
     report = verify._sweep_reciprocity(3, 3, None)
     instances, failures, _notes = report
     assert instances == 16
