@@ -10,7 +10,6 @@ are `fractions.Fraction`, never floats.
 from .bernoulli import (
     BernoulliCache,
     bernoulli_denominator,
-    bernoulli_number,
     bernoulli_polynomial,
     hermite_stern_check,
     von_staudt_clausen_witness,
@@ -38,7 +37,7 @@ from .exact_arith import (
 )
 from .umbral import (
     BsTable,
-    antidiagonal_sum,
+    antidiagonal_sums,
     bs_direct,
     bs_polynomial,
     bs_shift_identity_check,
@@ -60,9 +59,8 @@ __all__ = [
     "Poly",
     "PsiValue",
     "VerifyReport",
-    "antidiagonal_sum",
+    "antidiagonal_sums",
     "bernoulli_denominator",
-    "bernoulli_number",
     "bernoulli_polynomial",
     "binomial",
     "bs_direct",

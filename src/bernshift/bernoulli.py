@@ -54,11 +54,6 @@ class BernoulliCache:
         return f"BernoulliCache(capacity={self.capacity})"
 
 
-def bernoulli_number(cache: BernoulliCache, n: int) -> Fraction:
-    """Exact B_n from the sealed cache."""
-    return cache[n]
-
-
 def bernoulli_polynomial(cache: BernoulliCache, n: int) -> Poly:
     """B_n(x) = sum(C(n, v) * B_{n-v} * x^v), a monic polynomial of degree n."""
     if n < 0:

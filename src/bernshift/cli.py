@@ -1,13 +1,15 @@
 """Command-line surface: values, tables, psi sums, denominators, and sweeps.
 
 Exit codes: 0 = success / all checks pass, 1 = a mathematical check failed
-(the witness is printed), 2 = usage error.
+(the witness is printed), 2 = usage error, 3 = the run could not finish (a
+sweep worker process died, or memory ran out).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence
 
 from .bernoulli import BernoulliCache
@@ -223,6 +225,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
         return 1
+    except BrokenProcessPool as exc:
+        print(f"error: a sweep worker process died: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

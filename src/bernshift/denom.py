@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 from .bernoulli import BernoulliCache, clausen_primes
 from .errors import InvariantViolation
 from .exact_arith import binomial, is_prime, least_positive_residue, primes_up_to
-from .umbral import bs_direct
+from .umbral import BsTable, bs_direct
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,19 @@ class PsiValue:
     index_set: tuple[int, ...]
 
 
+def _psi_indices(r: int, s: int, p: int) -> range:
+    """The v in 0..r with s + v a positive even multiple of p - 1, for a prime p."""
+    # admissible totals t = s + v are the positive multiples of lcm(2, p - 1)
+    step = p - 1 if (p - 1) % 2 == 0 else 2 * (p - 1)
+    first = -(-max(s, 1) // step) * step
+    return range(first - s, r + 1, step)
+
+
+def _psi_value(r: int, s: int, p: int) -> int:
+    """psi(r, s, p).value without the argument checks, for a p known to be prime."""
+    return sum(comb(r, v) for v in _psi_indices(r, s, p))
+
+
 def psi(r: int, s: int, p: int) -> PsiValue:
     """Sum of C(r, v) over 0 <= v <= r with s + v a positive even multiple of p-1.
 
@@ -46,32 +59,26 @@ def psi(r: int, s: int, p: int) -> PsiValue:
         raise ValueError("rank and shift must be non-negative")
     if not is_prime(p):
         raise ValueError(f"psi: {p} is not prime")
-    # admissible totals t = s + v are the positive multiples of lcm(2, p - 1)
-    step = p - 1 if (p - 1) % 2 == 0 else 2 * (p - 1)
-    first = max(s, 1)
-    t = ((first + step - 1) // step) * step
-    indices = []
-    value = 0
-    while t <= s + r:
-        v = t - s
-        indices.append(v)
-        value += binomial(r, v)
-        t += step
-    return PsiValue(r=r, s=s, p=p, value=value, index_set=tuple(indices))
+    return PsiValue(
+        r=r, s=s, p=p, value=_psi_value(r, s, p), index_set=tuple(_psi_indices(r, s, p))
+    )
 
 
-def integrality_witness(cache: BernoulliCache, r: int, s: int) -> int:
+def integrality_witness(table: BsTable, r: int, s: int) -> int:
     """The integer B[r,s] + sum(psi(r, s, p) / p over primes p <= r + s + 1).
 
-    The sum over all primes is finite because psi vanishes for p > r + s + 1;
-    the p = 2 term is itself an integer for r >= 2 and is included.  A
-    non-integral total raises InvariantViolation and must never happen.
+    B[r,s] is read from the table.  The sum over all primes is finite because
+    psi vanishes for p > r + s + 1; the p = 2 term is itself an integer for
+    r >= 2 and is included.  The psi terms are summed over the product of
+    the primes and reduced once.  A non-integral total raises
+    InvariantViolation and must never happen.
     """
     if r < 2 or s < 2:
         raise ValueError("integrality_witness: requires r >= 2 and s >= 2")
-    total = bs_direct(cache, r, s)
-    for p in primes_up_to(r + s + 1):
-        total += Fraction(psi(r, s, p).value, p)
+    primes = primes_up_to(r + s + 1)
+    modulus = prod(primes)
+    psi_sum = sum(_psi_value(r, s, p) * (modulus // p) for p in primes)
+    total = table[r, s] + Fraction(psi_sum, modulus)
     if total.denominator != 1:
         raise InvariantViolation(
             f"B[{r},{s}] + sum(psi/p) = {total} is not an integer"
@@ -94,7 +101,7 @@ def denom_via_psi(r: int, s: int) -> int:
         raise ValueError("denom_via_psi: requires r >= 2 and s >= 2")
     value = 1
     for p in primes_up_to(r + s + 1):
-        if p >= 3 and psi(r, s, p).value % p != 0:
+        if p >= 3 and _psi_value(r, s, p) % p != 0:
             value *= p
     return value
 
@@ -159,8 +166,10 @@ def psi_reciprocity_check(r: int, s: int, p: int) -> bool:
     """
     if r < 1 or s < 1:
         raise ValueError("psi_reciprocity_check: requires r >= 1 and s >= 1")
-    lhs = psi(r, s, p).value if r % 2 == 0 else -psi(r, s, p).value
-    rhs = psi(s, r, p).value if s % 2 == 0 else -psi(s, r, p).value
+    if not is_prime(p):
+        raise ValueError(f"psi_reciprocity_check: {p} is not prime")
+    lhs = _psi_value(r, s, p) if r % 2 == 0 else -_psi_value(r, s, p)
+    rhs = _psi_value(s, r, p) if s % 2 == 0 else -_psi_value(s, r, p)
     return (lhs - rhs) % p == 0
 
 
@@ -169,7 +178,8 @@ def psi_periodicity_check(r: int, r2: int, s: int, s2: int, p: int) -> bool:
 
     Requires r == r2 and s == s2 mod p - 1 (with r, r2 >= 1, s, s2 >= 0,
     p >= 3 prime).  Checks that shifting s to s2 preserves the value exactly
-    (at both ranks) and that shifting the rank preserves it mod p.
+    (at both ranks) and that shifting the rank preserves it mod p.  Each
+    distinct (rank, shift) pair is evaluated once.
     """
     if r < 1 or r2 < 1:
         raise ValueError("psi_periodicity_check: ranks must be >= 1")
@@ -179,8 +189,13 @@ def psi_periodicity_check(r: int, r2: int, s: int, s2: int, p: int) -> bool:
         raise ValueError(f"psi_periodicity_check: {p} is not an odd prime")
     if (r - r2) % (p - 1) or (s - s2) % (p - 1):
         raise ValueError("psi_periodicity_check: indices must be congruent mod p - 1")
-    v_rs, v_rs2 = psi(r, s, p).value, psi(r, s2, p).value
-    v_r2s, v_r2s2 = psi(r2, s, p).value, psi(r2, s2, p).value
+    v_rs = _psi_value(r, s, p)
+    v_rs2 = v_rs if s2 == s else _psi_value(r, s2, p)
+    if r2 == r:
+        v_r2s, v_r2s2 = v_rs, v_rs2
+    else:
+        v_r2s = _psi_value(r2, s, p)
+        v_r2s2 = v_r2s if s2 == s else _psi_value(r2, s2, p)
     return v_rs == v_rs2 and v_r2s == v_r2s2 and (v_rs - v_r2s) % p == 0
 
 
@@ -197,7 +212,7 @@ def psi_matrix(p: int) -> tuple[tuple[int, ...], ...]:
     for r in range(1, p - 1):
         row = []
         for s in range(1, p - 1):
-            value = psi(r, s, p).value
+            value = _psi_value(r, s, p)
             if r + s < p - 1:
                 if value != 0:
                     raise InvariantViolation(

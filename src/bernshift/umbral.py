@@ -6,16 +6,20 @@ arise three independent ways -- the defining binomial sum, a Pascal-style
 recurrence filling the table row by row, and iterated forward differences of
 (-1)^n B_n -- and every path is exposed so the suite can play them against
 each other.  The polynomial extension B[r,s](x) sums Bernoulli polynomials
-the same way and satisfies an asymmetric reciprocity in x and -x.
+the same way; it is read off the table, and satisfies an asymmetric
+reciprocity in x and -x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from itertools import islice
+from math import comb, lcm
+from typing import Iterator
 
-from .bernoulli import BernoulliCache, bernoulli_polynomial
+from .bernoulli import BernoulliCache
 from .errors import CapacityError, InvariantViolation
 from .exact_arith import Poly, forward_difference
 
@@ -52,13 +56,58 @@ class BsTable:
         r, s = key
         return self.entries[r][s]
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, rows of D * B[r,s]) with D the lcm of the entries' denominators."""
+        d = lcm(*(q.denominator for row in self.entries for q in row))
+        rows = tuple(tuple(q.numerator * (d // q.denominator) for q in row) for row in self.entries)
+        return d, rows
+
+    def polynomial(self, r: int, s: int) -> Poly:
+        """B[r,s](x) read off the table: monic of degree r + s, constant term B[r,s].
+
+        [x^k] B[r,s](x) = sum(C(r, j) * C(s, k - j) * B[r - j, s - k + j]), which
+        is Vandermonde on the umbral form (B + 1 + x)^r (B + x)^s.  Each
+        coefficient is summed in integers over the table's common denominator
+        and reduced once.
+        """
+        if not (0 <= r <= self.max_r and 0 <= s <= self.max_s):
+            raise ValueError(f"B[{r},{s}](x) lies outside the {self.max_r}x{self.max_s} table")
+        d, scaled = self._scaled
+        comb_r = [comb(r, j) for j in range(r + 1)]
+        comb_s = [comb(s, i) for i in range(s + 1)]
+        coeffs = []
+        for k in range(r + s + 1):
+            acc = 0
+            for j in range(max(0, k - s), min(r, k) + 1):
+                acc += comb_r[j] * comb_s[k - j] * scaled[r - j][s - k + j]
+            coeffs.append(Fraction(acc, d))
+        poly = Poly(coeffs)
+        if poly.degree != r + s or poly.coeffs[-1] != 1:
+            raise InvariantViolation(
+                f"B[{r},{s}](x) should be monic of degree {r + s}, got {poly!r}"
+            )
+        return poly
+
+
+def _triangle_rows(cache: BernoulliCache, n: int) -> Iterator[list[Fraction]]:
+    """Rows r = 0..n of B[r,s] over r + s <= n, one at a time.
+
+    Row 0 is B_0..B_n; row r + 1 is B[r+1,s] = B[r,s] + B[r,s+1], one entry
+    shorter than row r.
+    """
+    row = [cache[s] for s in range(n + 1)]
+    yield row
+    for _ in range(n):
+        row = [row[s] + row[s + 1] for s in range(len(row) - 1)]
+        yield row
+
 
 def bs_table_recursive(cache: BernoulliCache, max_r: int, max_s: int) -> BsTable:
-    """Fill the rectangle from the Bernoulli row via B[r+1,s] = B[r,s] + B[r,s+1].
+    """Fill the rectangle from the Bernoulli row by the recurrence of _triangle_rows.
 
-    Row 0 is seeded with B_s; each later row consumes the previous one, which
-    must extend one column further, so row r is computed out to column
-    max_s + max_r - r and trimmed to the requested width on storage.
+    Row r is computed out to column max_s + max_r - r, as the next row
+    needs, and trimmed to the requested width on storage.
     """
     if max_r < 0 or max_s < 0:
         raise ValueError("table bounds must be non-negative")
@@ -66,12 +115,8 @@ def bs_table_recursive(cache: BernoulliCache, max_r: int, max_s: int) -> BsTable
         raise CapacityError(
             f"{max_r}x{max_s} table needs B_{max_r + max_s} but cache capacity is {cache.capacity}"
         )
-    row = [cache[s] for s in range(max_r + max_s + 1)]
-    rows = [tuple(row[: max_s + 1])]
-    for _ in range(max_r):
-        row = [row[s] + row[s + 1] for s in range(len(row) - 1)]
-        rows.append(tuple(row[: max_s + 1]))
-    return BsTable(max_r=max_r, max_s=max_s, entries=tuple(rows))
+    rows = islice(_triangle_rows(cache, max_r + max_s), max_r + 1)
+    return BsTable(max_r=max_r, max_s=max_s, entries=tuple(tuple(row[: max_s + 1]) for row in rows))
 
 
 def bs_via_difference(cache: BernoulliCache, r: int, s: int) -> Fraction:
@@ -107,31 +152,23 @@ def bs_shift_identity_check(cache: BernoulliCache, r: int, s: int, n: int) -> bo
     return bs_direct(cache, r + n, s) == rhs
 
 
-def antidiagonal_sum(cache: BernoulliCache, n: int) -> Fraction:
-    """Sum of B[r,s] over r + s = n: equals 1 for n = 0 and 0 for n >= 1."""
-    if n < 0:
+def antidiagonal_sums(cache: BernoulliCache, n_max: int) -> list[Fraction]:
+    """Sums of B[r,s] over r + s = n for n = 0..n_max: 1 at n = 0, then 0.
+
+    Streams the triangle r + s <= n_max, so one row is held at a time.
+    """
+    if n_max < 0:
         raise ValueError("n must be non-negative")
-    acc = Fraction(0)
-    for r in range(n + 1):
-        acc += bs_direct(cache, r, n - r)
-    return acc
+    sums = [Fraction(0)] * (n_max + 1)
+    for r, row in enumerate(_triangle_rows(cache, n_max)):
+        for s, value in enumerate(row):
+            sums[r + s] += value
+    return sums
 
 
 def bs_polynomial(cache: BernoulliCache, r: int, s: int) -> Poly:
-    """B[r,s](x) = sum(C(r, v) * B_{s+v}(x)): monic of degree r + s.
-
-    The constant coefficient is B[r,s]; degree and leading coefficient are
-    verified on the way out.
-    """
-    _check_key(cache, r, s)
-    acc = bernoulli_polynomial(cache, s + r)
-    for v in range(r):
-        acc = acc + comb(r, v) * bernoulli_polynomial(cache, s + v)
-    if acc.degree != r + s or acc.coeffs[-1] != 1:
-        raise InvariantViolation(
-            f"B[{r},{s}](x) should be monic of degree {r + s}, got {acc!r}"
-        )
-    return acc
+    """B[r,s](x) = sum(C(r, v) * B_{s+v}(x)), via BsTable.polynomial on its own table."""
+    return bs_table_recursive(cache, r, s).polynomial(r, s)
 
 
 def grabisch_b(cache: BernoulliCache, m: int, d: int) -> Fraction:

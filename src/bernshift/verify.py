@@ -12,7 +12,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .bernoulli import (
     BernoulliCache,
@@ -22,6 +22,7 @@ from .bernoulli import (
     von_staudt_clausen_witness,
 )
 from .denom import (
+    _psi_value,
     denom_formula,
     denom_via_psi,
     integrality_witness,
@@ -34,9 +35,8 @@ from .errors import InvariantViolation
 from .exact_arith import primes_up_to
 from .umbral import (
     BsTable,
-    antidiagonal_sum,
+    antidiagonal_sums,
     bs_direct,
-    bs_polynomial,
     bs_table_recursive,
     bs_via_difference,
 )
@@ -93,9 +93,8 @@ def _sweep_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 def _sweep_antidiagonal(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     cache = BernoulliCache(max_r + max_s + 2)
     instances, failures = 0, []
-    for n in range(max_r + max_s + 1):
+    for n, total in enumerate(antidiagonal_sums(cache, max_r + max_s)):
         instances += 1
-        total = antidiagonal_sum(cache, n)
         expected = 1 if n == 0 else 0
         if total != expected:
             failures.append(f"n={n}: sum is {total}, expected {expected}")
@@ -124,15 +123,16 @@ def _sweep_paths(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
-    cache = BernoulliCache(max_r + max_s + 2)
+    table = _table(max_r, max_s)
+    swapped = table if max_r == max_s else _table(max_s, max_r)
     instances, failures = 0, []
     for r in _rows(rows, max_r):
         sign_r = 1 if r % 2 == 0 else -1
         for s in range(max_s + 1):
             instances += 1
             sign_s = 1 if s % 2 == 0 else -1
-            lhs = sign_r * bs_polynomial(cache, r, s)
-            rhs = sign_s * bs_polynomial(cache, s, r).compose_neg()
+            lhs = sign_r * table.polynomial(r, s)
+            rhs = sign_s * swapped.polynomial(s, r).compose_neg()
             if lhs != rhs:
                 failures.append(f"(r={r}, s={s}): {lhs!r} != {rhs!r}")
     return instances, failures, []
@@ -175,13 +175,13 @@ def _sweep_denominators(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_integrality(max_r: int, max_s: int, rows: Rows) -> SweepResult:
-    cache = BernoulliCache(max_r + max_s + 2)
+    table = _table(max_r, max_s)
     instances, failures = 0, []
     for r in _rows(rows, max_r, start=2):
         for s in range(2, max_s + 1):
             instances += 1
             try:
-                integrality_witness(cache, r, s)
+                integrality_witness(table, r, s)
             except InvariantViolation as exc:
                 failures.append(str(exc))
             psi2 = psi(r, s, 2).value
@@ -189,7 +189,7 @@ def _sweep_integrality(max_r: int, max_s: int, rows: Rows) -> SweepResult:
             if not (psi2 == psi3 == 2 ** (r - 1) and psi2 % 2 == 0 and psi3 % 3 != 0):
                 failures.append(f"(r={r}, s={s}): psi(2)={psi2}, psi(3)={psi3}")
             for p in set(clausen_primes(r) + clausen_primes(s)):
-                if p >= 5 and psi(r, s, p).value % p == 0:
+                if p >= 5 and _psi_value(r, s, p) % p == 0:
                     failures.append(f"(r={r}, s={s}): p={p} divides psi")
     return instances, failures, []
 
@@ -400,29 +400,35 @@ def plan_chunks(max_r: int, jobs: int, cpus: int) -> list[list[int]]:
     return [c for c in chunks if c]
 
 
+def merge_results(parts: Iterable[SweepResult]) -> SweepResult:
+    """Chunk results as one: instances summed, failures and notes sorted, so the split cannot show."""
+    instances, failures, notes = 0, [], []
+    for got_instances, got_failures, got_notes in parts:
+        instances += got_instances
+        failures.extend(got_failures)
+        notes.extend(got_notes)
+    return instances, sorted(failures), sorted(notes)
+
+
 def run_verify(name: str, max_r: int, max_s: int, jobs: int = 1) -> VerifyReport:
     """Run one property sweep, optionally splitting rows across up to os.cpu_count() processes."""
     spec = PROPERTIES[name]
     start = perf_counter()
     chunks = plan_chunks(max_r, jobs, os.cpu_count() or 1) if spec.parallel else []
     if len(chunks) < 2:
-        instances, failures, notes = spec.runner(max_r, max_s, None)
+        parts = [spec.runner(max_r, max_s, None)]
     else:
-        instances, failures, notes = 0, [], []
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(_chunk_worker, name, max_r, max_s, c) for c in chunks]
-            for future in futures:
-                got_instances, got_failures, got_notes = future.result()
-                instances += got_instances
-                failures.extend(got_failures)
-                notes.extend(got_notes)
+            parts = [future.result() for future in futures]
+    instances, failures, notes = merge_results(parts)
     return VerifyReport(
         property_name=name,
         max_r=max_r,
         max_s=max_s,
         instances=instances,
-        failures=tuple(sorted(failures)),
-        notes=tuple(sorted(notes)),
+        failures=tuple(failures),
+        notes=tuple(notes),
         seconds=perf_counter() - start,
     )
 

@@ -7,7 +7,6 @@ from bernshift import CapacityError
 from bernshift.bernoulli import (
     BernoulliCache,
     bernoulli_denominator,
-    bernoulli_number,
     bernoulli_polynomial,
     hermite_stern_check,
     von_staudt_clausen_witness,
@@ -30,36 +29,36 @@ def _akiyama_tanigawa(limit):
 
 class TestBernoulliNumbers:
     def test_examples(self, cache):
-        assert bernoulli_number(cache, 0) == 1
-        assert bernoulli_number(cache, 1) == Fraction(-1, 2)
-        assert bernoulli_number(cache, 8) == Fraction(-1, 30)
-        assert bernoulli_number(cache, 12) == Fraction(-691, 2730)
+        assert cache[0] == 1
+        assert cache[1] == Fraction(-1, 2)
+        assert cache[8] == Fraction(-1, 30)
+        assert cache[12] == Fraction(-691, 2730)
 
     def test_against_independent_oracle(self, cache):
         oracle = _akiyama_tanigawa(60)
         for n, expected in enumerate(oracle):
-            assert bernoulli_number(cache, n) == expected
+            assert cache[n] == expected
 
     def test_odd_indices_vanish(self, cache):
         for n in range(3, 201, 2):
-            assert bernoulli_number(cache, n) == 0
+            assert cache[n] == 0
 
     def test_even_signs_alternate(self, cache):
         for n in range(2, 201, 2):
             expected_positive = n % 4 == 2
-            assert (bernoulli_number(cache, n) > 0) == expected_positive
+            assert (cache[n] > 0) == expected_positive
 
     def test_capacity_is_sealed(self):
         small = BernoulliCache(5)
         assert small.capacity == 5
-        assert bernoulli_number(small, 5) == 0
+        assert small[5] == 0
         with pytest.raises(CapacityError):
-            bernoulli_number(small, 6)
+            small[6]
         with pytest.raises(ValueError):
-            bernoulli_number(small, -1)
+            small[-1]
 
     def test_zero_capacity(self):
-        assert bernoulli_number(BernoulliCache(0), 0) == 1
+        assert BernoulliCache(0)[0] == 1
 
 
 class TestBernoulliPolynomials:
@@ -77,7 +76,7 @@ class TestBernoulliPolynomials:
     def test_value_at_zero_and_one(self, cache):
         for n in range(41):
             poly = bernoulli_polynomial(cache, n)
-            b_n = bernoulli_number(cache, n)
+            b_n = cache[n]
             assert poly(0) == b_n
             assert poly(1) == (b_n if n % 2 == 0 else -b_n)
 
@@ -113,7 +112,7 @@ class TestBernoulliDenominator:
 
     def test_matches_true_denominator(self, cache):
         for n in range(201):
-            assert bernoulli_denominator(n) == bernoulli_number(cache, n).denominator
+            assert bernoulli_denominator(n) == cache[n].denominator
 
     def test_squarefree(self):
         for n in range(501):

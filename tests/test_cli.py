@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from bernshift import cli
 from bernshift.cli import build_parser, main
 from bernshift.render import json_int, latex_fraction, render_json
 from reference_grid import REFERENCE_GRID
@@ -150,6 +152,22 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "reciprocity", "--max-r", "4", "--max-s", "4", "--format", "csv")
         assert code == 2
         assert "plain or json" in err
+
+    @pytest.mark.parametrize(
+        "exc",
+        [BrokenProcessPool("a worker was terminated abruptly"), MemoryError()],
+        ids=["broken-pool", "memory"],
+    )
+    def test_crash_exits_three(self, capsys, monkeypatch, exc):
+        def crash(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_verify", crash)
+        code, out, err = run_cli(capsys, "verify", "paths", "--jobs", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_unknown_property_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -5,6 +5,8 @@ import pytest
 from bernshift.bernoulli import bernoulli_denominator
 from bernshift.denom import (
     DenomFactorization,
+    _psi_indices,
+    _psi_value,
     denom_exact,
     denom_formula,
     denom_via_psi,
@@ -16,6 +18,12 @@ from bernshift.denom import (
 )
 from bernshift.errors import InvariantViolation
 from bernshift.exact_arith import binomial, least_positive_residue, primes_up_to
+from bernshift.umbral import BsTable, bs_table_recursive
+
+
+@pytest.fixture(scope="module")
+def table20(cache):
+    return bs_table_recursive(cache, 20, 20)
 
 
 class TestPsi:
@@ -57,6 +65,14 @@ class TestPsi:
                         if checked == 10:
                             break
 
+    def test_unchecked_value_and_indices_match_psi(self):
+        for r in range(31):
+            for s in range(31):
+                for p in primes_up_to(37):
+                    result = psi(r, s, p)
+                    assert _psi_value(r, s, p) == result.value
+                    assert tuple(_psi_indices(r, s, p)) == result.index_set
+
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             psi(2, 2, 4)
@@ -91,21 +107,30 @@ class TestPsi:
 
 
 class TestIntegralityWitness:
-    def test_examples(self, cache):
-        assert integrality_witness(cache, 2, 2) == 2
-        assert integrality_witness(cache, 2, 3) == 2
-        assert isinstance(integrality_witness(cache, 8, 8), int)
+    def test_examples(self, table20):
+        assert integrality_witness(table20, 2, 2) == 2
+        assert integrality_witness(table20, 2, 3) == 2
+        assert isinstance(integrality_witness(table20, 8, 8), int)
 
-    def test_matches_hand_sum(self, cache):
+    def test_matches_hand_sum(self, table20):
         # 2/15 + psi(2)/2 + psi(3)/3 + psi(5)/5 = 2/15 + 1 + 2/3 + 1/5 = 2
         total = Fraction(2, 15) + 1 + Fraction(2, 3) + Fraction(1, 5)
-        assert integrality_witness(cache, 2, 2) == total == 2
+        assert integrality_witness(table20, 2, 2) == total == 2
 
-    def test_rejects_small_indices(self, cache):
+    def test_matches_per_prime_sum(self, table20):
+        for r in range(2, 21):
+            for s in range(2, 21):
+                total = table20[r, s]
+                for p in primes_up_to(r + s + 1):
+                    total += Fraction(psi(r, s, p).value, p)
+                assert total.denominator == 1
+                assert integrality_witness(table20, r, s) == total
+
+    def test_rejects_small_indices(self, table20):
         with pytest.raises(ValueError):
-            integrality_witness(cache, 1, 5)
+            integrality_witness(table20, 1, 5)
         with pytest.raises(ValueError):
-            integrality_witness(cache, 5, 1)
+            integrality_witness(table20, 5, 1)
 
 
 class TestDenominators:
@@ -193,6 +218,10 @@ class TestPsiCongruences:
         with pytest.raises(ValueError):
             psi_reciprocity_check(0, 3, 5)
 
+    def test_reciprocity_rejects_composite(self):
+        with pytest.raises(ValueError):
+            psi_reciprocity_check(3, 3, 4)
+
     def test_periodicity_examples(self):
         assert psi_periodicity_check(2, 2, 1, 5, 5)
         assert psi_periodicity_check(2, 6, 3, 3, 5)
@@ -203,6 +232,35 @@ class TestPsiCongruences:
             for r in range(1, 16):
                 for s in range(1, 16):
                     assert psi_periodicity_check(r, r + (p - 1), s, s + 2 * (p - 1), p)
+
+    def test_periodicity_matches_four_call_form(self, monkeypatch):
+        import bernshift.denom as denom
+
+        def value(r, s, p):  # not periodic, so both outcomes occur
+            return (r * r + 3 * s) % p
+
+        calls = []
+
+        def counted(r, s, p):
+            calls.append((r, s))
+            return value(r, s, p)
+
+        monkeypatch.setattr(denom, "_psi_value", counted)
+        outcomes = set()
+        for p in (3, 5, 7):
+            for r in range(1, 9):
+                for r2 in (r, r + p - 1):
+                    for s in range(9):
+                        for s2 in (s, s + p - 1):
+                            calls.clear()
+                            got = psi_periodicity_check(r, r2, s, s2, p)
+                            v_rs, v_rs2 = value(r, s, p), value(r, s2, p)
+                            v_r2s, v_r2s2 = value(r2, s, p), value(r2, s2, p)
+                            four_calls = v_rs == v_rs2 and v_r2s == v_r2s2 and (v_rs - v_r2s) % p == 0
+                            assert got == four_calls
+                            assert sorted(calls) == sorted({(r, s), (r, s2), (r2, s), (r2, s2)})
+                            outcomes.add(got)
+        assert outcomes == {True, False}
 
     def test_periodicity_rejects_bad_preconditions(self):
         with pytest.raises(ValueError):
@@ -245,9 +303,7 @@ class TestPsiMatrix:
             psi_matrix(3)
 
 
-def test_integrality_violation_reports_witness(cache, monkeypatch):
-    import bernshift.denom as denom
-
-    monkeypatch.setattr(denom, "bs_direct", lambda c, r, s: Fraction(1, 7919))
-    with pytest.raises(InvariantViolation):
-        integrality_witness(cache, 2, 2)
+def test_integrality_violation_reports_witness():
+    wrong = BsTable(2, 2, tuple((Fraction(1, 7919),) * 3 for _ in range(3)))
+    with pytest.raises(InvariantViolation, match=r"B\[2,2\]"):
+        integrality_witness(wrong, 2, 2)

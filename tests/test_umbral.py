@@ -1,13 +1,15 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bernshift import CapacityError, InvariantViolation
-from bernshift.bernoulli import BernoulliCache, bernoulli_number, bernoulli_polynomial
+from bernshift.bernoulli import BernoulliCache, bernoulli_polynomial
 from bernshift.exact_arith import Poly
 from bernshift.umbral import (
-    antidiagonal_sum,
+    BsTable,
+    antidiagonal_sums,
     bs_direct,
     bs_polynomial,
     bs_shift_identity_check,
@@ -32,8 +34,8 @@ class TestBsDirect:
 
     def test_row_and_column_specials(self, cache):
         for n in range(101):
-            b_n = bernoulli_number(cache, n)
-            b_next = bernoulli_number(cache, n + 1)
+            b_n = cache[n]
+            b_next = cache[n + 1]
             assert bs_direct(cache, 0, n) == b_n
             assert bs_direct(cache, n, 0) == (b_n if n % 2 == 0 else -b_n)
             assert bs_direct(cache, 1, n) == b_n + b_next
@@ -85,7 +87,7 @@ class TestBsViaDifference:
         assert bs_via_difference(cache, 2, 3) == Fraction(-1, 15)
         assert bs_via_difference(cache, 7, 7) == Fraction(-3712, 2145)
         for s in range(9):
-            assert bs_via_difference(cache, 0, s) == bernoulli_number(cache, s)
+            assert bs_via_difference(cache, 0, s) == cache[s]
 
     def test_matches_direct_on_triangle(self, cache):
         for r in range(21):
@@ -112,9 +114,23 @@ class TestShiftIdentity:
 
 class TestAntidiagonal:
     def test_examples(self, cache):
-        assert antidiagonal_sum(cache, 0) == 1
-        assert antidiagonal_sum(cache, 4) == 0
-        assert antidiagonal_sum(cache, 16) == 0
+        sums = antidiagonal_sums(cache, 16)
+        assert len(sums) == 17
+        assert sums[0] == 1
+        assert sums[4] == 0
+        assert sums[16] == 0
+
+    def test_matches_sums_of_direct_values(self, cache):
+        sums = antidiagonal_sums(cache, 40)
+        for n in range(41):
+            assert sums[n] == sum(bs_direct(cache, r, n - r) for r in range(n + 1))
+
+    def test_bounds(self):
+        assert antidiagonal_sums(BernoulliCache(4), 4) == [1, 0, 0, 0, 0]
+        with pytest.raises(CapacityError):
+            antidiagonal_sums(BernoulliCache(4), 5)
+        with pytest.raises(ValueError):
+            antidiagonal_sums(BernoulliCache(4), -1)
 
     def test_palindromic_absolute_values(self, cache):
         for r in range(31):
@@ -143,6 +159,37 @@ class TestBsPolynomial:
             + bernoulli_polynomial(cache, 4)
         )
         assert bs_polynomial(cache, 2, 2) == expected
+
+    def test_matches_sum_of_bernoulli_polynomials(self, cache):
+        # the slow route: sum(C(r, v) * B_{s+v}(x)) as Poly arithmetic
+        square = bs_table_recursive(cache, 14, 14)
+        for r in range(15):
+            for s in range(15):
+                expected = Poly([])
+                for v in range(r + 1):
+                    expected = expected + comb(r, v) * bernoulli_polynomial(cache, s + v)
+                assert bs_polynomial(cache, r, s) == expected
+                assert square.polynomial(r, s) == expected
+
+    def test_table_polynomial_on_non_square_table(self, cache):
+        table = bs_table_recursive(cache, 9, 4)
+        for r in range(10):
+            for s in range(5):
+                assert table.polynomial(r, s) == bs_polynomial(cache, r, s)
+        with pytest.raises(ValueError):
+            table.polynomial(4, 9)
+
+    def test_wrong_table_is_not_monic(self):
+        # the leading coefficient of B[r,s](x) is read from B[0,0]
+        table = BsTable(1, 1, ((Fraction(3), Fraction(1)), (Fraction(1), Fraction(1))))
+        with pytest.raises(InvariantViolation):
+            table.polynomial(1, 1)
+
+    def test_bounds(self):
+        with pytest.raises(CapacityError):
+            bs_polynomial(BernoulliCache(3), 2, 2)
+        with pytest.raises(ValueError):
+            bs_polynomial(BernoulliCache(3), -1, 2)
 
     def test_reciprocity_small(self, cache):
         for r in range(11):

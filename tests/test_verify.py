@@ -1,16 +1,23 @@
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bernshift.exact_arith import Poly
 from bernshift.umbral import BsTable
 from bernshift.verify import (
     PROPERTIES,
     VerifyReport,
+    merge_results,
     plan_chunks,
     report_payload,
     report_text,
     run_verify,
 )
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 SMALL = {
     "reciprocity": (10, 10),
@@ -100,13 +107,23 @@ def test_nonvanishing_notes_list_expected_zeros():
 
 
 def test_jobs_do_not_change_results():
-    solo = run_verify("denominators", 16, 16, jobs=1)
-    split = run_verify("denominators", 16, 16, jobs=3)
-    assert (solo.instances, solo.failures, solo.notes) == (
-        split.instances,
-        split.failures,
-        split.notes,
-    )
+    # A three-way split, run chunk by chunk in this process and merged as
+    # run_verify merges its workers' results; no pool is started.
+    cases = [(name, *SMALL[name]) for name, spec in PROPERTIES.items() if spec.parallel]
+    cases.append(("denominators", 16, 16))
+    for name, max_r, max_s in cases:
+        chunks = plan_chunks(max_r, 3, cpus=3)
+        assert len(chunks) == 3
+        runner = PROPERTIES[name].runner
+        merged = merge_results(runner(max_r, max_s, rows) for rows in chunks)
+        solo = run_verify(name, max_r, max_s, jobs=1)
+        assert merged == (solo.instances, list(solo.failures), list(solo.notes)), name
+
+
+def test_merge_results_sums_and_sorts():
+    parts = [(2, ["b"], ["y"]), (0, [], []), (3, ["a", "c"], ["x"])]
+    assert merge_results(parts) == (5, ["a", "b", "c"], ["x", "y"])
+    assert merge_results([]) == (0, [], [])
 
 
 @pytest.mark.parametrize("name", sorted(n for n, spec in PROPERTIES.items() if spec.parallel))
@@ -195,6 +212,28 @@ def test_failures_are_reported_with_witnesses(monkeypatch):
     assert instances == 16
     assert failures
     assert any("(r=0, s=1)" in f for f in failures)
+
+
+def test_poly_reciprocity_failure_names_a_witness(monkeypatch):
+    def wrong_polynomial(self, r, s):
+        return Poly([r + 1, 0, 1])
+
+    monkeypatch.setattr(BsTable, "polynomial", wrong_polynomial)
+    instances, failures, _notes = PROPERTIES["poly-reciprocity"].runner(3, 3, None)
+    assert instances == 16
+    assert any(f.startswith("(r=0, s=1): ") for f in failures)
+
+
+def test_default_sweeps_pass_with_benchmark_counts(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up here
+    spec.loader.exec_module(workloads)
+    assert set(workloads.PROPERTY_INSTANCES) == set(PROPERTIES)
+    for name, prop in PROPERTIES.items():
+        report = run_verify(name, prop.default_r, prop.default_s, jobs=1)
+        assert report.ok, (name, report.failures[:3])
+        assert report.instances == workloads.PROPERTY_INSTANCES[name], name
 
 
 def test_report_text_shows_failures():
