@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from typing import Optional, Sequence
 
 from .bernoulli import BernoulliCache
@@ -225,7 +225,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
         return 1
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:
         print(f"error: a sweep worker process died: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

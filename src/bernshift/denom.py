@@ -127,13 +127,22 @@ class DenomFactorization:
         elif self.value != expected:
             raise ValueError(f"value {self.value} != 2^{self.eps2} * product = {expected}")
 
+    @classmethod
+    def _from_sieve(cls, eps2: int, primes: tuple[int, ...]) -> DenomFactorization:
+        """Unchecked construction for increasing odd primes taken from primes_up_to."""
+        fact = object.__new__(cls)
+        object.__setattr__(fact, "eps2", eps2)
+        object.__setattr__(fact, "primes", primes)
+        object.__setattr__(fact, "value", 2**eps2 * prod(primes))
+        return fact
+
 
 def _bernoulli_denominator_factorization(n: int) -> DenomFactorization:
     if n == 0 or (n % 2 and n >= 3):
-        return DenomFactorization(eps2=0, primes=())
+        return DenomFactorization._from_sieve(0, ())
     if n == 1:
-        return DenomFactorization(eps2=1, primes=())
-    return DenomFactorization(eps2=1, primes=tuple(p for p in clausen_primes(n) if p >= 3))
+        return DenomFactorization._from_sieve(1, ())
+    return DenomFactorization._from_sieve(1, tuple(p for p in clausen_primes(n) if p >= 3))
 
 
 def denom_formula(r: int, s: int) -> DenomFactorization:
@@ -153,7 +162,7 @@ def denom_formula(r: int, s: int) -> DenomFactorization:
     for p in primes_up_to(r + s + 1):
         if p >= 5 and least_positive_residue(r, p - 1) + least_positive_residue(s, p - 1) >= p - 1:
             odd.append(p)
-    return DenomFactorization(eps2=eps2, primes=tuple(odd))
+    return DenomFactorization._from_sieve(eps2, tuple(odd))
 
 
 def psi_reciprocity_check(r: int, s: int, p: int) -> bool:

@@ -67,11 +67,8 @@ def render_cells(grid: list[list[str]], fmt: str, latex_cells: list[list[str]] |
 def render_fraction_table(grid: list[list[Fraction]], fmt: str) -> str:
     if fmt == JSON:
         return render_json([[fraction_record(q) for q in row] for row in grid])
-    return render_cells(
-        [[str(q) for q in row] for row in grid],
-        fmt,
-        latex_cells=[[latex_fraction(q) for q in row] for row in grid],
-    )
+    latex_cells = [[latex_fraction(q) for q in row] for row in grid] if fmt == LATEX else None
+    return render_cells([[str(q) for q in row] for row in grid], fmt, latex_cells)
 
 
 def render_int_table(grid: list[list[int]], fmt: str) -> str:

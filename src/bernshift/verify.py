@@ -9,7 +9,6 @@ across worker processes and merges, with results independent of the split.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -418,6 +417,9 @@ def run_verify(name: str, max_r: int, max_s: int, jobs: int = 1) -> VerifyReport
     if len(chunks) < 2:
         parts = [spec.runner(max_r, max_s, None)]
     else:
+        # Imported here: the pool module pulls in multiprocessing, which no other request needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(_chunk_worker, name, max_r, max_s, c) for c in chunks]
             parts = [future.result() for future in futures]

@@ -27,7 +27,6 @@ from bernshift.exact_arith import binomial, primes_up_to
 from bernshift.umbral import (
     antidiagonal_sums,
     bs_direct,
-    bs_polynomial,
     bs_table_recursive,
     bs_via_difference,
 )
@@ -137,10 +136,11 @@ def test_06_reciprocity(cache, grid80):
             if lhs != rhs:
                 bad.append((r, s))
     poly_bad = []
+    table = bs_table_recursive(cache, 25, 25)
     for r in range(26):
         for s in range(26):
-            lhs = bs_polynomial(cache, r, s)
-            rhs = bs_polynomial(cache, s, r).compose_neg()
+            lhs = table.polynomial(r, s)
+            rhs = table.polynomial(s, r).compose_neg()
             if (r + s) % 2:
                 rhs = -rhs
             if lhs != rhs:

@@ -27,6 +27,18 @@ def _akiyama_tanigawa(limit):
     return values
 
 
+def _defining_recurrence(limit):
+    """Oracle for B_0..B_limit: solve sum(C(n+1, k) * B_k for k in 0..n) = 0 for B_n."""
+    values = [Fraction(1)]
+    for n in range(1, limit + 1):
+        acc = Fraction(0)
+        for k in range(n):
+            if values[k]:
+                acc += comb(n + 1, k) * values[k]
+        values.append(-acc / (n + 1))
+    return values
+
+
 class TestBernoulliNumbers:
     def test_examples(self, cache):
         assert cache[0] == 1
@@ -38,6 +50,14 @@ class TestBernoulliNumbers:
         oracle = _akiyama_tanigawa(60)
         for n, expected in enumerate(oracle):
             assert cache[n] == expected
+
+    def test_tangent_fill_matches_defining_recurrence(self):
+        # odd and even capacities, so the trailing zero and the last B_2k are both covered
+        oracle = _defining_recurrence(400)
+        for capacity in (*range(8), 400):
+            built = BernoulliCache(capacity)
+            assert built.capacity == capacity
+            assert [built[n] for n in range(capacity + 1)] == oracle[: capacity + 1]
 
     def test_odd_indices_vanish(self, cache):
         for n in range(3, 201, 2):

@@ -203,6 +203,20 @@ def test_module_entry_point_runs():
     assert proc.stdout == "2/15\n"
 
 
+def test_import_leaves_process_pool_unloaded():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, bernshift.cli; assert 'concurrent.futures.process' not in sys.modules",
+        ],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_json_int_threshold():
     assert json_int(2**53) == 2**53
     assert json_int(-(2**53)) == -(2**53)

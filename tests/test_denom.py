@@ -164,7 +164,9 @@ class TestDenominators:
     def test_formula_symmetric(self):
         for r in range(21):
             for s in range(21):
-                assert denom_formula(r, s).value == denom_formula(s, r).value
+                fact = denom_formula(r, s)
+                assert fact.value == denom_formula(s, r).value
+                assert DenomFactorization(eps2=fact.eps2, primes=fact.primes) == fact
 
     def test_three_routes_agree(self, cache):
         for r in range(25):
@@ -182,6 +184,8 @@ class TestDenominators:
             DenomFactorization(eps2=2, primes=())
         with pytest.raises(ValueError):
             DenomFactorization(eps2=0, primes=(4,))
+        with pytest.raises(ValueError):
+            DenomFactorization(eps2=0, primes=(9,))
         with pytest.raises(ValueError):
             DenomFactorization(eps2=0, primes=(5, 3))
         with pytest.raises(ValueError):
