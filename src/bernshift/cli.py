@@ -16,10 +16,8 @@ from .bernoulli import BernoulliCache
 from .denom import denom_formula, psi
 from .errors import InvariantViolation
 from .render import (
-    CSV,
     FORMATS,
     JSON,
-    LATEX,
     PLAIN,
     json_int,
     render_coefficients,
@@ -30,10 +28,6 @@ from .render import (
 )
 from .umbral import bs_direct, bs_polynomial, bs_table_recursive
 from .verify import PROPERTIES, report_payload, report_text, run_verify
-
-
-class UsageError(Exception):
-    """Bad arguments detected after parsing; reported on stderr with exit 2."""
 
 
 def _nonnegative(text: str) -> int:
@@ -66,10 +60,7 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     cache = _cache_for(args.max_r, args.max_s)
-    table = bs_table_recursive(cache, args.max_r, args.max_s)
-    grid = [
-        [table[r, s] for s in range(args.max_s + 1)] for r in range(args.max_r + 1)
-    ]
+    grid = bs_table_recursive(cache, args.max_r, args.max_s).entries
     if args.denoms:
         sys.stdout.write(
             render_int_table([[q.denominator for q in row] for row in grid], args.fmt)
@@ -91,16 +82,11 @@ def cmd_psi(args: argparse.Namespace) -> int:
         if args.show_indices:
             payload["indices"] = list(result.index_set)
         sys.stdout.write(render_json(payload))
-    elif args.fmt == LATEX:
-        sys.stdout.write(f"${result.value}$\n")
-    elif args.fmt == CSV:
-        sys.stdout.write(f"{result.value}\r\n")
+    elif args.fmt == PLAIN and args.show_indices:
+        inside = ", ".join(f"ν={v}" for v in result.index_set)
+        sys.stdout.write(f"{result.value}  {{{inside}}}\n")
     else:
-        if args.show_indices:
-            inside = ", ".join(f"ν={v}" for v in result.index_set)
-            sys.stdout.write(f"{result.value}  {{{inside}}}\n")
-        else:
-            sys.stdout.write(f"{result.value}\n")
+        sys.stdout.write(render_fraction_value(result.value, args.fmt))
     return 0
 
 
@@ -118,21 +104,15 @@ def cmd_denom(args: argparse.Namespace) -> int:
                 }
             )
         )
-    elif args.fmt == LATEX:
-        sys.stdout.write(f"${fact.value}$\n")
-    elif args.fmt == CSV:
-        sys.stdout.write(f"{fact.value}\r\n")
-    elif args.factor:
+    elif args.fmt == PLAIN and args.factor:
         parts = (["2"] if fact.eps2 else []) + [str(p) for p in fact.primes]
         sys.stdout.write(f"{fact.value} = {' * '.join(parts) if parts else '1'}\n")
     else:
-        sys.stdout.write(f"{fact.value}\n")
+        sys.stdout.write(render_fraction_value(fact.value, args.fmt))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.fmt not in (PLAIN, JSON):
-        raise UsageError(f"verify supports --format plain or json, not {args.fmt}")
     spec = PROPERTIES[args.property]
     max_r = spec.default_r if args.max_r is None else args.max_r
     max_s = spec.default_s if args.max_s is None else args.max_s
@@ -148,9 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", dest="fmt", choices=FORMATS, default=PLAIN, help="output format"
-    )
-    common.add_argument(
-        "--jobs", type=_positive, default=1, help="worker processes for sweeps"
     )
 
     parser = argparse.ArgumentParser(
@@ -200,10 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_denom.set_defaults(func=cmd_denom)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="sweep one property over a range and report"
-    )
+    p_verify = sub.add_parser("verify", help="sweep one property over a range and report")
     p_verify.add_argument("property", choices=sorted(PROPERTIES))
+    p_verify.add_argument(
+        "--format", dest="fmt", choices=(PLAIN, JSON), default=PLAIN, help="output format"
+    )
+    p_verify.add_argument("--jobs", type=_positive, default=1, help="worker processes for sweeps")
     p_verify.add_argument("--max-r", type=_nonnegative, default=None)
     p_verify.add_argument("--max-s", type=_nonnegative, default=None)
     p_verify.set_defaults(func=cmd_verify)
@@ -216,9 +195,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -108,11 +108,11 @@ def denom_via_psi(r: int, s: int) -> int:
 
 @dataclass(frozen=True)
 class DenomFactorization:
-    """Squarefree factorization 2^eps2 * product(primes) of denom(B[r,s])."""
+    """Squarefree factorization 2^eps2 * product(primes) of denom(B[r,s]); value is computed."""
 
     eps2: int
     primes: tuple[int, ...]
-    value: int = field(default=0)
+    value: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.eps2 not in (0, 1):
@@ -121,11 +121,7 @@ class DenomFactorization:
             raise ValueError("primes must all be odd primes")
         if any(a >= b for a, b in zip(self.primes, self.primes[1:])):
             raise ValueError("primes must be strictly increasing")
-        expected = 2**self.eps2 * prod(self.primes)
-        if self.value == 0:
-            object.__setattr__(self, "value", expected)
-        elif self.value != expected:
-            raise ValueError(f"value {self.value} != 2^{self.eps2} * product = {expected}")
+        object.__setattr__(self, "value", 2**self.eps2 * prod(self.primes))
 
     @classmethod
     def _from_sieve(cls, eps2: int, primes: tuple[int, ...]) -> DenomFactorization:

@@ -1,18 +1,18 @@
 """Deterministic text renderings: plain, csv, json, latex.
 
-Fractions render as "num/den" with "/1" suppressed and the sign on the
-numerator.  JSON output carries no floats; integers beyond 2**53 are encoded
-as decimal strings so consumers that parse into doubles cannot silently lose
+Every byte the CLI writes to stdout is built here.  Values are integers or
+fractions; fractions render as "num/den" with "/1" suppressed and the sign on
+the numerator, so a CSV cell holds only digits, "-" and "/" and never needs
+quoting.  JSON output carries no floats; integers beyond 2**53 are encoded as
+decimal strings so consumers that parse into doubles cannot silently lose
 precision.  All output is byte-stable across runs.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 PLAIN, CSV, JSON, LATEX = "plain", "csv", "json", "latex"
 FORMATS = (PLAIN, CSV, JSON, LATEX)
@@ -20,6 +20,7 @@ FORMATS = (PLAIN, CSV, JSON, LATEX)
 _JSON_SAFE = 2**53
 
 JsonInt = Union[int, str]
+Number = Union[int, Fraction]
 
 
 def json_int(n: int) -> JsonInt:
@@ -27,7 +28,7 @@ def json_int(n: int) -> JsonInt:
     return n if abs(n) <= _JSON_SAFE else str(n)
 
 
-def fraction_record(q: Fraction) -> dict[str, JsonInt]:
+def fraction_record(q: Number) -> dict[str, JsonInt]:
     return {"num": json_int(q.numerator), "den": json_int(q.denominator)}
 
 
@@ -36,63 +37,56 @@ def render_json(payload: object) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def latex_fraction(q: Fraction) -> str:
+def latex_fraction(q: Number) -> str:
     if q.denominator == 1:
         return f"${q.numerator}$"
     sign = "-" if q.numerator < 0 else ""
     return f"${sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}$"
 
 
-def _csv_text(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def render_cells(grid: list[list[str]], fmt: str, latex_cells: list[list[str]] | None = None) -> str:
-    """Render a grid of pre-formatted cells; latex adds index labels like a table body."""
+def _record(cells: Sequence[Number], fmt: str) -> str:
+    """One row as a CRLF-terminated CSV record, or as a plain comma-separated line."""
     if fmt == CSV:
-        return _csv_text(grid)
+        return ",".join(map(str, cells)) + "\r\n"
+    return ", ".join(map(str, cells)) + "\n"
+
+
+def render_cells(grid: Sequence[Sequence[Number]], fmt: str) -> str:
+    """Render a grid of values; latex adds index labels like a table body."""
     if fmt == LATEX:
-        cells = latex_cells if latex_cells is not None else [[f"${c}$" for c in row] for row in grid]
         width = len(grid[0]) if grid else 0
         lines = ["$r{\\backslash}s$ & " + " & ".join(f"${s}$" for s in range(width)) + " \\\\\\hline"]
-        for r, row in enumerate(cells):
-            lines.append(f"${r}$ & " + " & ".join(row) + " \\\\")
+        for r, row in enumerate(grid):
+            lines.append(f"${r}$ & " + " & ".join(map(latex_fraction, row)) + " \\\\")
         return "\n".join(lines) + "\n"
-    return "\n".join(", ".join(row) for row in grid) + "\n"
+    return "".join(_record(row, fmt) for row in grid)
 
 
-def render_fraction_table(grid: list[list[Fraction]], fmt: str) -> str:
+def render_fraction_table(grid: Sequence[Sequence[Fraction]], fmt: str) -> str:
     if fmt == JSON:
         return render_json([[fraction_record(q) for q in row] for row in grid])
-    latex_cells = [[latex_fraction(q) for q in row] for row in grid] if fmt == LATEX else None
-    return render_cells([[str(q) for q in row] for row in grid], fmt, latex_cells)
+    return render_cells(grid, fmt)
 
 
-def render_int_table(grid: list[list[int]], fmt: str) -> str:
+def render_int_table(grid: Sequence[Sequence[int]], fmt: str) -> str:
     if fmt == JSON:
         return render_json([[json_int(n) for n in row] for row in grid])
-    return render_cells([[str(n) for n in row] for row in grid], fmt)
+    return render_cells(grid, fmt)
 
 
-def render_fraction_value(q: Fraction, fmt: str) -> str:
+def render_fraction_value(q: Number, fmt: str) -> str:
+    """One value; an int renders as its own numerator."""
     if fmt == JSON:
         return render_json(fraction_record(q))
-    if fmt == CSV:
-        return _csv_text([[str(q)]])
     if fmt == LATEX:
         return latex_fraction(q) + "\n"
-    return str(q) + "\n"
+    return _record((q,), fmt)
 
 
-def render_coefficients(coeffs: tuple[Fraction, ...], fmt: str) -> str:
+def render_coefficients(coeffs: Sequence[Fraction], fmt: str) -> str:
     """Coefficient list, lowest power first."""
     if fmt == JSON:
         return render_json([fraction_record(c) for c in coeffs])
-    if fmt == CSV:
-        return _csv_text([[str(c) for c in coeffs]])
     if fmt == LATEX:
-        return " & ".join(latex_fraction(c) for c in coeffs) + " \\\\\n"
-    return ", ".join(str(c) for c in coeffs) + "\n"
+        return " & ".join(map(latex_fraction, coeffs)) + " \\\\\n"
+    return _record(coeffs, fmt)

@@ -149,9 +149,13 @@ class TestVerify:
         assert "PASS" in out
 
     def test_unsupported_format_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "reciprocity", "--max-r", "4", "--max-s", "4", "--format", "csv")
-        assert code == 2
-        assert "plain or json" in err
+        for fmt in ("csv", "latex"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["verify", "reciprocity", "--max-r", "4", "--max-s", "4", "--format", fmt])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "plain" in captured.err and "json" in captured.err
 
     @pytest.mark.parametrize(
         "exc",
@@ -185,6 +189,17 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["value", "two", "2"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["value", "2", "2"], ["table", "2", "2"], ["psi", "2", "2", "5"], ["denom", "2", "2"]],
+        ids=["value", "table", "psi", "denom"],
+    )
+    def test_jobs_is_verify_only(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_parser_builds(self):
         parser = build_parser()

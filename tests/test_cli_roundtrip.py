@@ -1,0 +1,71 @@
+"""CLI output in each of the four formats parses back to the library's exact value."""
+
+import contextlib
+import io
+import json
+import re
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from bernshift import bs_direct, denom_formula, psi
+from bernshift.cli import main
+from bernshift.render import FORMATS
+
+_PLAIN = re.compile(r"-?\d+(?:/\d+)?")
+_LATEX = re.compile(r"\$(-?)\\frac\{(\d+)\}\{(\d+)\}\$|\$(-?\d+)\$")
+
+indices = st.integers(min_value=0, max_value=30)
+formats = st.sampled_from(FORMATS)
+small_primes = st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+examples = settings(max_examples=60, deadline=None)
+
+
+def _json_number(v) -> int:
+    """An int inside the double-exact range, a decimal string outside it."""
+    assert isinstance(v, int) == (abs(int(v)) <= 2**53)
+    return int(v)
+
+
+def parse_scalar(out: str, fmt: str) -> Fraction:
+    if fmt == "json":
+        payload = json.loads(out)
+        if "num" in payload:
+            return Fraction(_json_number(payload["num"]), _json_number(payload["den"]))
+        return Fraction(_json_number(payload["value"]))
+    ending = "\r\n" if fmt == "csv" else "\n"
+    assert out.endswith(ending) and out.count("\n") == 1
+    text = out[: -len(ending)]
+    if fmt == "latex":
+        sign, num, den, whole = _LATEX.fullmatch(text).groups()
+        return Fraction(int(whole)) if whole else Fraction(int(sign + num), int(den))
+    assert _PLAIN.fullmatch(text)
+    return Fraction(text)
+
+
+def run(*argv: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    return buf.getvalue()
+
+
+@examples
+@given(indices, indices, formats)
+def test_value_round_trips(cache, r, s, fmt):
+    out = run("value", str(r), str(s), "--format", fmt)
+    assert parse_scalar(out, fmt) == bs_direct(cache, r, s)
+
+
+@examples
+@given(indices, indices, small_primes, formats)
+def test_psi_round_trips(r, s, p, fmt):
+    out = run("psi", str(r), str(s), str(p), "--format", fmt)
+    assert parse_scalar(out, fmt) == psi(r, s, p).value
+
+
+@examples
+@given(indices, indices, formats)
+def test_denom_round_trips(r, s, fmt):
+    out = run("denom", str(r), str(s), "--format", fmt)
+    assert parse_scalar(out, fmt) == denom_formula(r, s).value

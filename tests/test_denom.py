@@ -179,7 +179,6 @@ class TestDenominators:
     def test_factorization_validation(self):
         fact = DenomFactorization(eps2=1, primes=(3, 5))
         assert fact.value == 30
-        assert DenomFactorization(eps2=0, primes=(), value=1).value == 1
         with pytest.raises(ValueError):
             DenomFactorization(eps2=2, primes=())
         with pytest.raises(ValueError):
@@ -188,8 +187,6 @@ class TestDenominators:
             DenomFactorization(eps2=0, primes=(9,))
         with pytest.raises(ValueError):
             DenomFactorization(eps2=0, primes=(5, 3))
-        with pytest.raises(ValueError):
-            DenomFactorization(eps2=0, primes=(3,), value=6)
 
     def test_formula_structure(self):
         for r in range(1, 31):
