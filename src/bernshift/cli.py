@@ -59,14 +59,12 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    cache = _cache_for(args.max_r, args.max_s)
-    grid = bs_table_recursive(cache, args.max_r, args.max_s).entries
+    table = bs_table_recursive(_cache_for(args.max_r, args.max_s), args.max_r, args.max_s)
     if args.denoms:
-        sys.stdout.write(
-            render_int_table([[q.denominator for q in row] for row in grid], args.fmt)
-        )
+        sys.stdout.write(render_int_table(table.denominators(), args.fmt))
     else:
-        sys.stdout.write(render_fraction_table(grid, args.fmt))
+        # one row of Fractions at a time: the Fraction rectangle is never held whole
+        sys.stdout.write(render_fraction_table(table.fraction_rows(), args.fmt))
     return 0
 
 
@@ -193,6 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Python caps int <-> str conversion at 4300 digits (3.10.7+).  The cap
+    # stays on while arguments are parsed, where it stops quadratic parsing of
+    # huge numbers, and is lifted for the answer, which may be any size.
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -207,6 +211,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 3
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def entry() -> None:

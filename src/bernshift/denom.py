@@ -7,18 +7,24 @@ completely: adding sum(psi/p) restores integrality, p divides the denominator
 exactly when p does not divide psi, and reducing the residues of r and s
 mod p - 1 turns that test into a closed product formula.  All three routes to
 the denominator are implemented and cross-checked.
+
+psi(r, s, p) is B[r,s] with B_n replaced by its von Staudt-Clausen indicator
+chi_p(n), so it obeys the same recurrence psi[r+1,s] = psi[r,s] + psi[r,s+1];
+_psi_table fills it that way, while psi keeps the binomial sum, which serves
+any prime and is the table's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, prod
+from itertools import islice
+from math import comb, lcm, prod
 
 from .bernoulli import BernoulliCache, clausen_primes
 from .errors import InvariantViolation
 from .exact_arith import binomial, is_prime, least_positive_residue, primes_up_to
-from .umbral import BsTable, bs_direct
+from .umbral import BsTable, _triangle_rows, bs_direct
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,7 @@ class PsiValue:
 def _psi_indices(r: int, s: int, p: int) -> range:
     """The v in 0..r with s + v a positive even multiple of p - 1, for a prime p."""
     # admissible totals t = s + v are the positive multiples of lcm(2, p - 1)
-    step = p - 1 if (p - 1) % 2 == 0 else 2 * (p - 1)
+    step = lcm(2, p - 1)
     first = -(-max(s, 1) // step) * step
     return range(first - s, r + 1, step)
 
@@ -47,6 +53,20 @@ def _psi_indices(r: int, s: int, p: int) -> range:
 def _psi_value(r: int, s: int, p: int) -> int:
     """psi(r, s, p).value without the argument checks, for a p known to be prime."""
     return sum(comb(r, v) for v in _psi_indices(r, s, p))
+
+
+def _psi_seed(p: int, n: int) -> list[int]:
+    """chi_p(0..n): 1 at the positive multiples of lcm(2, p - 1), where B_t carries 1/p; else 0."""
+    step = lcm(2, p - 1)
+    seed = [0] * (n + 1)
+    seed[step::step] = [1] * len(range(step, n + 1, step))
+    return seed
+
+
+def _psi_table(p: int, max_r: int, max_s: int) -> list[list[int]]:
+    """psi(r, s, p) for r <= max_r and s <= max_s, by the B[r,s] recurrence seeded with chi_p."""
+    rows = islice(_triangle_rows(_psi_seed(p, max_r + max_s)), max_r + 1)
+    return [row[: max_s + 1] for row in rows]
 
 
 def psi(r: int, s: int, p: int) -> PsiValue:
@@ -64,26 +84,32 @@ def psi(r: int, s: int, p: int) -> PsiValue:
     )
 
 
+def _integral(r: int, s: int, numerator: int, d: int) -> int:
+    """numerator / d, the value of B[r,s] + sum(psi/p); InvariantViolation if not an integer."""
+    whole, rest = divmod(numerator, d)
+    if rest:
+        raise InvariantViolation(
+            f"B[{r},{s}] + sum(psi/p) = {Fraction(numerator, d)} is not an integer"
+        )
+    return whole
+
+
 def integrality_witness(table: BsTable, r: int, s: int) -> int:
     """The integer B[r,s] + sum(psi(r, s, p) / p over primes p <= r + s + 1).
 
     B[r,s] is read from the table.  The sum over all primes is finite because
     psi vanishes for p > r + s + 1; the p = 2 term is itself an integer for
-    r >= 2 and is included.  The psi terms are summed over the product of
-    the primes and reduced once.  A non-integral total raises
+    r >= 2 and is included.  Everything is summed over the table's
+    denominator, which every such p divides.  A non-integral total raises
     InvariantViolation and must never happen.
     """
     if r < 2 or s < 2:
         raise ValueError("integrality_witness: requires r >= 2 and s >= 2")
-    primes = primes_up_to(r + s + 1)
-    modulus = prod(primes)
-    psi_sum = sum(_psi_value(r, s, p) * (modulus // p) for p in primes)
-    total = table[r, s] + Fraction(psi_sum, modulus)
-    if total.denominator != 1:
-        raise InvariantViolation(
-            f"B[{r},{s}] + sum(psi/p) = {total} is not an integer"
-        )
-    return int(total)
+    d = table.denominator
+    numerator = table.scaled[r][s] + sum(
+        _psi_value(r, s, p) * (d // p) for p in primes_up_to(r + s + 1)
+    )
+    return _integral(r, s, numerator, d)
 
 
 def denom_exact(cache: BernoulliCache, r: int, s: int) -> int:
@@ -101,9 +127,14 @@ def denom_via_psi(r: int, s: int) -> int:
         raise ValueError("denom_via_psi: requires r >= 2 and s >= 2")
     value = 1
     for p in primes_up_to(r + s + 1):
-        if p >= 3 and _psi_value(r, s, p) % p != 0:
+        if _divides_denominator(p, _psi_value(r, s, p)):
             value *= p
     return value
+
+
+def _divides_denominator(p: int, psi_value: int) -> bool:
+    """For r, s >= 2: whether the prime p divides denom(B[r,s]), given psi(r, s, p)."""
+    return p >= 3 and psi_value % p != 0
 
 
 @dataclass(frozen=True)
@@ -151,14 +182,36 @@ def denom_formula(r: int, s: int) -> DenomFactorization:
     """
     if r < 0 or s < 0:
         raise ValueError("rank and shift must be non-negative")
+    return _denom_formula(r, s, primes_up_to(r + s + 1))
+
+
+def _denom_formula(r: int, s: int, primes: list[int]) -> DenomFactorization:
+    """denom_formula(r, s) with its primes read from a sieve reaching at least r + s + 1."""
     if r == 0 or s == 0:
         return _bernoulli_denominator_factorization(max(r, s))
     eps2 = 1 if (r == 1 or s == 1) and r != s else 0
     odd = [3]
-    for p in primes_up_to(r + s + 1):
+    for p in primes:
+        if p > r + s + 1:
+            break
         if p >= 5 and least_positive_residue(r, p - 1) + least_positive_residue(s, p - 1) >= p - 1:
             odd.append(p)
     return DenomFactorization._from_sieve(eps2, tuple(odd))
+
+
+def _psi_reciprocal(r: int, s: int, psi_rs: int, psi_sr: int, p: int) -> bool:
+    """(-1)^r psi(r,s,p) == (-1)^s psi(s,r,p) mod p, given both values."""
+    lhs = psi_rs if r % 2 == 0 else -psi_rs
+    rhs = psi_sr if s % 2 == 0 else -psi_sr
+    return (lhs - rhs) % p == 0
+
+
+def _psi_periodic(v_rs: int, v_rs2: int, v_r2s: int, v_r2s2: int, p: int) -> bool:
+    """Whether psi, given at (r, s), (r, s2), (r2, s) and (r2, s2), is periodic.
+
+    Exact in the shift at both ranks, and mod p in the rank.
+    """
+    return v_rs == v_rs2 and v_r2s == v_r2s2 and (v_rs - v_r2s) % p == 0
 
 
 def psi_reciprocity_check(r: int, s: int, p: int) -> bool:
@@ -173,9 +226,7 @@ def psi_reciprocity_check(r: int, s: int, p: int) -> bool:
         raise ValueError("psi_reciprocity_check: requires r >= 1 and s >= 1")
     if not is_prime(p):
         raise ValueError(f"psi_reciprocity_check: {p} is not prime")
-    lhs = _psi_value(r, s, p) if r % 2 == 0 else -_psi_value(r, s, p)
-    rhs = _psi_value(s, r, p) if s % 2 == 0 else -_psi_value(s, r, p)
-    return (lhs - rhs) % p == 0
+    return _psi_reciprocal(r, s, _psi_value(r, s, p), _psi_value(s, r, p), p)
 
 
 def psi_periodicity_check(r: int, r2: int, s: int, s2: int, p: int) -> bool:
@@ -201,7 +252,7 @@ def psi_periodicity_check(r: int, r2: int, s: int, s2: int, p: int) -> bool:
     else:
         v_r2s = _psi_value(r2, s, p)
         v_r2s2 = v_r2s if s2 == s else _psi_value(r2, s2, p)
-    return v_rs == v_rs2 and v_r2s == v_r2s2 and (v_rs - v_r2s) % p == 0
+    return _psi_periodic(v_rs, v_rs2, v_r2s, v_r2s2, p)
 
 
 def psi_matrix(p: int) -> tuple[tuple[int, ...], ...]:

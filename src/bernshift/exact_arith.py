@@ -88,14 +88,18 @@ def least_positive_residue(x: int, m: int) -> int:
     return (x - 1) % m + 1
 
 
-def forward_difference(f: Callable[[int], Scalar], order: int, start: int = 0) -> Fraction:
-    """Iterated forward difference: sum(C(order, v) * (-1)^(order-v) * f(start+v))."""
+def forward_difference(f: Callable[[int], Scalar], order: int, start: int = 0) -> Scalar:
+    """Iterated forward difference: sum(C(order, v) * (-1)^(order-v) * f(start+v)).
+
+    Exact in what f returns: an int-valued f gives an int, a Fraction-valued
+    f a Fraction.
+    """
     if order < 0:
         raise ValueError("forward_difference: order must be non-negative")
-    acc = Fraction(0)
+    acc = 0
     sign = -1 if order % 2 else 1
     for v in range(order + 1):
-        acc += sign * comb(order, v) * Fraction(f(start + v))
+        acc += sign * comb(order, v) * f(start + v)
         sign = -sign
     return acc
 

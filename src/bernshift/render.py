@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 PLAIN, CSV, JSON, LATEX = "plain", "csv", "json", "latex"
 FORMATS = (PLAIN, CSV, JSON, LATEX)
@@ -51,18 +51,19 @@ def _record(cells: Sequence[Number], fmt: str) -> str:
     return ", ".join(map(str, cells)) + "\n"
 
 
-def render_cells(grid: Sequence[Sequence[Number]], fmt: str) -> str:
-    """Render a grid of values; latex adds index labels like a table body."""
+def render_cells(grid: Iterable[Sequence[Number]], fmt: str) -> str:
+    """Render a grid of values, reading its rows once; latex adds index labels like a table body."""
     if fmt == LATEX:
-        width = len(grid[0]) if grid else 0
-        lines = ["$r{\\backslash}s$ & " + " & ".join(f"${s}$" for s in range(width)) + " \\\\\\hline"]
+        body, width = [], 0
         for r, row in enumerate(grid):
-            lines.append(f"${r}$ & " + " & ".join(map(latex_fraction, row)) + " \\\\")
-        return "\n".join(lines) + "\n"
+            body.append(f"${r}$ & " + " & ".join(map(latex_fraction, row)) + " \\\\")
+            width = len(row)
+        header = "$r{\\backslash}s$ & " + " & ".join(f"${s}$" for s in range(width)) + " \\\\\\hline"
+        return "\n".join([header, *body]) + "\n"
     return "".join(_record(row, fmt) for row in grid)
 
 
-def render_fraction_table(grid: Sequence[Sequence[Fraction]], fmt: str) -> str:
+def render_fraction_table(grid: Iterable[Sequence[Fraction]], fmt: str) -> str:
     if fmt == JSON:
         return render_json([[fraction_record(q) for q in row] for row in grid])
     return render_cells(grid, fmt)

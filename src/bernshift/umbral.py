@@ -5,9 +5,11 @@ shift s >= 0; row r = 0 is the Bernoulli sequence itself.  The same numbers
 arise three independent ways -- the defining binomial sum, a Pascal-style
 recurrence filling the table row by row, and iterated forward differences of
 (-1)^n B_n -- and every path is exposed so the suite can play them against
-each other.  The polynomial extension B[r,s](x) sums Bernoulli polynomials
-the same way; it is read off the table, and satisfies an asymmetric
-reciprocity in x and -x.
+each other.  The table runs in integers: by von Staudt-Clausen every
+denominator of B_0..B_n divides D = product(primes <= n + 1), so D * B[r,s]
+is an integer for r + s <= n.  The polynomial extension B[r,s](x) sums
+Bernoulli polynomials the same way; it is read off the table, and satisfies
+an asymmetric reciprocity in x and -x.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import comb, lcm
-from typing import Iterator
+from math import comb, gcd, prod
+from operator import add
+from typing import Callable, Iterator, Sequence
 
 from .bernoulli import BernoulliCache
 from .errors import CapacityError, InvariantViolation
-from .exact_arith import Poly, forward_difference
+from .exact_arith import Poly, Scalar, forward_difference, primes_up_to
 
 
 def _check_key(cache: BernoulliCache, r: int, s: int) -> None:
@@ -33,47 +36,77 @@ def _check_key(cache: BernoulliCache, r: int, s: int) -> None:
         )
 
 
+def _defining_sum(b: Sequence[Scalar], r: int, s: int) -> Scalar:
+    """sum(C(r, v) * b[s + v] for v in 0..r), zero terms skipped; b is B_n or D * B_n."""
+    return sum(comb(r, v) * b[s + v] for v in range(r + 1) if b[s + v])
+
+
 def bs_direct(cache: BernoulliCache, r: int, s: int) -> Fraction:
     """B[r,s] by the defining sum over C(r, v) * B_{s+v}."""
     _check_key(cache, r, s)
-    acc = Fraction(0)
-    for v in range(r + 1):
-        b = cache[s + v]
-        if b:
-            acc += comb(r, v) * b
-    return acc
+    return Fraction(_defining_sum(cache, r, s))
+
+
+def _scaled_bernoulli(cache: BernoulliCache, n: int) -> tuple[int, list[int]]:
+    """(D, [D * B_0, ..., D * B_n]) with D = product(primes <= n + 1).
+
+    By von Staudt-Clausen the denominator of each B_k with k <= n divides D;
+    a B_k that breaks this raises InvariantViolation.
+    """
+    d = prod(primes_up_to(n + 1))
+    seed = []
+    for k in range(n + 1):
+        b = cache[k]
+        share, rest = divmod(d, b.denominator)
+        if rest:
+            raise InvariantViolation(f"denom(B_{k}) = {b.denominator} does not divide {d}")
+        seed.append(b.numerator * share)
+    return d, seed
 
 
 @dataclass(frozen=True)
 class BsTable:
-    """Dense rectangle of B[r,s] values for 0 <= r <= max_r, 0 <= s <= max_s."""
+    """Dense rectangle of B[r,s] for 0 <= r <= max_r, 0 <= s <= max_s, in integers.
+
+    scaled[r][s] = denominator * B[r,s].  The denominator is a multiple of
+    every prime p <= max_r + max_s + 1; bs_table_recursive makes it their
+    product.  Fractions are made only on demand.
+    """
 
     max_r: int
     max_s: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    denominator: int
+    scaled: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows of B[r,s] as reduced Fractions, built on first use."""
+        return tuple(self.fraction_rows())
+
+    def fraction_rows(self) -> Iterator[tuple[Fraction, ...]]:
+        """The rows of B[r,s] as reduced Fractions, each made as it is reached."""
+        d = self.denominator
+        for row in self.scaled:
+            yield tuple(Fraction(x, d) for x in row)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         r, s = key
-        return self.entries[r][s]
+        return Fraction(self.scaled[r][s], self.denominator)
 
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, rows of D * B[r,s]) with D the lcm of the entries' denominators."""
-        d = lcm(*(q.denominator for row in self.entries for q in row))
-        rows = tuple(tuple(q.numerator * (d // q.denominator) for q in row) for row in self.entries)
-        return d, rows
+    def denominators(self) -> list[list[int]]:
+        """denom(B[r,s]) = D // gcd(D, D * B[r,s]) for every key, no Fraction built."""
+        d = self.denominator
+        return [[d // gcd(d, x) for x in row] for row in self.scaled]
 
-    def polynomial(self, r: int, s: int) -> Poly:
-        """B[r,s](x) read off the table: monic of degree r + s, constant term B[r,s].
+    def scaled_polynomial(self, r: int, s: int) -> list[int]:
+        """D times the coefficients of B[r,s](x), lowest power first; monic of degree r + s.
 
         [x^k] B[r,s](x) = sum(C(r, j) * C(s, k - j) * B[r - j, s - k + j]), which
-        is Vandermonde on the umbral form (B + 1 + x)^r (B + x)^s.  Each
-        coefficient is summed in integers over the table's common denominator
-        and reduced once.
+        is Vandermonde on the umbral form (B + 1 + x)^r (B + x)^s.
         """
         if not (0 <= r <= self.max_r and 0 <= s <= self.max_s):
             raise ValueError(f"B[{r},{s}](x) lies outside the {self.max_r}x{self.max_s} table")
-        d, scaled = self._scaled
+        scaled = self.scaled
         comb_r = [comb(r, j) for j in range(r + 1)]
         comb_s = [comb(s, i) for i in range(s + 1)]
         coeffs = []
@@ -81,30 +114,36 @@ class BsTable:
             acc = 0
             for j in range(max(0, k - s), min(r, k) + 1):
                 acc += comb_r[j] * comb_s[k - j] * scaled[r - j][s - k + j]
-            coeffs.append(Fraction(acc, d))
-        poly = Poly(coeffs)
-        if poly.degree != r + s or poly.coeffs[-1] != 1:
+            coeffs.append(acc)
+        if coeffs[-1] != self.denominator:
+            got = Poly(Fraction(c, self.denominator) for c in coeffs)
             raise InvariantViolation(
-                f"B[{r},{s}](x) should be monic of degree {r + s}, got {poly!r}"
+                f"B[{r},{s}](x) should be monic of degree {r + s}, got {got!r}"
             )
-        return poly
+        return coeffs
+
+    def polynomial(self, r: int, s: int) -> Poly:
+        """B[r,s](x) read off the table: monic of degree r + s, constant term B[r,s]."""
+        d = self.denominator
+        return Poly(Fraction(c, d) for c in self.scaled_polynomial(r, s))
 
 
-def _triangle_rows(cache: BernoulliCache, n: int) -> Iterator[list[Fraction]]:
-    """Rows r = 0..n of B[r,s] over r + s <= n, one at a time.
+def _triangle_rows(seed: Sequence[Scalar]) -> Iterator[list[Scalar]]:
+    """Rows r = 0..n of X[r,s] over r + s <= n, given the seed row X[0, 0..n].
 
-    Row 0 is B_0..B_n; row r + 1 is B[r+1,s] = B[r,s] + B[r,s+1], one entry
-    shorter than row r.
+    Row r + 1 is X[r+1,s] = X[r,s] + X[r,s+1], one entry shorter than row r.
+    Seeded with D * B_0..D * B_n it gives D * B[r,s]; seeded with a prime's
+    von Staudt-Clausen indicator it gives psi (see denom._psi_table).
     """
-    row = [cache[s] for s in range(n + 1)]
+    row = list(seed)
     yield row
-    for _ in range(n):
-        row = [row[s] + row[s + 1] for s in range(len(row) - 1)]
+    for _ in range(len(row) - 1):
+        row = list(map(add, row, row[1:]))
         yield row
 
 
 def bs_table_recursive(cache: BernoulliCache, max_r: int, max_s: int) -> BsTable:
-    """Fill the rectangle from the Bernoulli row by the recurrence of _triangle_rows.
+    """Fill the rectangle in integers from D * B_0..D * B_n by _triangle_rows, n = max_r + max_s.
 
     Row r is computed out to column max_s + max_r - r, as the next row
     needs, and trimmed to the requested width on storage.
@@ -115,8 +154,15 @@ def bs_table_recursive(cache: BernoulliCache, max_r: int, max_s: int) -> BsTable
         raise CapacityError(
             f"{max_r}x{max_s} table needs B_{max_r + max_s} but cache capacity is {cache.capacity}"
         )
-    rows = islice(_triangle_rows(cache, max_r + max_s), max_r + 1)
-    return BsTable(max_r=max_r, max_s=max_s, entries=tuple(tuple(row[: max_s + 1]) for row in rows))
+    d, seed = _scaled_bernoulli(cache, max_r + max_s)
+    rows = islice(_triangle_rows(seed), max_r + 1)
+    return BsTable(max_r, max_s, d, tuple(tuple(row[: max_s + 1]) for row in rows))
+
+
+def _difference_forms(f: Callable[[int], Scalar], r: int, s: int) -> tuple[Scalar, Scalar]:
+    """(-1)^(r+s) * delta^r f at s, and delta^s f at r: both equal B[r,s] for f(n) = (-1)^n B_n."""
+    sign = -1 if (r + s) % 2 else 1
+    return sign * forward_difference(f, r, s), forward_difference(f, s, r)
 
 
 def bs_via_difference(cache: BernoulliCache, r: int, s: int) -> Fraction:
@@ -131,9 +177,7 @@ def bs_via_difference(cache: BernoulliCache, r: int, s: int) -> Fraction:
         b = cache[n]
         return -b if n % 2 else b
 
-    sign = -1 if (r + s) % 2 else 1
-    rank_form = sign * forward_difference(f, r, s)
-    shift_form = forward_difference(f, s, r)
+    rank_form, shift_form = _difference_forms(f, r, s)
     if rank_form != shift_form:
         raise InvariantViolation(
             f"difference forms disagree at (r={r}, s={s}): {rank_form} != {shift_form}"
@@ -159,11 +203,12 @@ def antidiagonal_sums(cache: BernoulliCache, n_max: int) -> list[Fraction]:
     """
     if n_max < 0:
         raise ValueError("n must be non-negative")
-    sums = [Fraction(0)] * (n_max + 1)
-    for r, row in enumerate(_triangle_rows(cache, n_max)):
+    d, seed = _scaled_bernoulli(cache, n_max)
+    sums = [0] * (n_max + 1)
+    for r, row in enumerate(_triangle_rows(seed)):
         for s, value in enumerate(row):
             sums[r + s] += value
-    return sums
+    return [Fraction(total, d) for total in sums]
 
 
 def bs_polynomial(cache: BernoulliCache, r: int, s: int) -> Poly:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -21,23 +22,23 @@ from .bernoulli import (
     von_staudt_clausen_witness,
 )
 from .denom import (
-    _psi_value,
-    denom_formula,
-    denom_via_psi,
-    integrality_witness,
-    psi,
+    _denom_formula,
+    _divides_denominator,
+    _integral,
+    _psi_periodic,
+    _psi_reciprocal,
+    _psi_table,
     psi_matrix,
-    psi_periodicity_check,
-    psi_reciprocity_check,
 )
 from .errors import InvariantViolation
 from .exact_arith import primes_up_to
 from .umbral import (
     BsTable,
+    _defining_sum,
+    _difference_forms,
+    _scaled_bernoulli,
     antidiagonal_sums,
-    bs_direct,
     bs_table_recursive,
-    bs_via_difference,
 )
 
 SweepResult = tuple[int, list[str], list[str]]  # instances, failures, notes
@@ -82,10 +83,11 @@ def _sweep_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     for r in _rows(rows, max_r):
         for s in range(max_s + 1):
             instances += 1
-            a = table[r, s]
-            b = swapped[s, r]
+            # both tables share D = product(primes <= max_r + max_s + 1)
+            a = table.scaled[r][s]
+            b = swapped.scaled[s][r]
             if (a if r % 2 == 0 else -a) != (b if s % 2 == 0 else -b):
-                failures.append(f"(r={r}, s={s}): {a} vs {b}")
+                failures.append(f"(r={r}, s={s}): {table[r, s]} vs {swapped[s, r]}")
     return instances, failures, []
 
 
@@ -101,27 +103,33 @@ def _sweep_antidiagonal(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_paths(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+    """Defining sum, table and both difference forms, each computed apart in integers over D."""
     bound = max(max_r, max_s)
     cache = BernoulliCache(max_r + max_s + 2)
     table = bs_table_recursive(cache, max_r, max_s)
+    d, seed = _scaled_bernoulli(cache, max_r + max_s)
+    signed = [-x if n % 2 else x for n, x in enumerate(seed)]  # D * (-1)^n B_n
     instances, failures = 0, []
     for r in _rows(rows, max_r):
         for s in range(min(max_s, bound - r) + 1):
             instances += 1
-            direct = bs_direct(cache, r, s)
-            try:
-                diff = bs_via_difference(cache, r, s)
-            except InvariantViolation as exc:
-                failures.append(str(exc))
-                continue
-            if not (direct == table[r, s] == diff):
+            direct = _defining_sum(seed, r, s)
+            rank_form, shift_form = _difference_forms(signed.__getitem__, r, s)
+            if rank_form != shift_form:
                 failures.append(
-                    f"(r={r}, s={s}): direct={direct}, table={table[r, s]}, difference={diff}"
+                    f"difference forms disagree at (r={r}, s={s}): "
+                    f"{Fraction(rank_form, d)} != {Fraction(shift_form, d)}"
+                )
+            elif not (direct == table.scaled[r][s] == rank_form):
+                failures.append(
+                    f"(r={r}, s={s}): direct={Fraction(direct, d)}, table={table[r, s]}, "
+                    f"difference={Fraction(rank_form, d)}"
                 )
     return instances, failures, []
 
 
 def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+    """[x^k]: (-1)^r c_k(r,s) = (-1)^(s+k) c_k(s,r), compared as integers over the shared D."""
     table = _table(max_r, max_s)
     swapped = table if max_r == max_s else _table(max_s, max_r)
     instances, failures = 0, []
@@ -129,11 +137,14 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
         sign_r = 1 if r % 2 == 0 else -1
         for s in range(max_s + 1):
             instances += 1
-            sign_s = 1 if s % 2 == 0 else -1
-            lhs = sign_r * table.polynomial(r, s)
-            rhs = sign_s * swapped.polynomial(s, r).compose_neg()
-            if lhs != rhs:
-                failures.append(f"(r={r}, s={s}): {lhs!r} != {rhs!r}")
+            lhs = table.scaled_polynomial(r, s)
+            rhs = swapped.scaled_polynomial(s, r)
+            if any(a != (-b if (r + s + k) % 2 else b) for k, (a, b) in enumerate(zip(lhs, rhs))):
+                sign_s = 1 if s % 2 == 0 else -1
+                failures.append(
+                    f"(r={r}, s={s}): {sign_r * table.polynomial(r, s)!r} "
+                    f"!= {sign_s * swapped.polynomial(s, r).compose_neg()!r}"
+                )
     return instances, failures, []
 
 
@@ -143,10 +154,10 @@ def _sweep_nonvanishing(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     for r in _rows(rows, max_r):
         for s in range(max_s + 1):
             instances += 1
-            value = table[r, s]
+            value = table.scaled[r][s]
             if _exceptional_zero(r, s):
                 if value != 0:
-                    failures.append(f"(r={r}, s={s}): expected 0, got {value}")
+                    failures.append(f"(r={r}, s={s}): expected 0, got {table[r, s]}")
                 else:
                     notes.append(f"zero at (r={r}, s={s})")
             elif value == 0:
@@ -155,42 +166,68 @@ def _sweep_nonvanishing(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_denominators(max_r: int, max_s: int, rows: Rows) -> SweepResult:
-    table = _table(max_r, max_s)
+    exact = _table(max_r, max_s).denominators()
+    sieve = primes_up_to(max_r + max_s + 1)
+    ranks = _rows(rows, max_r)
+    # for r, s >= 2: the product of the primes that psi(r, s, p) puts in the denominator
+    via_psi = {r: [1] * (max_s + 1) for r in ranks if r >= 2}
+    for p in sieve:  # one prime's psi table alive at a time
+        psi_p = _psi_table(p, max_r, max_s)
+        for r, product in via_psi.items():
+            row = psi_p[r]
+            for s in range(2, max_s + 1):
+                if _divides_denominator(p, row[s]):
+                    product[s] *= p
     instances, failures = 0, []
-    for r in _rows(rows, max_r):
+    for r in ranks:
         for s in range(max_s + 1):
             instances += 1
-            exact = table[r, s].denominator
-            formula = denom_formula(r, s)
-            if formula.value != exact:
-                failures.append(f"(r={r}, s={s}): formula {formula.value} != exact {exact}")
-            if denom_formula(s, r).value != formula.value:
+            d = exact[r][s]
+            formula = _denom_formula(r, s, sieve).value
+            if formula != d:
+                failures.append(f"(r={r}, s={s}): formula {formula} != exact {d}")
+            if _denom_formula(s, r, sieve).value != formula:
                 failures.append(f"(r={r}, s={s}): formula not symmetric")
-            if r >= 2 and s >= 2:
-                via_psi = denom_via_psi(r, s)
-                if via_psi != exact:
-                    failures.append(f"(r={r}, s={s}): psi product {via_psi} != exact {exact}")
+            if r >= 2 and s >= 2 and via_psi[r][s] != d:
+                failures.append(f"(r={r}, s={s}): psi product {via_psi[r][s]} != exact {d}")
     return instances, failures, []
 
 
 def _sweep_integrality(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+    """B[r,s] + sum(psi/p) summed over D one prime's psi table at a time, plus psi divisibility."""
     table = _table(max_r, max_s)
-    instances, failures = 0, []
-    for r in _rows(rows, max_r, start=2):
-        for s in range(2, max_s + 1):
-            instances += 1
+    d, ranks = table.denominator, _rows(rows, max_r, start=2)
+    # D * (B[r,s] + the psi/p terms so far) for s = 2..max_s, one list per rank
+    totals = [list(table.scaled[r][2:]) for r in ranks]
+    del table  # its values live on in totals only
+    failures = []
+    psi_two: list[list[int]] = []
+    for p in primes_up_to(max_r + max_s + 1):  # one prime's psi table alive at a time
+        psi_p, share = _psi_table(p, max_r, max_s), d // p
+        for i, r in enumerate(ranks):
+            row = psi_p[r]
+            totals[i] = [total + value * share for total, value in zip(totals[i], row[2:])]
+            if p == 3:
+                for s in range(2, max_s + 1):
+                    psi2, psi3 = psi_two[r][s], row[s]
+                    if not (psi2 == psi3 == 2 ** (r - 1) and psi2 % 2 == 0 and psi3 % 3 != 0):
+                        failures.append(f"(r={r}, s={s}): psi(2)={psi2}, psi(3)={psi3}")
+            elif p >= 5:
+                # p - 1 | r or p - 1 | s: then p must not divide psi
+                step = 1 if r % (p - 1) == 0 else p - 1
+                failures.extend(
+                    f"(r={r}, s={s}): p={p} divides psi"
+                    for s in range(max(2, step), max_s + 1, step)
+                    if row[s] % p == 0
+                )
+        psi_two = psi_p if p == 2 else []
+    for r, row in zip(ranks, totals):
+        for s, total in enumerate(row, start=2):
             try:
-                integrality_witness(table, r, s)
+                _integral(r, s, total, d)
             except InvariantViolation as exc:
-                failures.append(str(exc))
-            psi2 = psi(r, s, 2).value
-            psi3 = psi(r, s, 3).value
-            if not (psi2 == psi3 == 2 ** (r - 1) and psi2 % 2 == 0 and psi3 % 3 != 0):
-                failures.append(f"(r={r}, s={s}): psi(2)={psi2}, psi(3)={psi3}")
-            for p in set(clausen_primes(r) + clausen_primes(s)):
-                if p >= 5 and _psi_value(r, s, p) % p == 0:
-                    failures.append(f"(r={r}, s={s}): p={p} divides psi")
-    return instances, failures, []
+                failures.append(f"(r={r}, s={s}): {exc}")
+    return sum(map(len, totals)), failures, []
 
 
 def _sweep_psi_matrix(max_r: int, max_s: int, rows: Rows) -> SweepResult:
@@ -213,19 +250,23 @@ def _sweep_psi_congruences(max_r: int, max_s: int, rows: Rows) -> SweepResult:
         if p < 3:
             continue
         step = p - 1
+        psi_p = _psi_table(p, bound, bound)
         for r in range(1, bound + 1):
+            row = psi_p[r]
             for s in range(bound + 1):
                 if s > step:
                     instances += 1
-                    if not psi_periodicity_check(r, r, s, s - step, p):
+                    v, v2 = row[s], row[s - step]
+                    if not _psi_periodic(v, v2, v, v2, p):
                         failures.append(f"p={p}: shift periodicity fails at (r={r}, s={s})")
                 if r > step:
                     instances += 1
-                    if not psi_periodicity_check(r, r - step, s, s, p):
+                    v, v2 = row[s], psi_p[r - step][s]
+                    if not _psi_periodic(v, v, v2, v2, p):
                         failures.append(f"p={p}: rank periodicity fails at (r={r}, s={s})")
                 if r <= s:
                     instances += 1
-                    if not psi_reciprocity_check(r, s, p):
+                    if not _psi_reciprocal(r, s, row[s], psi_p[s][r], p):
                         failures.append(f"p={p}: reciprocity fails at (r={r}, s={s})")
     return instances, failures, []
 
@@ -269,7 +310,8 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Rows) -> SweepResult
     with every prime factor <= r + s + 1; and denominator 1 exactly at
     (0, 0) and the exceptional zeros.
     """
-    table = _table(max_r, max_s)
+    denoms = _table(max_r, max_s).denominators()
+    sieve = primes_up_to(max_r + max_s + 1)
     counts = dict.fromkeys(
         (
             "symmetry",
@@ -293,9 +335,9 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Rows) -> SweepResult
     bound = min(max_r, max_s)
     for r in range(max_r + 1):
         for s in range(max_s + 1):
-            d = table[r, s].denominator
+            d = denoms[r][s]
             if r <= bound and s <= bound:
-                d_swapped = table[s, r].denominator
+                d_swapped = denoms[s][r]
                 check("symmetry", d == d_swapped, f"(r={r}, s={s}): {d} != {d_swapped}")
             if r == 0:
                 check("row0-classical", d == bernoulli_denominator(s), f"(0, s={s}): {d}")
@@ -320,7 +362,9 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Rows) -> SweepResult
                 )
             rest = d
             square_ok = True
-            for p in primes_up_to(r + s + 1):
+            for p in sieve:
+                if p > r + s + 1:
+                    break
                 if rest % p == 0:
                     rest //= p
                     if rest % p == 0:
@@ -457,6 +501,7 @@ def report_payload(report: VerifyReport) -> dict:
         "instances": report.instances,
         "failures": list(report.failures),
         "notes": list(report.notes),
-        "wall_ms": int(report.seconds * 1000),
         "pass": report.ok,
+        # everything above is deterministic; the timing below is not
+        "timing": {"wall_ms": int(report.seconds * 1000)},
     }

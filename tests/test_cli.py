@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +192,17 @@ class TestParser:
             main(["value", "two", "2"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+    def test_huge_argument_still_exits_two(self, capsys):
+        # the digit limit is lifted for output only, never for argument parsing
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["value", "1" * 5000, "2"])
+        assert excinfo.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+        assert main(["value", "2", "2"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+
     @pytest.mark.parametrize(
         "argv",
         [["value", "2", "2"], ["table", "2", "2"], ["psi", "2", "2", "5"], ["denom", "2", "2"]],
@@ -207,27 +220,30 @@ class TestParser:
         assert (args.r, args.s, args.fmt) == (2, 3, "json")
 
 
-def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "bernshift", "value", "2", "2"],
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports bernshift from this checkout, installed or not."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_runs():
+    proc = _python("-m", "bernshift", "value", "2", "2")
     assert proc.returncode == 0
     assert proc.stdout == "2/15\n"
 
 
 def test_import_leaves_process_pool_unloaded():
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, bernshift.cli; assert 'concurrent.futures.process' not in sys.modules",
-        ],
-        capture_output=True,
-        text=True,
-        check=False,
+    proc = _python(
+        "-c", "import sys, bernshift.cli; assert 'concurrent.futures.process' not in sys.modules"
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -3,16 +3,23 @@
 Each row is (command line, exit code, sha256 of stdout as UTF-8).  The digests
 were recorded from the CLI before its rendering was consolidated into
 ``bernshift.render``; a change to any output byte of these commands fails
-here.  ``verify`` is left out because its output carries wall-clock timing.
-The rows cover negative values, zero cells, fractions of 20 and more digits,
-and psi at the prime p = 10**18 + 3.
+here.  The rows cover negative values, zero cells, fractions of 20 and more
+digits, psi at the prime p = 10**18 + 3, and outputs past Python's
+4300-digit int/str conversion limit.
+
+``verify --format json`` is pinned for all twelve properties at their default
+ranges, apart from its ``timing`` key, the one part that varies between runs.
+Those digests were recorded while every sweep still read its values from
+``Fraction`` tables and per-key binomial sums.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from bernshift.cli import main
+from bernshift.verify import PROPERTIES
 
 GOLDEN = (
     ("value 2 2 --format plain", 0, "e1e5dfa049410510bcf55077ebf4bd5065ad4a8cee006175ca1e13331dcdcfaf"),
@@ -91,6 +98,27 @@ GOLDEN = (
     ("denom 1 2 --factor --format csv", 0, "92961e9752250efa971147344b22295db32d7b75e940e0971e5fb34f21d0bc67"),
     ("denom 1 2 --factor --format json", 0, "99719f67a3f07e817c904e29e08a48dd704d9db7d2bfa4c8e2e5396816d5958f"),
     ("denom 1 2 --factor --format latex", 0, "0bb343bfe1f9007da6632a256b404b99aa5d5f57d456e66b27e9d8a97b8d1b93"),
+    # a 4,735-digit numerator, and a 165 kB factored denominator
+    ("value 1000 1000 --format plain", 0, "e9be6c83592f7e5aae0b1390ec1e4f35830e442773a9be9ad16e084298fc91b1"),
+    ("value 1000 1000 --format json", 0, "ef1ca7044e0fed147273d24c9046cf2d8e021c71cc37d14afe3abbfd6c12e93f"),
+    ("denom 100000 100000 --factor --format plain", 0, "d47576c388494cf78e0bf9c3e40e003b5c645dab589b1f6bb8b65b1b90f5f243"),
+    ("denom 100000 100000 --format json", 0, "44c183f0bb5a4d3bcbd61074adceb01c2214723476289d06c89736f7a6168bb2"),
+)
+
+# (property, exit code, sha256 of the JSON report without "timing", re-dumped canonically)
+VERIFY_GOLDEN = (
+    ("antidiagonal", 0, "e066cac9c4ab60ce99259c96190c5a62a548df56fc8a4526d0589b5f7b82797d"),
+    ("denom-divisibility", 0, "e94b0685dff946dd1d81290e1749836db85a5aed0afd76aa59b1aebabcb9671b"),
+    ("denominators", 0, "594af4a46e6c650625857657cbd91cf250dc2d8b57818d569a618bb7da55513b"),
+    ("hermite-stern", 0, "8a068c211d70abd8c0294e91918c93076a2c5ac802fbf9992a7302f8e25723ba"),
+    ("integrality", 0, "3cfed3e23fe49d58b5200a38c99e16335a80995051ff8258908f82ef35491640"),
+    ("nonvanishing", 0, "59f42a2e4b6fc75f138e74360dbc0391600550be04145856cbb712803cdce1e2"),
+    ("paths", 0, "935af1a383efe6148713e639967c28a4cf6c213b1937230c15dc5dd45b170525"),
+    ("poly-reciprocity", 0, "d8c46055dc7ff2d4fbc0c6ce34ae29475488e4f71bc2c3a17f4deba34a76ad0b"),
+    ("psi-congruences", 0, "171d9760fe0f5137a645f3937d2c1bf28a942c8cbd44acc43cbe714411b5f509"),
+    ("psi-matrix", 0, "ef07b7ae13711d9dcd0073f6c63674871529e62cde781b252b4dbfb15dd65f1a"),
+    ("reciprocity", 0, "27ce426b4bd77f8cd448099efae598a3e1a589290b34e909e3c4eaa02d278d42"),
+    ("staudt-clausen", 0, "9562583e19af7cd0065ba462d42116d9d25df7e633472760329acb5f0c74f907"),
 )
 
 
@@ -99,3 +127,17 @@ def test_stdout_and_exit_code_are_pinned(capsys, command, code, digest):
     assert main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_every_property_has_a_verify_pin():
+    assert sorted(row[0] for row in VERIFY_GOLDEN) == sorted(PROPERTIES)
+
+
+@pytest.mark.parametrize(("name", "code", "digest"), VERIFY_GOLDEN, ids=[row[0] for row in VERIFY_GOLDEN])
+def test_verify_json_is_pinned_apart_from_timing(capsys, name, code, digest):
+    assert main(["verify", name, "--format", "json"]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload)[-1] == "timing"
+    assert isinstance(payload.pop("timing")["wall_ms"], int)
+    text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

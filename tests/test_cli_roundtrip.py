@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import re
+import sys
 from fractions import Fraction
+from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernshift import bs_direct, denom_formula, psi
+from bernshift import BernoulliCache, bs_direct, bs_via_difference, denom_formula, psi
 from bernshift.cli import main
 from bernshift.render import FORMATS
 
@@ -69,3 +72,33 @@ def test_psi_round_trips(r, s, p, fmt):
 def test_denom_round_trips(r, s, fmt):
     out = run("denom", str(r), str(s), "--format", fmt)
     assert parse_scalar(out, fmt) == denom_formula(r, s).value
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Lift Python's int/str digit limit while a test parses huge outputs back."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_value_past_the_digit_limit_round_trips(no_digit_limit):
+    # A 1001x1001 table is out of reach at r + s = 2000, so the oracle is the
+    # forward-difference route, independent of the defining sum `value` uses.
+    expected = bs_via_difference(BernoulliCache(2000), 1000, 1000)
+    assert len(str(expected.numerator)) == 4735
+    for fmt in ("plain", "json"):
+        assert parse_scalar(run("value", "1000", "1000", "--format", fmt), fmt) == expected
+
+
+def test_denom_past_the_digit_limit_round_trips(no_digit_limit):
+    expected = denom_formula(100000, 100000).value
+    assert len(str(expected)) > 4300
+    for fmt in ("plain", "json"):
+        assert parse_scalar(run("denom", "100000", "100000", "--format", fmt), fmt) == expected
+    value, _, factors = run("denom", "100000", "100000", "--factor").rstrip("\n").partition(" = ")
+    assert int(value) == prod(map(int, factors.split(" * "))) == expected

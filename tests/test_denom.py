@@ -6,6 +6,7 @@ from bernshift.bernoulli import bernoulli_denominator
 from bernshift.denom import (
     DenomFactorization,
     _psi_indices,
+    _psi_table,
     _psi_value,
     denom_exact,
     denom_formula,
@@ -72,6 +73,15 @@ class TestPsi:
                     result = psi(r, s, p)
                     assert _psi_value(r, s, p) == result.value
                     assert tuple(_psi_indices(r, s, p)) == result.index_set
+
+    def test_tables_match_binomial_sum(self):
+        # psi by the recurrence seeded with chi_p, for every prime that can be nonzero
+        for p in primes_up_to(61):
+            table = _psi_table(p, 60, 60)
+            for r in range(61):
+                for s in range(61 - r):
+                    assert table[r][s] == _psi_value(r, s, p), (p, r, s)
+        assert _psi_table(5, 3, 2) == [[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 3]]
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -305,6 +315,7 @@ class TestPsiMatrix:
 
 
 def test_integrality_violation_reports_witness():
-    wrong = BsTable(2, 2, tuple((Fraction(1, 7919),) * 3 for _ in range(3)))
+    # every entry is 30 / (30 * 7919) = 1/7919; 2, 3 and 5 divide the denominator
+    wrong = BsTable(2, 2, 30 * 7919, ((30,) * 3,) * 3)
     with pytest.raises(InvariantViolation, match=r"B\[2,2\]"):
         integrality_witness(wrong, 2, 2)

@@ -1,14 +1,16 @@
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bernshift import CapacityError, InvariantViolation
 from bernshift.bernoulli import BernoulliCache, bernoulli_polynomial
-from bernshift.exact_arith import Poly
+from bernshift.exact_arith import Poly, primes_up_to
 from bernshift.umbral import (
     BsTable,
+    _scaled_bernoulli,
+    _triangle_rows,
     antidiagonal_sums,
     bs_direct,
     bs_polynomial,
@@ -80,6 +82,41 @@ class TestBsTable:
             bs_table_recursive(BernoulliCache(3), 2, 2)
         with pytest.raises(ValueError):
             bs_table_recursive(cache, -1, 2)
+
+
+def fraction_triangle_rows(cache, n):
+    """Rows of B[r,s] over r + s <= n by the recurrence in Fractions: the integer table's oracle."""
+    row = [cache[s] for s in range(n + 1)]
+    yield row
+    for _ in range(n):
+        row = [row[s] + row[s + 1] for s in range(len(row) - 1)]
+        yield row
+
+
+class TestIntegerTriangle:
+    def test_is_primorial_times_fraction_triangle(self, cache):
+        oracle = list(fraction_triangle_rows(cache, 120))
+        for n in range(121):
+            d, seed = _scaled_bernoulli(cache, n)
+            assert d == prod(primes_up_to(n + 1))
+            rows = list(_triangle_rows(seed))
+            assert len(rows) == n + 1
+            for r, row in enumerate(rows):
+                assert len(row) == n + 1 - r
+                for x, q in zip(row, oracle[r]):
+                    assert type(x) is int
+                    assert x * q.denominator == d * q.numerator
+
+    def test_table_keeps_fraction_views(self, cache):
+        table = bs_table_recursive(cache, 9, 5)
+        assert table.denominator == prod(primes_up_to(15))
+        oracle = list(fraction_triangle_rows(cache, 14))[:10]
+        assert table.entries == tuple(tuple(row[:6]) for row in oracle)
+        assert table.denominators() == [[q.denominator for q in row] for row in table.entries]
+        for r in range(10):
+            for s in range(6):
+                coeffs = table.scaled_polynomial(r, s)
+                assert table.polynomial(r, s) == Poly(Fraction(c, table.denominator) for c in coeffs)
 
 
 class TestBsViaDifference:
@@ -181,7 +218,7 @@ class TestBsPolynomial:
 
     def test_wrong_table_is_not_monic(self):
         # the leading coefficient of B[r,s](x) is read from B[0,0]
-        table = BsTable(1, 1, ((Fraction(3), Fraction(1)), (Fraction(1), Fraction(1))))
+        table = BsTable(1, 1, 1, ((3, 1), (1, 1)))
         with pytest.raises(InvariantViolation):
             table.polynomial(1, 1)
 

@@ -1,11 +1,12 @@
 import importlib.util
+import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from bernshift.exact_arith import Poly
+import bernshift.denom as denom
+import bernshift.verify as verify
 from bernshift.umbral import BsTable
 from bernshift.verify import (
     PROPERTIES,
@@ -181,7 +182,6 @@ def test_report_text_and_payload():
     assert payload["property"] == "reciprocity"
     assert payload["pass"] is True
     assert payload["failures"] == []
-    assert isinstance(payload["wall_ms"], int)
     assert list(payload) == [
         "property",
         "max_r",
@@ -189,9 +189,11 @@ def test_report_text_and_payload():
         "instances",
         "failures",
         "notes",
-        "wall_ms",
         "pass",
+        "timing",
     ]
+    assert list(payload["timing"]) == ["wall_ms"]
+    assert isinstance(payload["timing"]["wall_ms"], int)
 
 
 def test_unknown_property_raises():
@@ -200,11 +202,9 @@ def test_unknown_property_raises():
 
 
 def test_failures_are_reported_with_witnesses(monkeypatch):
-    import bernshift.verify as verify
-
     def fake_table(cache, max_r, max_s):
-        rows = tuple(tuple(Fraction(r + 1) for _ in range(max_s + 1)) for r in range(max_r + 1))
-        return BsTable(max_r, max_s, rows)
+        rows = tuple(tuple(r + 1 for _ in range(max_s + 1)) for r in range(max_r + 1))
+        return BsTable(max_r, max_s, 1, rows)
 
     monkeypatch.setattr(verify, "bs_table_recursive", fake_table)
     report = verify._sweep_reciprocity(3, 3, None)
@@ -216,12 +216,59 @@ def test_failures_are_reported_with_witnesses(monkeypatch):
 
 def test_poly_reciprocity_failure_names_a_witness(monkeypatch):
     def wrong_polynomial(self, r, s):
-        return Poly([r + 1, 0, 1])
+        return [r + 1, 0, 1]
 
-    monkeypatch.setattr(BsTable, "polynomial", wrong_polynomial)
+    monkeypatch.setattr(BsTable, "scaled_polynomial", wrong_polynomial)
     instances, failures, _notes = PROPERTIES["poly-reciprocity"].runner(3, 3, None)
     assert instances == 16
     assert any(f.startswith("(r=0, s=1): ") for f in failures)
+
+
+WITNESS = re.compile(r"\(r=\d+, s=\d+\)")
+
+
+def _solo_and_split(name, max_r, max_s):
+    """The report at --jobs 1, and the runner's results over a 3-way split, merged."""
+    solo = run_verify(name, max_r, max_s, jobs=1)
+    runner = PROPERTIES[name].runner
+    merged = merge_results(runner(max_r, max_s, rows) for rows in plan_chunks(max_r, 3, cpus=3))
+    assert merged == (solo.instances, list(solo.failures), list(solo.notes)), name
+    return solo
+
+
+@pytest.mark.parametrize("name", ["paths", "integrality", "denominators"])
+def test_one_wrong_table_entry_is_named(monkeypatch, name):
+    real = verify.bs_table_recursive
+
+    def bumped(cache, max_r, max_s):  # D * B[5,4] off by one
+        table = real(cache, max_r, max_s)
+        rows = [list(row) for row in table.scaled]
+        rows[5][4] += 1
+        return BsTable(max_r, max_s, table.denominator, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(verify, "bs_table_recursive", bumped)
+    solo = _solo_and_split(name, 10, 10)
+    assert solo.failures
+    assert all("(r=5, s=4)" in f for f in solo.failures), solo.failures
+
+
+@pytest.mark.parametrize("name", ["integrality", "denominators", "psi-congruences"])
+def test_one_wrong_psi_seed_is_named(monkeypatch, name):
+    real = denom._psi_seed
+
+    def flipped(p, n):  # chi_7(12) = 1 read as 0
+        seed = real(p, n)
+        if p == 7 and n >= 12:
+            seed[12] = 0
+        return seed
+
+    monkeypatch.setattr(denom, "_psi_seed", flipped)
+    if PROPERTIES[name].parallel:
+        report = _solo_and_split(name, 10, 10)
+    else:
+        report = run_verify(name, 10, 10)
+    assert report.failures
+    assert all(WITNESS.search(f) for f in report.failures), report.failures
 
 
 def test_default_sweeps_pass_with_benchmark_counts(monkeypatch):
