@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import BrokenExecutor
 from typing import Optional, Sequence
 
-from .bernoulli import BernoulliCache
-from .denom import denom_formula, psi
-from .errors import InvariantViolation
+from .errors import InvariantViolation, WorkerDied
 from .render import (
     FORMATS,
     JSON,
@@ -26,8 +23,23 @@ from .render import (
     render_int_table,
     render_json,
 )
-from .umbral import bs_direct, bs_polynomial, bs_table_recursive
-from .verify import PROPERTIES, report_payload, report_text, run_verify
+
+# sorted(verify.PROPERTIES), spelled out so that building the parser does not
+# import the sweeps; each command imports only the layer it runs.
+PROPERTY_NAMES = (
+    "antidiagonal",
+    "denom-divisibility",
+    "denominators",
+    "hermite-stern",
+    "integrality",
+    "nonvanishing",
+    "paths",
+    "poly-reciprocity",
+    "psi-congruences",
+    "psi-matrix",
+    "reciprocity",
+    "staudt-clausen",
+)
 
 
 def _nonnegative(text: str) -> int:
@@ -44,12 +56,11 @@ def _positive(text: str) -> int:
     return value
 
 
-def _cache_for(r: int, s: int) -> BernoulliCache:
-    return BernoulliCache(r + s + 2)
-
-
 def cmd_value(args: argparse.Namespace) -> int:
-    cache = _cache_for(args.r, args.s)
+    from .bernoulli import BernoulliCache
+    from .umbral import bs_direct, bs_polynomial
+
+    cache = BernoulliCache(args.r + args.s + 2)
     if args.poly:
         coeffs = bs_polynomial(cache, args.r, args.s).coeffs
         sys.stdout.write(render_coefficients(coeffs, args.fmt))
@@ -59,7 +70,10 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    table = bs_table_recursive(_cache_for(args.max_r, args.max_s), args.max_r, args.max_s)
+    from .bernoulli import BernoulliCache
+    from .umbral import bs_table_recursive
+
+    table = bs_table_recursive(BernoulliCache(args.max_r + args.max_s + 2), args.max_r, args.max_s)
     if args.denoms:
         sys.stdout.write(render_int_table(table.denominators(), args.fmt))
     else:
@@ -69,6 +83,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_psi(args: argparse.Namespace) -> int:
+    from .denom import psi
+
     result = psi(args.r, args.s, args.p)
     if args.fmt == JSON:
         payload: dict[str, object] = {
@@ -89,6 +105,8 @@ def cmd_psi(args: argparse.Namespace) -> int:
 
 
 def cmd_denom(args: argparse.Namespace) -> int:
+    from .denom import denom_formula
+
     fact = denom_formula(args.r, args.s)
     if args.fmt == JSON:
         sys.stdout.write(
@@ -111,6 +129,8 @@ def cmd_denom(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import PROPERTIES, report_payload, report_text, run_verify
+
     spec = PROPERTIES[args.property]
     max_r = spec.default_r if args.max_r is None else args.max_r
     max_s = spec.default_s if args.max_s is None else args.max_s
@@ -176,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_denom.set_defaults(func=cmd_denom)
 
     p_verify = sub.add_parser("verify", help="sweep one property over a range and report")
-    p_verify.add_argument("property", choices=sorted(PROPERTIES))
+    p_verify.add_argument("property", choices=PROPERTY_NAMES)
     p_verify.add_argument(
         "--format", dest="fmt", choices=(PLAIN, JSON), default=PLAIN, help="output format"
     )
@@ -205,7 +225,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
         return 1
-    except BrokenExecutor as exc:
+    except WorkerDied as exc:
         print(f"error: a sweep worker process died: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

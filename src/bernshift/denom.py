@@ -16,7 +16,7 @@ any prime and is the table's oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 from math import comb, lcm, prod
@@ -27,19 +27,14 @@ from .exact_arith import binomial, is_prime, least_positive_residue, primes_up_t
 from .umbral import BsTable, _triangle_rows, bs_direct
 
 
-@dataclass(frozen=True)
-class PsiValue:
+class PsiValue(namedtuple("PsiValue", "r s p value index_set")):
     """psi(r, s, p) together with the index set that produced it.
 
     index_set holds the v with 0 <= v <= r for which s + v is a positive even
     multiple of p - 1; value = sum(C(r, v)) over that set.
     """
 
-    r: int
-    s: int
-    p: int
-    value: int
-    index_set: tuple[int, ...]
+    __slots__ = ()
 
 
 def _psi_indices(r: int, s: int, p: int) -> range:
@@ -137,31 +132,27 @@ def _divides_denominator(p: int, psi_value: int) -> bool:
     return p >= 3 and psi_value % p != 0
 
 
-@dataclass(frozen=True)
-class DenomFactorization:
+class DenomFactorization(namedtuple("DenomFactorization", "eps2 primes value")):
     """Squarefree factorization 2^eps2 * product(primes) of denom(B[r,s]); value is computed."""
 
-    eps2: int
-    primes: tuple[int, ...]
-    value: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.eps2 not in (0, 1):
+    def __new__(cls, eps2: int, primes: tuple[int, ...]) -> DenomFactorization:
+        if eps2 not in (0, 1):
             raise ValueError("eps2 must be 0 or 1")
-        if any(p < 3 or not is_prime(p) for p in self.primes):
+        if any(p < 3 or not is_prime(p) for p in primes):
             raise ValueError("primes must all be odd primes")
-        if any(a >= b for a, b in zip(self.primes, self.primes[1:])):
+        if any(a >= b for a, b in zip(primes, primes[1:])):
             raise ValueError("primes must be strictly increasing")
-        object.__setattr__(self, "value", 2**self.eps2 * prod(self.primes))
+        return cls._from_sieve(eps2, primes)
+
+    def __getnewargs__(self) -> tuple[int, tuple[int, ...]]:  # copy and pickle call __new__
+        return self.eps2, self.primes
 
     @classmethod
     def _from_sieve(cls, eps2: int, primes: tuple[int, ...]) -> DenomFactorization:
         """Unchecked construction for increasing odd primes taken from primes_up_to."""
-        fact = object.__new__(cls)
-        object.__setattr__(fact, "eps2", eps2)
-        object.__setattr__(fact, "primes", primes)
-        object.__setattr__(fact, "value", 2**eps2 * prod(primes))
-        return fact
+        return tuple.__new__(cls, (eps2, primes, 2**eps2 * prod(primes)))
 
 
 def _bernoulli_denominator_factorization(n: int) -> DenomFactorization:

@@ -7,3 +7,7 @@ class CapacityError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """An identity that must hold exactly did not; the message carries the witness."""
+
+
+class WorkerDied(RuntimeError):
+    """A sweep worker process died before returning its chunk."""

@@ -10,9 +10,10 @@ precision.  All output is byte-stable across runs.
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PLAIN, CSV, JSON, LATEX = "plain", "csv", "json", "latex"
 FORMATS = (PLAIN, CSV, JSON, LATEX)
@@ -20,7 +21,7 @@ FORMATS = (PLAIN, CSV, JSON, LATEX)
 _JSON_SAFE = 2**53
 
 JsonInt = Union[int, str]
-Number = Union[int, Fraction]
+Number = Union[int, "Fraction"]
 
 
 def json_int(n: int) -> JsonInt:
@@ -34,6 +35,8 @@ def fraction_record(q: Number) -> dict[str, JsonInt]:
 
 def render_json(payload: object) -> str:
     """Canonical JSON text: insertion-ordered keys, 2-space indent, no floats."""
+    import json  # here, not at the top: only the json format needs it
+
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 

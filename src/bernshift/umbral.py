@@ -14,7 +14,7 @@ an asymmetric reciprocity in x and -x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -64,19 +64,14 @@ def _scaled_bernoulli(cache: BernoulliCache, n: int) -> tuple[int, list[int]]:
     return d, seed
 
 
-@dataclass(frozen=True)
-class BsTable:
+class BsTable(namedtuple("BsTable", "max_r max_s denominator scaled")):
     """Dense rectangle of B[r,s] for 0 <= r <= max_r, 0 <= s <= max_s, in integers.
 
     scaled[r][s] = denominator * B[r,s].  The denominator is a multiple of
     every prime p <= max_r + max_s + 1; bs_table_recursive makes it their
-    product.  Fractions are made only on demand.
+    product.  Fractions are made only on demand.  No __slots__: the cached
+    entries live in the instance dict.
     """
-
-    max_r: int
-    max_s: int
-    denominator: int
-    scaled: tuple[tuple[int, ...], ...]
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:

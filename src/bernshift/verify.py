@@ -8,8 +8,8 @@ across worker processes and merges, with results independent of the split.
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -30,7 +30,7 @@ from .denom import (
     _psi_table,
     psi_matrix,
 )
-from .errors import InvariantViolation
+from .errors import InvariantViolation, WorkerDied
 from .exact_arith import primes_up_to
 from .umbral import (
     BsTable,
@@ -45,8 +45,7 @@ SweepResult = tuple[int, list[str], list[str]]  # instances, failures, notes
 Rows = Optional[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     property_name: str
     max_r: int
     max_s: int
@@ -132,13 +131,16 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     """[x^k]: (-1)^r c_k(r,s) = (-1)^(s+k) c_k(s,r), compared as integers over the shared D."""
     table = _table(max_r, max_s)
     swapped = table if max_r == max_s else _table(max_s, max_r)
+    # one scaled_polynomial per ordered key: on a square range (s, r) is also a row key
+    lhs_at = functools.cache(table.scaled_polynomial)
+    rhs_at = lhs_at if swapped is table else swapped.scaled_polynomial
     instances, failures = 0, []
     for r in _rows(rows, max_r):
         sign_r = 1 if r % 2 == 0 else -1
         for s in range(max_s + 1):
             instances += 1
-            lhs = table.scaled_polynomial(r, s)
-            rhs = swapped.scaled_polynomial(s, r)
+            lhs = lhs_at(r, s)
+            rhs = rhs_at(s, r)
             if any(a != (-b if (r + s + k) % 2 else b) for k, (a, b) in enumerate(zip(lhs, rhs))):
                 sign_s = 1 if s % 2 == 0 else -1
                 failures.append(
@@ -178,15 +180,17 @@ def _sweep_denominators(max_r: int, max_s: int, rows: Rows) -> SweepResult:
             for s in range(2, max_s + 1):
                 if _divides_denominator(p, row[s]):
                     product[s] *= p
+    # one evaluation per ordered key: F(r, s) and F(s, r) are still computed apart
+    formula_at = functools.cache(lambda r, s: _denom_formula(r, s, sieve).value)
     instances, failures = 0, []
     for r in ranks:
         for s in range(max_s + 1):
             instances += 1
             d = exact[r][s]
-            formula = _denom_formula(r, s, sieve).value
+            formula = formula_at(r, s)
             if formula != d:
                 failures.append(f"(r={r}, s={s}): formula {formula} != exact {d}")
-            if _denom_formula(s, r, sieve).value != formula:
+            if formula_at(s, r) != formula:
                 failures.append(f"(r={r}, s={s}): formula not symmetric")
             if r >= 2 and s >= 2 and via_psi[r][s] != d:
                 failures.append(f"(r={r}, s={s}): psi product {via_psi[r][s]} != exact {d}")
@@ -461,12 +465,16 @@ def run_verify(name: str, max_r: int, max_s: int, jobs: int = 1) -> VerifyReport
     if len(chunks) < 2:
         parts = [spec.runner(max_r, max_s, None)]
     else:
-        # Imported here: the pool module pulls in multiprocessing, which no other request needs.
-        from concurrent.futures import ProcessPoolExecutor
+        # Imported here: concurrent.futures pulls in logging and multiprocessing,
+        # which no other request needs.
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_chunk_worker, name, max_r, max_s, c) for c in chunks]
-            parts = [future.result() for future in futures]
+        try:
+            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+                futures = [pool.submit(_chunk_worker, name, max_r, max_s, c) for c in chunks]
+                parts = [future.result() for future in futures]
+        except BrokenExecutor as exc:
+            raise WorkerDied(str(exc)) from exc
     instances, failures, notes = merge_results(parts)
     return VerifyReport(
         property_name=name,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bernshift import cli
+from bernshift import cli, verify
 from bernshift.cli import build_parser, main
 from bernshift.render import json_int, latex_fraction, render_json
 from reference_grid import REFERENCE_GRID
@@ -159,21 +160,38 @@ class TestVerify:
             assert captured.out == ""
             assert "plain" in captured.err and "json" in captured.err
 
-    @pytest.mark.parametrize(
-        "exc",
-        [BrokenProcessPool("a worker was terminated abruptly"), MemoryError()],
-        ids=["broken-pool", "memory"],
-    )
-    def test_crash_exits_three(self, capsys, monkeypatch, exc):
-        def crash(*args, **kwargs):
-            raise exc
+    @pytest.mark.parametrize("crash", ["broken-pool", "memory"])
+    def test_crash_exits_three(self, capsys, monkeypatch, crash):
+        if crash == "broken-pool":
+            # run_verify's own pool path meets a real BrokenProcessPool; no process is started
+            class DeadPool:
+                def __init__(self, max_workers):
+                    pass
 
-        monkeypatch.setattr(cli, "run_verify", crash)
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc_info):
+                    return False
+
+                def submit(self, *args):
+                    raise BrokenProcessPool("a worker was terminated abruptly")
+
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadPool)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        else:
+
+            def out_of_memory(*args, **kwargs):
+                raise MemoryError
+
+            monkeypatch.setattr(verify, "run_verify", out_of_memory)
         code, out, err = run_cli(capsys, "verify", "paths", "--jobs", "2")
         assert code == 3
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        if crash == "broken-pool":
+            assert err == "error: a sweep worker process died: a worker was terminated abruptly\n"
 
     def test_unknown_property_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -241,11 +259,43 @@ def test_module_entry_point_runs():
     assert proc.stdout == "2/15\n"
 
 
-def test_import_leaves_process_pool_unloaded():
-    proc = _python(
-        "-c", "import sys, bernshift.cli; assert 'concurrent.futures.process' not in sys.modules"
-    )
+def _newly_loaded(code: str) -> set[str]:
+    """Modules a fresh interpreter loads while running code, beyond what its start-up loaded."""
+    probe = f"import sys; before = set(sys.modules)\n{code}\nprint(*sorted(set(sys.modules) - before))"
+    proc = _python("-c", probe)
     assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())  # the last line; a command prints above it
+
+
+def test_import_leaves_process_pool_unloaded():
+    loaded = _newly_loaded("import bernshift.cli")
+    assert "bernshift.cli" in loaded
+    unwanted = {
+        "concurrent.futures",
+        "concurrent.futures.process",
+        "dataclasses",
+        "inspect",
+        "json",
+        "logging",
+        "multiprocessing",
+        "bernshift.verify",
+    }
+    assert loaded & unwanted == set()
+
+
+def test_package_import_loads_no_submodule():
+    assert {m for m in _newly_loaded("import bernshift") if m.startswith("bernshift.")} == set()
+
+
+@pytest.mark.parametrize("argv", [["value", "2", "2"], ["psi", "3", "3", "5"]], ids=["value", "psi"])
+def test_small_requests_leave_sweeps_and_json_unloaded(argv):
+    loaded = _newly_loaded(f"from bernshift.cli import main\nassert main({argv!r}) == 0")
+    assert "bernshift.render" in loaded
+    assert loaded & {"bernshift.verify", "json", "dataclasses", "inspect", "logging"} == set()
+
+
+def test_property_names_match_the_sweeps():
+    assert cli.PROPERTY_NAMES == tuple(sorted(verify.PROPERTIES))
 
 
 def test_json_int_threshold():

@@ -4,6 +4,8 @@ perfbench/ drives the library through a fixed set of names; checking them
 here keeps a rename from surfacing only when the slow benchmark suite runs.
 """
 
+import pytest
+
 import bernshift
 from bernshift import cli, umbral, verify
 
@@ -24,3 +26,10 @@ def test_names_the_benchmark_imports_exist():
         assert isinstance(spec.parallel, bool)
         assert spec.default_r >= 1 and spec.default_s >= 1
     assert {"runner", "parallel", "default_r", "default_s"} <= set(type(spec)._fields)
+
+
+def test_dir_lists_every_name_and_unknown_names_raise():
+    assert set(bernshift.__all__) <= set(dir(bernshift))
+    with pytest.raises(AttributeError):
+        bernshift.no_such_name
+    assert bernshift.run_verify is verify.run_verify

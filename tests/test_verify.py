@@ -2,6 +2,7 @@ import importlib.util
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -222,6 +223,42 @@ def test_poly_reciprocity_failure_names_a_witness(monkeypatch):
     instances, failures, _notes = PROPERTIES["poly-reciprocity"].runner(3, 3, None)
     assert instances == 16
     assert any(f.startswith("(r=0, s=1): ") for f in failures)
+
+
+def test_denominators_evaluate_each_ordered_key_once(monkeypatch):
+    real, calls = verify._denom_formula, []
+
+    def counted(r, s, primes):  # F(2, 7) wrong, F(7, 2) right
+        calls.append((r, s))
+        value = real(r, s, primes).value
+        return SimpleNamespace(value=3 * value if (r, s) == (2, 7) else value)
+
+    monkeypatch.setattr(verify, "_denom_formula", counted)
+    instances, failures, _notes = verify._sweep_denominators(10, 10, None)
+    assert instances == 121
+    assert len(calls) == len(set(calls)) == 121
+    # the symmetry check still compares the two keys computed apart, from both sides
+    assert sorted(f.split(":")[0] for f in failures if f.endswith("formula not symmetric")) == [
+        "(r=2, s=7)",
+        "(r=7, s=2)",
+    ]
+    exact = real(2, 7, [2, 3, 5, 7]).value
+    assert [f for f in failures if "!= exact" in f] == [f"(r=2, s=7): formula {3 * exact} != exact {exact}"]
+
+
+def test_poly_reciprocity_computes_each_ordered_key_once(monkeypatch):
+    real, calls = BsTable.scaled_polynomial, []
+
+    def counted(self, r, s):
+        calls.append((self.max_r, self.max_s, r, s))
+        return real(self, r, s)
+
+    monkeypatch.setattr(BsTable, "scaled_polynomial", counted)
+    assert PROPERTIES["poly-reciprocity"].runner(8, 8, None) == (81, [], [])
+    assert len(calls) == len(set(calls)) == 81
+    calls.clear()
+    assert PROPERTIES["poly-reciprocity"].runner(5, 8, None) == (54, [], [])
+    assert len(calls) == len(set(calls)) == 2 * 54  # two tables, each key once
 
 
 WITNESS = re.compile(r"\(r=\d+, s=\d+\)")
