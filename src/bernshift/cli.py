@@ -2,12 +2,15 @@
 
 Exit codes: 0 = success / all checks pass, 1 = a mathematical check failed
 (the witness is printed), 2 = usage error, 3 = the run could not finish (a
-sweep worker process died, or memory ran out).
+sweep worker process died, memory ran out, or standard output was closed
+before the answer was written, as when piped into `head`; that last case
+prints nothing).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -16,11 +19,11 @@ from .render import (
     FORMATS,
     JSON,
     PLAIN,
+    fraction_table_lines,
+    int_table_lines,
     json_int,
     render_coefficients,
-    render_fraction_table,
     render_fraction_value,
-    render_int_table,
     render_json,
 )
 
@@ -71,14 +74,16 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     from .bernoulli import BernoulliCache
-    from .umbral import bs_table_recursive
+    from .umbral import reduced_rows
 
-    table = bs_table_recursive(BernoulliCache(args.max_r + args.max_s + 2), args.max_r, args.max_s)
+    rows = reduced_rows(BernoulliCache(args.max_r + args.max_s + 2), args.max_r, args.max_s)
     if args.denoms:
-        sys.stdout.write(render_int_table(table.denominators(), args.fmt))
+        lines = int_table_lines(([den for _, den in row] for row in rows), args.fmt, args.max_s + 1)
     else:
-        # one row of Fractions at a time: the Fraction rectangle is never held whole
-        sys.stdout.write(render_fraction_table(table.fraction_rows(), args.fmt))
+        lines = fraction_table_lines(rows, args.fmt, args.max_s + 1)
+    # one row at a time, from the recurrence to stdout: the table is never whole
+    for line in lines:
+        sys.stdout.write(line)
     return 0
 
 
@@ -218,7 +223,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed pipe is met inside the try
+        return code
+    except BrokenPipeError:
+        # The reader has gone.  As the signal module's documentation advises,
+        # point stdout at devnull, so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

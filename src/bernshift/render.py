@@ -10,7 +10,8 @@ precision.  All output is byte-stable across runs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from itertools import starmap
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -29,8 +30,13 @@ def json_int(n: int) -> JsonInt:
     return n if abs(n) <= _JSON_SAFE else str(n)
 
 
-def fraction_record(q: Number) -> dict[str, JsonInt]:
-    return {"num": json_int(q.numerator), "den": json_int(q.denominator)}
+def fraction_text(num: int, den: int) -> str:
+    """The plain and CSV cell: "num/den", or num alone when den is 1, as str(Fraction) gives."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def fraction_record(num: int, den: int) -> dict[str, JsonInt]:
+    return {"num": json_int(num), "den": json_int(den)}
 
 
 def render_json(payload: object) -> str:
@@ -40,57 +46,85 @@ def render_json(payload: object) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def latex_fraction(q: Number) -> str:
-    if q.denominator == 1:
-        return f"${q.numerator}$"
-    sign = "-" if q.numerator < 0 else ""
-    return f"${sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}$"
+def latex_fraction(num: int, den: int = 1) -> str:
+    if den == 1:
+        return f"${num}$"
+    sign = "-" if num < 0 else ""
+    return f"${sign}\\frac{{{abs(num)}}}{{{den}}}$"
 
 
-def _record(cells: Sequence[Number], fmt: str) -> str:
+# A value's cell in each format, from its numerator and denominator in lowest terms.
+_FRACTION_CELL = {
+    PLAIN: fraction_text, CSV: fraction_text, LATEX: latex_fraction, JSON: fraction_record
+}
+# An integer's cell in each format.
+_INT_CELL = {PLAIN: str, CSV: str, LATEX: latex_fraction, JSON: json_int}
+
+
+def _record(cells: Iterable[str], fmt: str) -> str:
     """One row as a CRLF-terminated CSV record, or as a plain comma-separated line."""
     if fmt == CSV:
-        return ",".join(map(str, cells)) + "\r\n"
-    return ", ".join(map(str, cells)) + "\n"
+        return ",".join(cells) + "\r\n"
+    return ", ".join(cells) + "\n"
 
 
-def render_cells(grid: Iterable[Sequence[Number]], fmt: str) -> str:
-    """Render a grid of values, reading its rows once; latex adds index labels like a table body."""
-    if fmt == LATEX:
-        body, width = [], 0
-        for r, row in enumerate(grid):
-            body.append(f"${r}$ & " + " & ".join(map(latex_fraction, row)) + " \\\\")
-            width = len(row)
-        header = "$r{\\backslash}s$ & " + " & ".join(f"${s}$" for s in range(width)) + " \\\\\\hline"
-        return "\n".join([header, *body]) + "\n"
-    return "".join(_record(row, fmt) for row in grid)
+def _table_lines(rows: Iterable[list], fmt: str, width: int) -> Iterator[str]:
+    """A table of rendered cells, one string per row plus the latex header or the json brackets.
 
-
-def render_fraction_table(grid: Iterable[Sequence[Fraction]], fmt: str) -> str:
+    The text is that of render_json on the whole grid, or of the latex body
+    under a header of column indices 0..width - 1, but only one row is
+    rendered at a time.
+    """
     if fmt == JSON:
-        return render_json([[fraction_record(q) for q in row] for row in grid])
-    return render_cells(grid, fmt)
+        import json  # here, not at the top: only the json format needs it
+
+        # json.dumps(grid, indent=2) is "[", each row's own text on a new line
+        # and indented one level deeper, joined by ",", then "]" on a new line
+        opening = "["
+        for row in rows:
+            text = json.dumps(row, indent=2, ensure_ascii=False)
+            yield opening + "\n  " + text.replace("\n", "\n  ")
+            opening = ","
+        yield "[]\n" if opening == "[" else "\n]\n"
+    elif fmt == LATEX:
+        yield "$r{\\backslash}s$ & " + " & ".join(f"${s}$" for s in range(width)) + " \\\\\\hline\n"
+        for r, row in enumerate(rows):
+            yield f"${r}$ & " + " & ".join(row) + " \\\\\n"
+    else:
+        for row in rows:
+            yield _record(row, fmt)
 
 
-def render_int_table(grid: Sequence[Sequence[int]], fmt: str) -> str:
-    if fmt == JSON:
-        return render_json([[json_int(n) for n in row] for row in grid])
-    return render_cells(grid, fmt)
+def fraction_table_lines(
+    rows: Iterable[Sequence[tuple[int, int]]], fmt: str, width: int
+) -> Iterator[str]:
+    """Render rows of (numerator, denominator) pairs in lowest terms, as each row is reached."""
+    cell = _FRACTION_CELL[fmt]
+    return _table_lines((list(starmap(cell, row)) for row in rows), fmt, width)
+
+
+def int_table_lines(rows: Iterable[Sequence[int]], fmt: str, width: int) -> Iterator[str]:
+    """Render rows of integers, as each row is reached."""
+    cell = _INT_CELL[fmt]
+    return _table_lines((list(map(cell, row)) for row in rows), fmt, width)
 
 
 def render_fraction_value(q: Number, fmt: str) -> str:
     """One value; an int renders as its own numerator."""
+    cell = _FRACTION_CELL[fmt](q.numerator, q.denominator)
     if fmt == JSON:
-        return render_json(fraction_record(q))
+        return render_json(cell)
     if fmt == LATEX:
-        return latex_fraction(q) + "\n"
-    return _record((q,), fmt)
+        return cell + "\n"
+    return _record((cell,), fmt)
 
 
 def render_coefficients(coeffs: Sequence[Fraction], fmt: str) -> str:
     """Coefficient list, lowest power first."""
+    cell = _FRACTION_CELL[fmt]
+    cells = [cell(c.numerator, c.denominator) for c in coeffs]
     if fmt == JSON:
-        return render_json([fraction_record(c) for c in coeffs])
+        return render_json(cells)
     if fmt == LATEX:
-        return " & ".join(map(latex_fraction, coeffs)) + " \\\\\n"
-    return _record(coeffs, fmt)
+        return " & ".join(cells) + " \\\\\n"
+    return _record(cells, fmt)

@@ -64,6 +64,12 @@ def _scaled_bernoulli(cache: BernoulliCache, n: int) -> tuple[int, list[int]]:
     return d, seed
 
 
+def _lowest_terms(x: int, d: int) -> tuple[int, int]:
+    """x / d in lowest terms as (numerator, denominator), by one gcd; no Fraction is built."""
+    g = gcd(x, d)
+    return x // g, d // g
+
+
 class BsTable(namedtuple("BsTable", "max_r max_s denominator scaled")):
     """Dense rectangle of B[r,s] for 0 <= r <= max_r, 0 <= s <= max_s, in integers.
 
@@ -76,22 +82,17 @@ class BsTable(namedtuple("BsTable", "max_r max_s denominator scaled")):
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rows of B[r,s] as reduced Fractions, built on first use."""
-        return tuple(self.fraction_rows())
-
-    def fraction_rows(self) -> Iterator[tuple[Fraction, ...]]:
-        """The rows of B[r,s] as reduced Fractions, each made as it is reached."""
         d = self.denominator
-        for row in self.scaled:
-            yield tuple(Fraction(x, d) for x in row)
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.scaled)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         r, s = key
         return Fraction(self.scaled[r][s], self.denominator)
 
     def denominators(self) -> list[list[int]]:
-        """denom(B[r,s]) = D // gcd(D, D * B[r,s]) for every key, no Fraction built."""
+        """denom(B[r,s]) for every key, no Fraction built."""
         d = self.denominator
-        return [[d // gcd(d, x) for x in row] for row in self.scaled]
+        return [[_lowest_terms(x, d)[1] for x in row] for row in self.scaled]
 
     def scaled_polynomial(self, r: int, s: int) -> list[int]:
         """D times the coefficients of B[r,s](x), lowest power first; monic of degree r + s.
@@ -137,11 +138,12 @@ def _triangle_rows(seed: Sequence[Scalar]) -> Iterator[list[Scalar]]:
         yield row
 
 
-def bs_table_recursive(cache: BernoulliCache, max_r: int, max_s: int) -> BsTable:
-    """Fill the rectangle in integers from D * B_0..D * B_n by _triangle_rows, n = max_r + max_s.
+def _table_rows(cache: BernoulliCache, max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:
+    """(D, the rows D * B[r, 0..max_s] for r = 0..max_r), n = max_r + max_s.
 
-    Row r is computed out to column max_s + max_r - r, as the next row
-    needs, and trimmed to the requested width on storage.
+    The bounds and D are checked before this returns; each row is then made
+    as it is read, by _triangle_rows out to column n - r, as the next row
+    needs, and trimmed to the requested width.
     """
     if max_r < 0 or max_s < 0:
         raise ValueError("table bounds must be non-negative")
@@ -150,8 +152,23 @@ def bs_table_recursive(cache: BernoulliCache, max_r: int, max_s: int) -> BsTable
             f"{max_r}x{max_s} table needs B_{max_r + max_s} but cache capacity is {cache.capacity}"
         )
     d, seed = _scaled_bernoulli(cache, max_r + max_s)
-    rows = islice(_triangle_rows(seed), max_r + 1)
-    return BsTable(max_r, max_s, d, tuple(tuple(row[: max_s + 1]) for row in rows))
+    return d, (row[: max_s + 1] for row in islice(_triangle_rows(seed), max_r + 1))
+
+
+def bs_table_recursive(cache: BernoulliCache, max_r: int, max_s: int) -> BsTable:
+    """Fill the rectangle in integers from D * B_0..D * B_n, n = max_r + max_s."""
+    d, rows = _table_rows(cache, max_r, max_s)
+    return BsTable(max_r, max_s, d, tuple(map(tuple, rows)))
+
+
+def reduced_rows(cache: BernoulliCache, max_r: int, max_s: int) -> Iterator[list[tuple[int, int]]]:
+    """The rows B[r, 0..max_s] for r = 0..max_r as (numerator, denominator) pairs in lowest terms.
+
+    Checked like bs_table_recursive before this returns; only the row being
+    read is held, so a table can be written out without ever being whole.
+    """
+    d, rows = _table_rows(cache, max_r, max_s)
+    return ([_lowest_terms(x, d) for x in row] for row in rows)
 
 
 def _difference_forms(f: Callable[[int], Scalar], r: int, s: int) -> tuple[Scalar, Scalar]:

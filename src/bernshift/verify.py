@@ -53,6 +53,7 @@ class VerifyReport(NamedTuple):
     failures: tuple[str, ...]
     notes: tuple[str, ...]
     seconds: float
+    workers: int = 1  # processes the sweep ran in: 1 when it stayed in this one
 
     @property
     def ok(self) -> bool:
@@ -394,29 +395,41 @@ class PropertySpec(NamedTuple):
     default_r: int
     default_s: int
     description: str
+    # The fewest keys (max_r + 1) * (max_s + 1) at which a parallel sweep's
+    # rows go to a process pool.  Below it one process is faster: the pool's
+    # import and fork, and each worker rebuilding the sweep's table, cost more
+    # than the split saves.  Measured as --jobs 2 against --jobs 1 wall time
+    # (see CHANGES.md); unused when parallel is False.
+    pool_from: int = 0
 
 
 PROPERTIES: dict[str, PropertySpec] = {
     "reciprocity": PropertySpec(
-        _sweep_reciprocity, True, 80, 80, "sign-flipped symmetry of B[r,s] under swapping rank and shift"
+        _sweep_reciprocity, True, 80, 80, "sign-flipped symmetry of B[r,s] under swapping rank and shift",
+        pool_from=602 * 602,  # none up to 600 x 600: rebuilding the table is most of the cost
     ),
     "antidiagonal": PropertySpec(
         _sweep_antidiagonal, False, 50, 50, "sum of B[r,s] over r+s = n vanishes for n >= 1"
     ),
     "paths": PropertySpec(
-        _sweep_paths, True, 80, 80, "defining sum, recurrence table, and both difference forms agree"
+        _sweep_paths, True, 80, 80, "defining sum, recurrence table, and both difference forms agree",
+        pool_from=101 * 101,  # from 100 x 100
     ),
     "poly-reciprocity": PropertySpec(
-        _sweep_poly_reciprocity, True, 25, 25, "(-1)^r B[r,s](x) equals (-1)^s B[s,r](-x) coefficientwise"
+        _sweep_poly_reciprocity, True, 25, 25, "(-1)^r B[r,s](x) equals (-1)^s B[s,r](-x) coefficientwise",
+        pool_from=46 * 46,  # from 45 x 45
     ),
     "nonvanishing": PropertySpec(
-        _sweep_nonvanishing, True, 60, 60, "B[r,s] = 0 only at rank-0/shift-0 odd-index keys"
+        _sweep_nonvanishing, True, 60, 60, "B[r,s] = 0 only at rank-0/shift-0 odd-index keys",
+        pool_from=602 * 602,  # none up to 600 x 600: rebuilding the table is most of the cost
     ),
     "denominators": PropertySpec(
-        _sweep_denominators, True, 80, 80, "exact, psi-product, and closed-formula denominators agree"
+        _sweep_denominators, True, 80, 80, "exact, psi-product, and closed-formula denominators agree",
+        pool_from=121 * 121,  # from 120 x 120
     ),
     "integrality": PropertySpec(
-        _sweep_integrality, True, 80, 80, "B[r,s] + sum(psi/p) is an integer; psi divisibility holds"
+        _sweep_integrality, True, 80, 80, "B[r,s] + sum(psi/p) is an integer; psi divisibility holds",
+        pool_from=121 * 121,  # from 120 x 120
     ),
     "psi-matrix": PropertySpec(
         _sweep_psi_matrix, False, 19, 19, "zero / one / binomial trichotomy of the psi grid per prime"
@@ -425,7 +438,8 @@ PROPERTIES: dict[str, PropertySpec] = {
         _sweep_psi_congruences, False, 60, 60, "psi periodicity in shift and rank, and its reciprocity mod p"
     ),
     "hermite-stern": PropertySpec(
-        _sweep_hermite_stern, True, 200, 31, "binomial sums over multiples of p-1 vanish mod p"
+        _sweep_hermite_stern, True, 200, 31, "binomial sums over multiples of p-1 vanish mod p",
+        pool_from=301 * 32,  # from 300 x 31
     ),
     "staudt-clausen": PropertySpec(
         _sweep_staudt_clausen, False, 200, 200, "classical witness integrality and closed Bernoulli denominators"
@@ -458,11 +472,16 @@ def merge_results(parts: Iterable[SweepResult]) -> SweepResult:
 
 
 def run_verify(name: str, max_r: int, max_s: int, jobs: int = 1) -> VerifyReport:
-    """Run one property sweep, optionally splitting rows across up to os.cpu_count() processes."""
+    """Run one property sweep, in one process or, from its pool_from keys up, in up to jobs.
+
+    jobs is an upper bound: the pool also has at most os.cpu_count() workers.
+    """
     spec = PROPERTIES[name]
     start = perf_counter()
-    chunks = plan_chunks(max_r, jobs, os.cpu_count() or 1) if spec.parallel else []
-    if len(chunks) < 2:
+    pays = spec.parallel and (max_r + 1) * (max_s + 1) >= spec.pool_from
+    chunks = plan_chunks(max_r, jobs, os.cpu_count() or 1) if pays else []
+    workers = max(1, len(chunks))
+    if workers == 1:
         parts = [spec.runner(max_r, max_s, None)]
     else:
         # Imported here: concurrent.futures pulls in logging and multiprocessing,
@@ -484,6 +503,7 @@ def run_verify(name: str, max_r: int, max_s: int, jobs: int = 1) -> VerifyReport
         failures=tuple(failures),
         notes=tuple(notes),
         seconds=perf_counter() - start,
+        workers=workers,
     )
 
 
@@ -511,5 +531,5 @@ def report_payload(report: VerifyReport) -> dict:
         "notes": list(report.notes),
         "pass": report.ok,
         # everything above is deterministic; the timing below is not
-        "timing": {"wall_ms": int(report.seconds * 1000)},
+        "timing": {"wall_ms": int(report.seconds * 1000), "workers": report.workers},
     }

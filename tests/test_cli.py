@@ -1,14 +1,18 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from bernshift import cli, verify
+from bernshift import bernoulli, cli, verify
 from bernshift.cli import build_parser, main
 from bernshift.render import json_int, latex_fraction, render_json
 from reference_grid import REFERENCE_GRID
@@ -77,8 +81,93 @@ class TestTable:
         assert lines[0] == header
         assert len(lines) == 10
         for r, line in enumerate(lines[1:]):
-            cells = " & ".join(latex_fraction(q) for q in REFERENCE_GRID[r])
+            cells = " & ".join(latex_fraction(q.numerator, q.denominator) for q in REFERENCE_GRID[r])
             assert line == f"${r}$ & " + cells + " \\\\"
+
+
+class Recorder(io.StringIO):
+    """A stdout that also keeps each write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+class TestTableStream:
+    @pytest.mark.parametrize("denoms", [False, True], ids=["values", "denoms"])
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "latex", "json"])
+    def test_each_write_is_one_row(self, fmt, denoms):
+        out = Recorder()
+        with contextlib.redirect_stdout(out):
+            assert main(["table", "40", "40", "--format", fmt, *(["--denoms"] if denoms else [])]) == 0
+        writes = out.writes
+        if fmt == "json":
+            # "[" with row 0, "," with each later row, then the closing "]"
+            assert writes[-1] == "\n]\n"
+            rows = [json.loads(w[1:]) for w in writes[:-1]]
+            assert [len(row) for row in rows] == [41] * 41
+            assert rows == json.loads(out.getvalue())
+        else:
+            # one line per row, and the latex header on its own
+            assert len(writes) == 41 + (fmt == "latex")
+            assert all(w.endswith("\n") and w.count("\n") == 1 for w in writes)
+
+    def test_memory_stays_under_a_quarter_of_the_output(self):
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        with contextlib.redirect_stdout(Sink()):  # load the modules the command imports, uncounted
+            main(["table", "1", "1", "--format", "csv"])
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert main(["table", "120", "120", "--format", "csv"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 2_000_000
+        assert peak < sink.size / 4
+
+    def test_refused_tables_write_nothing(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", "--", "-1", "3"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
+        real = bernoulli.BernoulliCache
+        monkeypatch.setattr(bernoulli, "BernoulliCache", lambda capacity: real(capacity - 3))
+        code, out, err = run_cli(capsys, "table", "30", "30", "--format", "latex")
+        assert (code, out) == (2, "")  # not even the header, which needs no row
+        assert "capacity" in err
+
+        class WrongCache(real):
+            __slots__ = ()
+
+            def __getitem__(self, n):
+                return Fraction(1, 49) if n == 4 else super().__getitem__(n)
+
+        monkeypatch.setattr(bernoulli, "BernoulliCache", WrongCache)
+        code, out, err = run_cli(capsys, "table", "30", "30", "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("FALSIFIED: denom(B_4) = 49")
+
+    def test_plain_stringio_stdout(self):
+        out = io.StringIO()  # no .buffer, as in perfbench's in-process replay
+        with contextlib.redirect_stdout(out):
+            assert main(["table", "2", "2", "--format", "csv"]) == 0
+        assert out.getvalue() == "1,-1/2,1/6\r\n1/2,-1/3,1/6\r\n1/6,-1/6,2/15\r\n"
 
 
 class TestPsi:
@@ -179,6 +268,9 @@ class TestVerify:
 
             monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadPool)
             monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            # paths at its default range stays in one process; lower its crossover
+            paths = verify.PROPERTIES["paths"]
+            monkeypatch.setitem(verify.PROPERTIES, "paths", paths._replace(pool_from=0))
         else:
 
             def out_of_memory(*args, **kwargs):
@@ -241,15 +333,15 @@ class TestParser:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports bernshift from this checkout, installed or not."""
+def _env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports bernshift from this checkout."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        check=False,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *args], capture_output=True, text=True, check=False, env=_env()
     )
 
 
@@ -281,6 +373,29 @@ def test_import_leaves_process_pool_unloaded():
         "bernshift.verify",
     }
     assert loaded & unwanted == set()
+
+
+def test_closed_pipe_exits_three_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bernshift", "table", "200", "200", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # the reader goes, like `head -n 1`
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 3
+    assert first.startswith(b"1,-1/2,1/6,0,")
+    assert err == b""
+
+
+def test_default_verify_with_two_jobs_starts_no_pool():
+    loaded = _newly_loaded(
+        "from bernshift.cli import main\nassert main(['verify', 'reciprocity', '--jobs', '2']) == 0"
+    )
+    assert "bernshift.verify" in loaded
+    assert loaded & {"concurrent.futures", "multiprocessing"} == set()
 
 
 def test_package_import_loads_no_submodule():

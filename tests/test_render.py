@@ -13,12 +13,16 @@ import pytest
 from bernshift import BernoulliCache, bs_polynomial, bs_table_recursive
 from bernshift.render import (
     CSV,
+    JSON,
     LATEX,
     PLAIN,
+    fraction_record,
+    fraction_table_lines,
+    int_table_lines,
+    json_int,
     render_coefficients,
-    render_fraction_table,
     render_fraction_value,
-    render_int_table,
+    render_json,
 )
 
 
@@ -39,12 +43,21 @@ def denoms(values):
     return [[q.denominator for q in row] for row in values]
 
 
+def fraction_table(values, fmt):
+    pairs = ([(q.numerator, q.denominator) for q in row] for row in values)
+    return "".join(fraction_table_lines(pairs, fmt, 12))
+
+
+def int_table(denoms, fmt):
+    return "".join(int_table_lines(denoms, fmt, 12))
+
+
 def test_fraction_table_csv_matches_csv_writer(values):
-    assert render_fraction_table(values, CSV) == csv_oracle(values)
+    assert fraction_table(values, CSV) == csv_oracle(values)
 
 
 def test_int_table_csv_matches_csv_writer(denoms):
-    assert render_int_table(denoms, CSV) == csv_oracle(denoms)
+    assert int_table(denoms, CSV) == csv_oracle(denoms)
 
 
 def test_coefficients_csv_match_csv_writer():
@@ -63,6 +76,15 @@ def test_scalar_csv_matches_csv_writer(values, denoms):
 def test_int_table_cells_keep_their_plain_and_latex_forms(denoms):
     header = "$r{\\backslash}s$ & " + " & ".join(f"${s}$" for s in range(12)) + " \\\\\\hline"
     body = [f"${r}$ & " + " & ".join(f"${n}$" for n in row) + " \\\\" for r, row in enumerate(denoms)]
-    assert render_int_table(denoms, LATEX) == "\n".join([header, *body]) + "\n"
+    assert int_table(denoms, LATEX) == "\n".join([header, *body]) + "\n"
     plain = "".join(", ".join(str(n) for n in row) + "\n" for row in denoms)
-    assert render_int_table(denoms, PLAIN) == plain
+    assert int_table(denoms, PLAIN) == plain
+
+
+def test_json_tables_stream_the_bytes_of_one_dump(values, denoms):
+    # a row at a time, yet byte for byte json.dumps(grid, indent=2) of the whole grid
+    records = [[fraction_record(q.numerator, q.denominator) for q in row] for row in values]
+    assert fraction_table(values, JSON) == render_json(records)
+    assert int_table(denoms, JSON) == render_json([[json_int(n) for n in row] for row in denoms])
+    assert int_table([[2**60, -1]], JSON) == render_json([[str(2**60), -1]])
+    assert int_table([], JSON) == render_json([]) == "[]\n"

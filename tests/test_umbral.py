@@ -18,6 +18,7 @@ from bernshift.umbral import (
     bs_table_recursive,
     bs_via_difference,
     grabisch_b,
+    reduced_rows,
 )
 from reference_grid import REFERENCE_GRID
 
@@ -82,6 +83,11 @@ class TestBsTable:
             bs_table_recursive(BernoulliCache(3), 2, 2)
         with pytest.raises(ValueError):
             bs_table_recursive(cache, -1, 2)
+        # the streamed rows are checked when asked for, before any row is read
+        with pytest.raises(CapacityError):
+            reduced_rows(BernoulliCache(3), 2, 2)
+        with pytest.raises(ValueError):
+            reduced_rows(cache, -1, 2)
 
 
 def fraction_triangle_rows(cache, n):
@@ -113,6 +119,8 @@ class TestIntegerTriangle:
         oracle = list(fraction_triangle_rows(cache, 14))[:10]
         assert table.entries == tuple(tuple(row[:6]) for row in oracle)
         assert table.denominators() == [[q.denominator for q in row] for row in table.entries]
+        pairs = [[(q.numerator, q.denominator) for q in row] for row in table.entries]
+        assert list(reduced_rows(cache, 9, 5)) == pairs
         for r in range(10):
             for s in range(6):
                 coeffs = table.scaled_polynomial(r, s)

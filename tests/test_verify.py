@@ -1,4 +1,6 @@
+import concurrent.futures
 import importlib.util
+import os
 import re
 import sys
 from pathlib import Path
@@ -129,7 +131,9 @@ def test_merge_results_sums_and_sorts():
 
 
 @pytest.mark.parametrize("name", sorted(n for n, spec in PROPERTIES.items() if spec.parallel))
-def test_two_jobs_match_one(name):
+def test_two_jobs_match_one(name, monkeypatch):
+    # the SMALL ranges lie below every crossover: lower it, so the pool really runs
+    monkeypatch.setitem(PROPERTIES, name, PROPERTIES[name]._replace(pool_from=0))
     solo = run_verify(name, *SMALL[name], jobs=1)
     split = run_verify(name, *SMALL[name], jobs=2)
     assert (solo.instances, solo.failures, solo.notes) == (
@@ -193,8 +197,53 @@ def test_report_text_and_payload():
         "pass",
         "timing",
     ]
-    assert list(payload["timing"]) == ["wall_ms"]
+    assert list(payload["timing"]) == ["wall_ms", "workers"]
     assert isinstance(payload["timing"]["wall_ms"], int)
+    assert payload["timing"]["workers"] == 1
+
+
+class InlinePool:
+    """A ProcessPoolExecutor stand-in that runs each chunk here, at submit."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class NoPool:
+    def __init__(self, max_workers):
+        raise AssertionError("a process pool was started")
+
+
+def test_default_ranges_stay_in_one_process(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for name, spec in PROPERTIES.items():
+        if spec.parallel:
+            report = run_verify(name, spec.default_r, spec.default_s, jobs=2)
+            assert (report.ok, report.workers) == (True, 1), name
+
+
+def test_pool_starts_at_the_crossover(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spec = PROPERTIES["reciprocity"]
+    for pool_from, workers in ((121, 2), (122, 1)):  # 10 x 10 is 121 keys
+        monkeypatch.setitem(PROPERTIES, "reciprocity", spec._replace(pool_from=pool_from))
+        report = run_verify("reciprocity", 10, 10, jobs=2)
+        assert (report.instances, report.workers) == (121, workers)
+        assert report_payload(report)["timing"]["workers"] == workers
+    assert run_verify("reciprocity", 10, 10, jobs=1).workers == 1
 
 
 def test_unknown_property_raises():
