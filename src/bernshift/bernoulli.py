@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, prod
 
 from .errors import CapacityError, InvariantViolation
-from .exact_arith import Poly, is_prime, primes_up_to
+from .exact_arith import Poly, clausen_primes, is_prime
 
 
 class BernoulliCache:
@@ -70,13 +70,6 @@ def bernoulli_polynomial(cache: BernoulliCache, n: int) -> Poly:
     if n < 0:
         raise ValueError("bernoulli_polynomial: n must be non-negative")
     return Poly([comb(n, v) * cache[n - v] for v in range(n + 1)])
-
-
-def clausen_primes(n: int) -> list[int]:
-    """The primes p with p - 1 | n, increasing; for even n these divide denom(B_n)."""
-    if n < 1:
-        raise ValueError("clausen_primes: n must be >= 1")
-    return [p for p in primes_up_to(n + 1) if n % (p - 1) == 0]
 
 
 def bernoulli_denominator(n: int) -> int:

@@ -10,6 +10,7 @@ prints nothing).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Optional, Sequence
@@ -251,4 +252,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    # The answer is written.  Shutdown's collection walks every tracked
+    # object, mostly start-up's, and skips frozen ones; atexit, the stream
+    # flushes and profilers still run.  main never freezes, so in-process
+    # callers keep a normal collector.
+    gc.freeze()
+    raise SystemExit(code)

@@ -11,7 +11,10 @@ the denominator are implemented and cross-checked.
 psi(r, s, p) is B[r,s] with B_n replaced by its von Staudt-Clausen indicator
 chi_p(n), so it obeys the same recurrence psi[r+1,s] = psi[r,s] + psi[r,s+1];
 _psi_table fills it that way, while psi keeps the binomial sum, which serves
-any prime and is the table's oracle.
+any prime and is the table's oracle.  The recurrence itself is
+exact_arith._triangle_rows, shared with umbral's B[r,s] table, so this
+module loads neither umbral nor bernoulli, and a psi or denom request builds
+no Bernoulli number.
 """
 
 from __future__ import annotations
@@ -20,11 +23,21 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 from math import comb, lcm, prod
+from typing import TYPE_CHECKING
 
-from .bernoulli import BernoulliCache, clausen_primes
 from .errors import InvariantViolation
-from .exact_arith import binomial, is_prime, least_positive_residue, primes_up_to
-from .umbral import BsTable, _triangle_rows, bs_direct
+from .exact_arith import (
+    _triangle_rows,
+    binomial,
+    clausen_primes,
+    is_prime,
+    least_positive_residue,
+    primes_up_to,
+)
+
+if TYPE_CHECKING:
+    from .bernoulli import BernoulliCache
+    from .umbral import BsTable
 
 
 class PsiValue(namedtuple("PsiValue", "r s p value index_set")):
@@ -109,6 +122,8 @@ def integrality_witness(table: BsTable, r: int, s: int) -> int:
 
 def denom_exact(cache: BernoulliCache, r: int, s: int) -> int:
     """denom(B[r,s]) read off the exact value."""
+    from .umbral import bs_direct
+
     return bs_direct(cache, r, s).denominator
 
 

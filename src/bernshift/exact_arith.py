@@ -2,14 +2,17 @@
 
 Integers are plain Python ints, rationals are ``fractions.Fraction`` (always
 stored reduced with positive denominator), and polynomials are a small dense
-immutable type over Fraction.  No floats anywhere.
+immutable type over Fraction.  No floats anywhere.  The triangle recurrence
+X[r+1,s] = X[r,s] + X[r,s+1] fills both B[r,s] (umbral) and psi (denom);
+it is stated here once, so that denom need not load umbral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Union
+from operator import add
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -36,6 +39,13 @@ def primes_up_to(bound: int) -> list[int]:
             sieve[start : bound + 1 : p] = bytearray(len(range(start, bound + 1, p)))
         p += 1
     return [i for i in range(bound + 1) if sieve[i]]
+
+
+def clausen_primes(n: int) -> list[int]:
+    """The primes p with p - 1 | n, increasing; for even n these divide denom(B_n)."""
+    if n < 1:
+        raise ValueError("clausen_primes: n must be >= 1")
+    return [p for p in primes_up_to(n + 1) if n % (p - 1) == 0]
 
 
 # Miller-Rabin with the first thirteen primes as bases is exact below this
@@ -102,6 +112,21 @@ def forward_difference(f: Callable[[int], Scalar], order: int, start: int = 0) -
         acc += sign * comb(order, v) * f(start + v)
         sign = -sign
     return acc
+
+
+def _triangle_rows(seed: Sequence[Scalar]) -> Iterator[list[Scalar]]:
+    """Rows r = 0..n of X[r,s] over r + s <= n, given the seed row X[0, 0..n].
+
+    Row r + 1 is X[r+1,s] = X[r,s] + X[r,s+1], one entry shorter than row r.
+    Seeded with D * B_0..D * B_n it gives D * B[r,s] (umbral._table_rows);
+    seeded with a prime's von Staudt-Clausen indicator it gives psi
+    (denom._psi_table).
+    """
+    row = list(seed)
+    yield row
+    for _ in range(len(row) - 1):
+        row = list(map(add, row, row[1:]))
+        yield row
 
 
 class Poly:

@@ -3,7 +3,8 @@
 B[r,s] = sum(C(r, v) * B_{s+v} for v in 0..r), indexed by rank r >= 0 and
 shift s >= 0; row r = 0 is the Bernoulli sequence itself.  The same numbers
 arise three independent ways -- the defining binomial sum, a Pascal-style
-recurrence filling the table row by row, and iterated forward differences of
+recurrence filling the table row by row (exact_arith._triangle_rows, which
+denom's psi triangles share), and iterated forward differences of
 (-1)^n B_n -- and every path is exposed so the suite can play them against
 each other.  The table runs in integers: by von Staudt-Clausen every
 denominator of B_0..B_n divides D = product(primes <= n + 1), so D * B[r,s]
@@ -19,12 +20,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import comb, gcd, prod
-from operator import add
 from typing import Callable, Iterator, Sequence
 
 from .bernoulli import BernoulliCache
 from .errors import CapacityError, InvariantViolation
-from .exact_arith import Poly, Scalar, forward_difference, primes_up_to
+from .exact_arith import Poly, Scalar, _triangle_rows, forward_difference, primes_up_to
 
 
 def _check_key(cache: BernoulliCache, r: int, s: int) -> None:
@@ -122,20 +122,6 @@ class BsTable(namedtuple("BsTable", "max_r max_s denominator scaled")):
         """B[r,s](x) read off the table: monic of degree r + s, constant term B[r,s]."""
         d = self.denominator
         return Poly(Fraction(c, d) for c in self.scaled_polynomial(r, s))
-
-
-def _triangle_rows(seed: Sequence[Scalar]) -> Iterator[list[Scalar]]:
-    """Rows r = 0..n of X[r,s] over r + s <= n, given the seed row X[0, 0..n].
-
-    Row r + 1 is X[r+1,s] = X[r,s] + X[r,s+1], one entry shorter than row r.
-    Seeded with D * B_0..D * B_n it gives D * B[r,s]; seeded with a prime's
-    von Staudt-Clausen indicator it gives psi (see denom._psi_table).
-    """
-    row = list(seed)
-    yield row
-    for _ in range(len(row) - 1):
-        row = list(map(add, row, row[1:]))
-        yield row
 
 
 def _table_rows(cache: BernoulliCache, max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import gc
 import io
 import json
 import os
@@ -402,11 +403,49 @@ def test_package_import_loads_no_submodule():
     assert {m for m in _newly_loaded("import bernshift") if m.startswith("bernshift.")} == set()
 
 
-@pytest.mark.parametrize("argv", [["value", "2", "2"], ["psi", "3", "3", "5"]], ids=["value", "psi"])
+@pytest.mark.parametrize(
+    "argv",
+    [["value", "2", "2"], ["psi", "3", "3", "5"], ["denom", "30", "30", "--factor"]],
+    ids=["value", "psi", "denom"],
+)
 def test_small_requests_leave_sweeps_and_json_unloaded(argv):
     loaded = _newly_loaded(f"from bernshift.cli import main\nassert main({argv!r}) == 0")
     assert "bernshift.render" in loaded
     assert loaded & {"bernshift.verify", "json", "dataclasses", "inspect", "logging"} == set()
+    if argv[0] != "value":  # psi and denom need no Bernoulli number
+        assert loaded & {"bernshift.umbral", "bernshift.bernoulli"} == set()
+
+
+class TestEntry:
+    """entry freezes the heap after main returns, so that shutdown skips the collector's walk."""
+
+    def test_freezes_once_after_main_returns(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(cli, "main", lambda argv: events.append(("main", argv)) or 2)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(sys, "argv", ["bernshift", "value", "2", "2"])
+        with pytest.raises(SystemExit) as excinfo:
+            cli.entry()
+        assert excinfo.value.code == 2
+        assert events == [("main", ["value", "2", "2"]), "freeze"]
+
+    def test_an_exception_from_main_propagates_unfrozen(self, monkeypatch):
+        def main(argv):
+            raise RuntimeError("boom")
+
+        frozen = []
+        monkeypatch.setattr(cli, "main", main)
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.entry()
+        assert frozen == []
+
+
+def test_profiler_output_survives_the_frozen_exit():
+    proc = _python("-m", "cProfile", "-m", "bernshift", "value", "2", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("2/15\n")
+    assert "function calls" in proc.stdout  # the profile's header, printed at exit
 
 
 def test_property_names_match_the_sweeps():

@@ -237,13 +237,13 @@ def test_default_ranges_stay_in_one_process(monkeypatch):
 def test_pool_starts_at_the_crossover(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    spec = PROPERTIES["reciprocity"]
+    spec = PROPERTIES["paths"]
     for pool_from, workers in ((121, 2), (122, 1)):  # 10 x 10 is 121 keys
-        monkeypatch.setitem(PROPERTIES, "reciprocity", spec._replace(pool_from=pool_from))
-        report = run_verify("reciprocity", 10, 10, jobs=2)
-        assert (report.instances, report.workers) == (121, workers)
+        monkeypatch.setitem(PROPERTIES, "paths", spec._replace(pool_from=pool_from))
+        report = run_verify("paths", 10, 10, jobs=2)
+        assert (report.instances, report.workers) == (66, workers)  # the triangle r + s <= 10
         assert report_payload(report)["timing"]["workers"] == workers
-    assert run_verify("reciprocity", 10, 10, jobs=1).workers == 1
+    assert run_verify("paths", 10, 10, jobs=1).workers == 1
 
 
 def test_unknown_property_raises():
