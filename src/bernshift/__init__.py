@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # module -> the names it exports here
     "bernoulli": (
-        "BernoulliCache", "bernoulli_denominator", "bernoulli_polynomial",
+        "BernoulliCache", "Poly", "bernoulli_denominator", "bernoulli_polynomial",
         "hermite_stern_check", "von_staudt_clausen_witness",
     ),
     "denom": (
@@ -24,12 +24,10 @@ _EXPORTS = {  # module -> the names it exports here
         "integrality_witness", "psi", "psi_matrix", "psi_periodicity_check", "psi_reciprocity_check",
     ),
     "errors": ("CapacityError", "InvariantViolation"),
-    "exact_arith": (
-        "Poly", "binomial", "forward_difference", "is_prime", "least_positive_residue", "primes_up_to",
-    ),
+    "exact_arith": ("is_prime", "least_positive_residue", "primes_up_to"),
     "umbral": (
-        "BsTable", "antidiagonal_sums", "bs_direct", "bs_polynomial", "bs_shift_identity_check",
-        "bs_table_recursive", "bs_via_difference", "grabisch_b",
+        "BsTable", "antidiagonal_sums", "bs_direct", "bs_polynomial", "bs_table_recursive",
+        "bs_via_difference", "forward_difference",
     ),
     "verify": ("PROPERTIES", "VerifyReport", "run_verify"),
 }

@@ -14,26 +14,18 @@ _psi_table fills it that way, while psi keeps the binomial sum, which serves
 any prime and is the table's oracle.  The recurrence itself is
 exact_arith._triangle_rows, shared with umbral's B[r,s] table, so this
 module loads neither umbral nor bernoulli, and a psi or denom request builds
-no Bernoulli number.
+no Bernoulli number and loads no fractions.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import islice
 from math import comb, lcm, prod
 from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation
-from .exact_arith import (
-    _triangle_rows,
-    binomial,
-    clausen_primes,
-    is_prime,
-    least_positive_residue,
-    primes_up_to,
-)
+from .exact_arith import _triangle_rows, clausen_primes, is_prime, least_positive_residue, primes_up_to
 
 if TYPE_CHECKING:
     from .bernoulli import BernoulliCache
@@ -96,6 +88,8 @@ def _integral(r: int, s: int, numerator: int, d: int) -> int:
     """numerator / d, the value of B[r,s] + sum(psi/p); InvariantViolation if not an integer."""
     whole, rest = divmod(numerator, d)
     if rest:
+        from fractions import Fraction  # only for the message: psi and denom requests never load it
+
         raise InvariantViolation(
             f"B[{r},{s}] + sum(psi/p) = {Fraction(numerator, d)} is not an integer"
         )
@@ -286,7 +280,7 @@ def psi_matrix(p: int) -> tuple[tuple[int, ...], ...]:
                         f"psi matrix p={p}: entry ({r},{s}) on anti-diagonal is {value}, not 1"
                     )
             else:
-                expected = binomial(r, p - 1 - s)
+                expected = comb(r, p - 1 - s)
                 if value != expected or value % p == 0:
                     raise InvariantViolation(
                         f"psi matrix p={p}: entry ({r},{s}) is {value}, "

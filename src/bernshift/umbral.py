@@ -5,8 +5,8 @@ shift s >= 0; row r = 0 is the Bernoulli sequence itself.  The same numbers
 arise three independent ways -- the defining binomial sum, a Pascal-style
 recurrence filling the table row by row (exact_arith._triangle_rows, which
 denom's psi triangles share), and iterated forward differences of
-(-1)^n B_n -- and every path is exposed so the suite can play them against
-each other.  The table runs in integers: by von Staudt-Clausen every
+(-1)^n B_n (forward_difference, here) -- and every path is exposed so the
+suite can play them against each other.  The table runs in integers: by von Staudt-Clausen every
 denominator of B_0..B_n divides D = product(primes <= n + 1), so D * B[r,s]
 is an integer for r + s <= n.  The polynomial extension B[r,s](x) sums
 Bernoulli polynomials the same way; it is read off the table, and satisfies
@@ -20,11 +20,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import comb, gcd, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, Union
 
-from .bernoulli import BernoulliCache
+from .bernoulli import BernoulliCache, Poly
 from .errors import CapacityError, InvariantViolation
-from .exact_arith import Poly, Scalar, _triangle_rows, forward_difference, primes_up_to
+from .exact_arith import _triangle_rows, primes_up_to
+
+Scalar = Union[int, Fraction]
 
 
 def _check_key(cache: BernoulliCache, r: int, s: int) -> None:
@@ -85,8 +87,14 @@ class BsTable(namedtuple("BsTable", "max_r max_s denominator scaled")):
         d = self.denominator
         return tuple(tuple(Fraction(x, d) for x in row) for row in self.scaled)
 
+    def _check_inside(self, r: int, s: int, suffix: str = "") -> None:
+        if not (0 <= r <= self.max_r and 0 <= s <= self.max_s):
+            raise ValueError(f"B[{r},{s}]{suffix} lies outside the {self.max_r}x{self.max_s} table")
+
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
+        """B[r,s]; ValueError for a key outside the rectangle, negative ones included."""
         r, s = key
+        self._check_inside(r, s)
         return Fraction(self.scaled[r][s], self.denominator)
 
     def denominators(self) -> list[list[int]]:
@@ -100,8 +108,7 @@ class BsTable(namedtuple("BsTable", "max_r max_s denominator scaled")):
         [x^k] B[r,s](x) = sum(C(r, j) * C(s, k - j) * B[r - j, s - k + j]), which
         is Vandermonde on the umbral form (B + 1 + x)^r (B + x)^s.
         """
-        if not (0 <= r <= self.max_r and 0 <= s <= self.max_s):
-            raise ValueError(f"B[{r},{s}](x) lies outside the {self.max_r}x{self.max_s} table")
+        self._check_inside(r, s, "(x)")
         scaled = self.scaled
         comb_r = [comb(r, j) for j in range(r + 1)]
         comb_s = [comb(s, i) for i in range(s + 1)]
@@ -157,6 +164,22 @@ def reduced_rows(cache: BernoulliCache, max_r: int, max_s: int) -> Iterator[list
     return ([_lowest_terms(x, d) for x in row] for row in rows)
 
 
+def forward_difference(f: Callable[[int], Scalar], order: int, start: int = 0) -> Scalar:
+    """Iterated forward difference: sum(C(order, v) * (-1)^(order-v) * f(start+v)).
+
+    Exact in what f returns: an int-valued f gives an int, a Fraction-valued
+    f a Fraction.
+    """
+    if order < 0:
+        raise ValueError("forward_difference: order must be non-negative")
+    acc = 0
+    sign = -1 if order % 2 else 1
+    for v in range(order + 1):
+        acc += sign * comb(order, v) * f(start + v)
+        sign = -sign
+    return acc
+
+
 def _difference_forms(f: Callable[[int], Scalar], r: int, s: int) -> tuple[Scalar, Scalar]:
     """(-1)^(r+s) * delta^r f at s, and delta^s f at r: both equal B[r,s] for f(n) = (-1)^n B_n."""
     sign = -1 if (r + s) % 2 else 1
@@ -183,17 +206,6 @@ def bs_via_difference(cache: BernoulliCache, r: int, s: int) -> Fraction:
     return rank_form
 
 
-def bs_shift_identity_check(cache: BernoulliCache, r: int, s: int, n: int) -> bool:
-    """Whether B[r+n,s] = sum(C(n, v) * B[r,s+v]); contract: always true."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    _check_key(cache, r + n, s)
-    rhs = Fraction(0)
-    for v in range(n + 1):
-        rhs += comb(n, v) * bs_direct(cache, r, s + v)
-    return bs_direct(cache, r + n, s) == rhs
-
-
 def antidiagonal_sums(cache: BernoulliCache, n_max: int) -> list[Fraction]:
     """Sums of B[r,s] over r + s = n for n = 0..n_max: 1 at n = 0, then 0.
 
@@ -212,12 +224,3 @@ def antidiagonal_sums(cache: BernoulliCache, n_max: int) -> list[Fraction]:
 def bs_polynomial(cache: BernoulliCache, r: int, s: int) -> Poly:
     """B[r,s](x) = sum(C(r, v) * B_{s+v}(x)), via BsTable.polynomial on its own table."""
     return bs_table_recursive(cache, r, s).polynomial(r, s)
-
-
-def grabisch_b(cache: BernoulliCache, m: int, d: int) -> Fraction:
-    """The doubly-indexed value b_m^d under the reindexing b_m^d = B[m, d-m]."""
-    if m < 0 or d < 0:
-        raise ValueError("indices must be non-negative")
-    if m > d:
-        raise ValueError(f"b_m^d needs m <= d, got m={m}, d={d}")
-    return bs_direct(cache, m, d - m)

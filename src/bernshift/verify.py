@@ -136,16 +136,17 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     rhs_at = lhs_at if swapped is table else swapped.scaled_polynomial
     instances, failures = 0, []
     for r in _rows(rows, max_r):
-        sign_r = 1 if r % 2 == 0 else -1
         for s in range(max_s + 1):
             instances += 1
             lhs = lhs_at(r, s)
             rhs = rhs_at(s, r)
-            if any(a != (-b if (r + s + k) % 2 else b) for k, (a, b) in enumerate(zip(lhs, rhs))):
-                sign_s = 1 if s % 2 == 0 else -1
+            pairs = enumerate(zip(lhs, rhs))
+            k = next((k for k, (a, b) in pairs if a != (-b if (r + s + k) % 2 else b)), None)
+            if k is not None:  # the first power of x where the two sides differ
+                d = table.denominator
                 failures.append(
-                    f"(r={r}, s={s}): {sign_r * table.polynomial(r, s)!r} "
-                    f"!= {sign_s * swapped.polynomial(s, r).compose_neg()!r}"
+                    f"(r={r}, s={s}): [x^{k}] {Fraction(lhs[k], d)} in B[{r},{s}](x) "
+                    f"vs {Fraction(rhs[k], d)} in B[{s},{r}](x)"
                 )
     return instances, failures, []
 

@@ -6,12 +6,13 @@ import pytest
 from bernshift import CapacityError
 from bernshift.bernoulli import (
     BernoulliCache,
+    Poly,
     bernoulli_denominator,
     bernoulli_polynomial,
     hermite_stern_check,
     von_staudt_clausen_witness,
 )
-from bernshift.exact_arith import Poly, primes_up_to
+from bernshift.exact_arith import primes_up_to
 
 
 def _akiyama_tanigawa(limit):

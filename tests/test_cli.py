@@ -412,8 +412,9 @@ def test_small_requests_leave_sweeps_and_json_unloaded(argv):
     loaded = _newly_loaded(f"from bernshift.cli import main\nassert main({argv!r}) == 0")
     assert "bernshift.render" in loaded
     assert loaded & {"bernshift.verify", "json", "dataclasses", "inspect", "logging"} == set()
-    if argv[0] != "value":  # psi and denom need no Bernoulli number
+    if argv[0] != "value":  # psi and denom need no Bernoulli number, and no Fraction
         assert loaded & {"bernshift.umbral", "bernshift.bernoulli"} == set()
+        assert loaded & {"fractions", "decimal", "numbers"} == set()
 
 
 class TestEntry:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,7 +19,7 @@ from bernshift.denom import (
     psi_reciprocity_check,
 )
 from bernshift.errors import InvariantViolation
-from bernshift.exact_arith import binomial, least_positive_residue, primes_up_to
+from bernshift.exact_arith import least_positive_residue, primes_up_to
 from bernshift.umbral import BsTable, bs_table_recursive
 
 
@@ -51,7 +52,7 @@ class TestPsi:
                         admissible = t > 0 and t % 2 == 0 and t % (p - 1) == 0
                         assert (v in members) == admissible
                         if admissible:
-                            expected_value += binomial(r, v)
+                            expected_value += comb(r, v)
                     assert result.value == expected_value
 
     def test_vanishes_beyond_support(self):
@@ -289,7 +290,7 @@ class TestPsiMatrix:
         assert psi_matrix(5) == ((0, 0, 1), (0, 1, 2), (1, 3, 3))
 
     def test_entry_examples(self):
-        assert psi_matrix(5)[2][2] == 3 == binomial(3, 1)
+        assert psi_matrix(5)[2][2] == 3 == comb(3, 1)
         assert psi_matrix(7)[1][3] == 1  # (r,s) = (2,4), on the anti-diagonal
 
     def test_structure_holds_through_19(self):
@@ -304,7 +305,7 @@ class TestPsiMatrix:
                     elif r + s == p - 1:
                         assert value == 1
                     else:
-                        assert value == binomial(r, p - 1 - s)
+                        assert value == comb(r, p - 1 - s)
                         assert value % p != 0
 
     def test_rejects_bad_p(self):

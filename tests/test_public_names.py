@@ -7,7 +7,7 @@ here keeps a rename from surfacing only when the slow benchmark suite runs.
 import pytest
 
 import bernshift
-from bernshift import cli, umbral, verify
+from bernshift import bernoulli, cli, umbral, verify
 
 
 def test_every_exported_name_exists():
@@ -33,3 +33,22 @@ def test_dir_lists_every_name_and_unknown_names_raise():
     with pytest.raises(AttributeError):
         bernshift.no_such_name
     assert bernshift.run_verify is verify.run_verify
+
+
+def test_names_resolve_to_their_defining_modules():
+    assert bernshift.Poly is bernoulli.Poly
+    assert bernshift.forward_difference is umbral.forward_difference
+    assert bernshift.Poly.__module__ == "bernshift.bernoulli"
+    assert bernshift.forward_difference.__module__ == "bernshift.umbral"
+
+
+@pytest.mark.parametrize("name", ["binomial", "grabisch_b", "bs_shift_identity_check"])
+def test_deleted_names_are_gone(name):
+    assert name not in bernshift.__all__
+    with pytest.raises(AttributeError):
+        getattr(bernshift, name)
+
+
+def test_poly_is_a_value_without_arithmetic():
+    with pytest.raises(TypeError):
+        bernshift.Poly([1]) + bernshift.Poly([1])

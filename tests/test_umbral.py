@@ -2,11 +2,10 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bernshift import CapacityError, InvariantViolation
-from bernshift.bernoulli import BernoulliCache, bernoulli_polynomial
-from bernshift.exact_arith import Poly, primes_up_to
+from bernshift.bernoulli import BernoulliCache, Poly, bernoulli_polynomial
+from bernshift.exact_arith import primes_up_to
 from bernshift.umbral import (
     BsTable,
     _scaled_bernoulli,
@@ -14,10 +13,8 @@ from bernshift.umbral import (
     antidiagonal_sums,
     bs_direct,
     bs_polynomial,
-    bs_shift_identity_check,
     bs_table_recursive,
     bs_via_difference,
-    grabisch_b,
     reduced_rows,
 )
 from reference_grid import REFERENCE_GRID
@@ -76,6 +73,15 @@ class TestBsTable:
         column = bs_table_recursive(cache, 5, 0)
         assert [column[r, 0] for r in range(6)] == [
             bs_direct(cache, r, 0) for r in range(6)
+        ]
+
+    def test_keys_outside_the_rectangle_raise(self, cache):
+        table = bs_table_recursive(cache, 3, 3)
+        for key in ((-1, 1), (1, -2), (-1, -1), (4, 0), (0, 4), (4, 4)):
+            with pytest.raises(ValueError):
+                table[key]
+        assert [table[r, s] for r in (0, 3) for s in (0, 3)] == [
+            bs_direct(cache, r, s) for r in (0, 3) for s in (0, 3)
         ]
 
     def test_bounds(self, cache):
@@ -141,20 +147,17 @@ class TestBsViaDifference:
 
 
 class TestShiftIdentity:
-    def test_examples(self, cache):
-        assert bs_direct(cache, 2, 0) == Fraction(1, 6)
-        assert bs_shift_identity_check(cache, 0, 0, 2)
-        assert bs_shift_identity_check(cache, 1, 1, 0)
-        assert bs_shift_identity_check(cache, 2, 3, 3)
-
-    @settings(max_examples=60)
-    @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
-    def test_holds_generally(self, cache, r, s, n):
-        assert bs_shift_identity_check(cache, r, s, n)
-
-    def test_rejects_negative_step(self, cache):
-        with pytest.raises(ValueError):
-            bs_shift_identity_check(cache, 1, 1, -1)
+    def test_holds_generally(self, cache):
+        # the n-fold recurrence B[r+n,s] = sum(C(n, v) * B[r,s+v]), over D, for every r, s, n <= 12
+        x = bs_table_recursive(cache, 24, 24).scaled
+        bad = [
+            (r, s, n)
+            for r in range(13)
+            for s in range(13)
+            for n in range(13)
+            if x[r + n][s] != sum(comb(n, v) * x[r][s + v] for v in range(n + 1))
+        ]
+        assert bad == []
 
 
 class TestAntidiagonal:
@@ -183,6 +186,16 @@ class TestAntidiagonal:
                 assert abs(bs_direct(cache, r, s)) == abs(bs_direct(cache, s, r))
 
 
+def weighted_sum(terms):
+    """sum(w * p) over the (w, p) in terms, as a Poly, added coefficient by coefficient."""
+    coeffs = []
+    for weight, poly in terms:
+        coeffs += [0] * (len(poly.coeffs) - len(coeffs))
+        for k, c in enumerate(poly.coeffs):
+            coeffs[k] += weight * c
+    return Poly(coeffs)
+
+
 class TestBsPolynomial:
     def test_examples(self, cache):
         assert bs_polynomial(cache, 0, 1) == Poly([Fraction(-1, 2), 1])
@@ -198,21 +211,18 @@ class TestBsPolynomial:
                 assert poly(0) == bs_direct(cache, r, s)
 
     def test_sums_bernoulli_polynomials(self, cache):
-        expected = (
-            bernoulli_polynomial(cache, 2)
-            + 2 * bernoulli_polynomial(cache, 3)
-            + bernoulli_polynomial(cache, 4)
-        )
+        # B[2,2](x) = B_2(x) + 2 B_3(x) + B_4(x)
+        expected = weighted_sum((w, bernoulli_polynomial(cache, n)) for w, n in ((1, 2), (2, 3), (1, 4)))
         assert bs_polynomial(cache, 2, 2) == expected
 
     def test_matches_sum_of_bernoulli_polynomials(self, cache):
-        # the slow route: sum(C(r, v) * B_{s+v}(x)) as Poly arithmetic
+        # the slow route: sum(C(r, v) * B_{s+v}(x)), added coefficient by coefficient
         square = bs_table_recursive(cache, 14, 14)
         for r in range(15):
             for s in range(15):
-                expected = Poly([])
-                for v in range(r + 1):
-                    expected = expected + comb(r, v) * bernoulli_polynomial(cache, s + v)
+                expected = weighted_sum(
+                    (comb(r, v), bernoulli_polynomial(cache, s + v)) for v in range(r + 1)
+                )
                 assert bs_polynomial(cache, r, s) == expected
                 assert square.polynomial(r, s) == expected
 
@@ -239,22 +249,10 @@ class TestBsPolynomial:
     def test_reciprocity_small(self, cache):
         for r in range(11):
             for s in range(11):
-                lhs = bs_polynomial(cache, r, s)
-                rhs = bs_polynomial(cache, s, r).compose_neg()
-                if (r + s) % 2:
-                    rhs = -rhs
-                assert lhs == rhs
-
-
-class TestGrabischB:
-    def test_examples(self, cache):
-        assert grabisch_b(cache, 0, 0) == 1
-        assert grabisch_b(cache, 2, 4) == Fraction(2, 15)
-        assert grabisch_b(cache, 3, 3) == 0
-
-    def test_rejects_m_above_d(self, cache):
-        with pytest.raises(ValueError):
-            grabisch_b(cache, 4, 3)
+                # [x^k] of (-1)^r B[r,s](x) and of (-1)^s B[s,r](-x)
+                lhs = bs_polynomial(cache, r, s).coeffs
+                rhs = bs_polynomial(cache, s, r).coeffs
+                assert list(lhs) == [-c if (r + s + k) % 2 else c for k, c in enumerate(rhs)]
 
 
 def test_difference_disagreement_raises(cache, monkeypatch):

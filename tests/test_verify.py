@@ -271,7 +271,8 @@ def test_poly_reciprocity_failure_names_a_witness(monkeypatch):
     monkeypatch.setattr(BsTable, "scaled_polynomial", wrong_polynomial)
     instances, failures, _notes = PROPERTIES["poly-reciprocity"].runner(3, 3, None)
     assert instances == 16
-    assert any(f.startswith("(r=0, s=1): ") for f in failures)
+    # [x^0]: (-1)^0 * 1/D against (-1)^1 * 2/D, over D = 2 * 3 * 5 * 7
+    assert "(r=0, s=1): [x^0] 1/210 in B[0,1](x) vs 1/105 in B[1,0](x)" in failures
 
 
 def test_denominators_evaluate_each_ordered_key_once(monkeypatch):
