@@ -16,12 +16,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # module -> the names it exports here
     "bernoulli": (
-        "BernoulliCache", "Poly", "bernoulli_denominator", "bernoulli_polynomial",
-        "hermite_stern_check", "von_staudt_clausen_witness",
+        "BernoulliCache", "bernoulli_denominator", "hermite_stern_check", "von_staudt_clausen_witness",
     ),
     "denom": (
         "DenomFactorization", "PsiValue", "denom_exact", "denom_formula", "denom_via_psi",
-        "integrality_witness", "psi", "psi_matrix", "psi_periodicity_check", "psi_reciprocity_check",
+        "integrality_witness", "psi", "psi_matrix",
     ),
     "errors": ("CapacityError", "InvariantViolation"),
     "exact_arith": ("is_prime", "least_positive_residue", "primes_up_to"),

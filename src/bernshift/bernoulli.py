@@ -1,4 +1,4 @@
-"""Classical Bernoulli numbers and polynomials, with exact denominators.
+"""Classical Bernoulli numbers, with exact denominators.
 
 The cache holds B_0..B_capacity under the convention B_1 = -1/2 and is sealed
 after construction, so concurrent reads never race a resize.  It is filled
@@ -6,16 +6,14 @@ from tangent numbers in integer arithmetic (Brent and Harvey, 2011); the
 defining recurrence sum(C(n+1, k) * B_k) = 0 is kept only as a test oracle.
 The closed denominator formula and the von Staudt-Clausen witness give two
 independent handles on the fractional part of B_n that the test suite plays
-against the cached values.  Poly is the value type of B_n(x) and of umbral's
-B[r,s](x): built, compared, evaluated and reflected x -> -x, with no
-arithmetic of its own.
+against the cached values.  No polynomial is built here: umbral gives
+B[r,s](x) as a tuple of its coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, prod
-from typing import Iterable, Union
 
 from .errors import CapacityError, InvariantViolation
 from .exact_arith import clausen_primes, is_prime
@@ -66,64 +64,6 @@ class BernoulliCache:
 
     def __repr__(self) -> str:
         return f"BernoulliCache(capacity={self.capacity})"
-
-
-class Poly:
-    """Dense polynomial with Fraction coefficients, index = power of x.
-
-    An immutable value: trailing zero coefficients are trimmed, and the zero
-    polynomial is the empty coefficient tuple with degree -inf.  It has no
-    arithmetic operators; identities between polynomials are checked on
-    their coefficients.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[Union[int, Fraction]] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> Union[int, float]:
-        return len(self._coeffs) - 1 if self._coeffs else float("-inf")
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"Poly([{', '.join(str(c) for c in self._coeffs)}])"
-
-    def __call__(self, x: Union[int, Fraction]) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose_neg(self) -> Poly:
-        """The polynomial x -> self(-x): odd-index coefficients change sign."""
-        return Poly([-c if i % 2 else c for i, c in enumerate(self._coeffs)])
-
-
-def bernoulli_polynomial(cache: BernoulliCache, n: int) -> Poly:
-    """B_n(x) = sum(C(n, v) * B_{n-v} * x^v), a monic polynomial of degree n."""
-    if n < 0:
-        raise ValueError("bernoulli_polynomial: n must be non-negative")
-    return Poly([comb(n, v) * cache[n - v] for v in range(n + 1)])
 
 
 def bernoulli_denominator(n: int) -> int:

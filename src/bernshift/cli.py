@@ -66,8 +66,7 @@ def cmd_value(args: argparse.Namespace) -> int:
 
     cache = BernoulliCache(args.r + args.s + 2)
     if args.poly:
-        coeffs = bs_polynomial(cache, args.r, args.s).coeffs
-        sys.stdout.write(render_coefficients(coeffs, args.fmt))
+        sys.stdout.write(render_coefficients(bs_polynomial(cache, args.r, args.s), args.fmt))
     else:
         sys.stdout.write(render_fraction_value(bs_direct(cache, args.r, args.s), args.fmt))
     return 0

@@ -10,11 +10,12 @@ the denominator are implemented and cross-checked.
 
 psi(r, s, p) is B[r,s] with B_n replaced by its von Staudt-Clausen indicator
 chi_p(n), so it obeys the same recurrence psi[r+1,s] = psi[r,s] + psi[r,s+1];
-_psi_table fills it that way, while psi keeps the binomial sum, which serves
+_psi_table fills it that way, while psi walks the binomial sum, which serves
 any prime and is the table's oracle.  The recurrence itself is
 exact_arith._triangle_rows, shared with umbral's B[r,s] table, so this
 module loads neither umbral nor bernoulli, and a psi or denom request builds
-no Bernoulli number and loads no fractions.
+no Bernoulli number and loads no fractions.  _psi_reciprocal and
+_psi_periodic state psi's two congruences on values the caller holds.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import islice
 from math import comb, lcm, prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvariantViolation
 from .exact_arith import _triangle_rows, clausen_primes, is_prime, least_positive_residue, primes_up_to
@@ -51,8 +52,22 @@ def _psi_indices(r: int, s: int, p: int) -> range:
 
 
 def _psi_value(r: int, s: int, p: int) -> int:
-    """psi(r, s, p).value without the argument checks, for a p known to be prime."""
-    return sum(comb(r, v) for v in _psi_indices(r, s, p))
+    """psi(r, s, p).value without the argument checks, for a p known to be prime.
+
+    Walks C(r, v + 1) = C(r, v) * (r - v) // (v + 1) from the first admissible v to the last.
+    """
+    indices = _psi_indices(r, s, p)
+    if not indices:
+        return 0
+    v = indices[0]
+    binom = comb(r, v)  # C(r, v)
+    total = 0
+    for target in indices:
+        while v < target:
+            binom = binom * (r - v) // (v + 1)
+            v += 1
+        total += binom
+    return total
 
 
 def _psi_seed(p: int, n: int) -> list[int]:
@@ -146,7 +161,8 @@ class DenomFactorization(namedtuple("DenomFactorization", "eps2 primes value")):
 
     __slots__ = ()
 
-    def __new__(cls, eps2: int, primes: tuple[int, ...]) -> DenomFactorization:
+    def __new__(cls, eps2: int, primes: Iterable[int]) -> DenomFactorization:
+        primes = tuple(primes)
         if eps2 not in (0, 1):
             raise ValueError("eps2 must be 0 or 1")
         if any(p < 3 or not is_prime(p) for p in primes):
@@ -212,47 +228,6 @@ def _psi_periodic(v_rs: int, v_rs2: int, v_r2s: int, v_r2s2: int, p: int) -> boo
     Exact in the shift at both ranks, and mod p in the rank.
     """
     return v_rs == v_rs2 and v_r2s == v_r2s2 and (v_rs - v_r2s) % p == 0
-
-
-def psi_reciprocity_check(r: int, s: int, p: int) -> bool:
-    """Whether (-1)^r psi(r,s,p) == (-1)^s psi(s,r,p) mod p.
-
-    Contract: true for r, s >= 2 with any prime p, and for r, s >= 1 with
-    odd p.  At p = 2 the extension down to rank or shift 1 genuinely fails
-    (e.g. r = 1, s = 2 gives 1 vs 2 mod 2), matching the odd-p hypothesis
-    under which the extension is stated.
-    """
-    if r < 1 or s < 1:
-        raise ValueError("psi_reciprocity_check: requires r >= 1 and s >= 1")
-    if not is_prime(p):
-        raise ValueError(f"psi_reciprocity_check: {p} is not prime")
-    return _psi_reciprocal(r, s, _psi_value(r, s, p), _psi_value(s, r, p), p)
-
-
-def psi_periodicity_check(r: int, r2: int, s: int, s2: int, p: int) -> bool:
-    """Periodicity of psi in both indices mod p - 1.
-
-    Requires r == r2 and s == s2 mod p - 1 (with r, r2 >= 1, s, s2 >= 0,
-    p >= 3 prime).  Checks that shifting s to s2 preserves the value exactly
-    (at both ranks) and that shifting the rank preserves it mod p.  Each
-    distinct (rank, shift) pair is evaluated once.
-    """
-    if r < 1 or r2 < 1:
-        raise ValueError("psi_periodicity_check: ranks must be >= 1")
-    if s < 0 or s2 < 0:
-        raise ValueError("psi_periodicity_check: shifts must be >= 0")
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"psi_periodicity_check: {p} is not an odd prime")
-    if (r - r2) % (p - 1) or (s - s2) % (p - 1):
-        raise ValueError("psi_periodicity_check: indices must be congruent mod p - 1")
-    v_rs = _psi_value(r, s, p)
-    v_rs2 = v_rs if s2 == s else _psi_value(r, s2, p)
-    if r2 == r:
-        v_r2s, v_r2s2 = v_rs, v_rs2
-    else:
-        v_r2s = _psi_value(r2, s, p)
-        v_r2s2 = v_r2s if s2 == s else _psi_value(r2, s2, p)
-    return _psi_periodic(v_rs, v_rs2, v_r2s, v_r2s2, p)
 
 
 def psi_matrix(p: int) -> tuple[tuple[int, ...], ...]:

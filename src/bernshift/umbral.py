@@ -9,8 +9,8 @@ denom's psi triangles share), and iterated forward differences of
 suite can play them against each other.  The table runs in integers: by von Staudt-Clausen every
 denominator of B_0..B_n divides D = product(primes <= n + 1), so D * B[r,s]
 is an integer for r + s <= n.  The polynomial extension B[r,s](x) sums
-Bernoulli polynomials the same way; it is read off the table, and satisfies
-an asymmetric reciprocity in x and -x.
+Bernoulli polynomials the same way, is a coefficient tuple accumulated from
+the table one row at a time, and obeys an asymmetric reciprocity in x and -x.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import comb, gcd, prod
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .bernoulli import BernoulliCache, Poly
+from .bernoulli import BernoulliCache
 from .errors import CapacityError, InvariantViolation
 from .exact_arith import _triangle_rows, primes_up_to
 
@@ -72,6 +72,28 @@ def _lowest_terms(x: int, d: int) -> tuple[int, int]:
     return x // g, d // g
 
 
+def _scaled_polynomial(rows: Iterable[Sequence[int]], r: int, s: int, d: int) -> list[int]:
+    """D times the coefficients of B[r,s](x), lowest power first, from the rows D * B[i, 0..s], i <= r.
+
+    [x^k] B[r,s](x) = sum(C(r, j) * C(s, t) * B[r - j, s - t]) over j + t = k,
+    which is Vandermonde on the umbral form (B + 1 + x)^r (B + x)^s.  Row
+    i = r - j adds all of its terms at once, so the rows are read one at a
+    time.  B[r,s](x) is monic: InvariantViolation unless [x^(r+s)] is D.
+    """
+    comb_s = [comb(s, t) for t in range(s + 1)]
+    coeffs = [0] * (r + s + 1)
+    for i, row in enumerate(rows):
+        weight = comb(r, i)  # C(r, j) for j = r - i
+        for k, c, x in zip(range(r - i, r - i + s + 1), comb_s, row[s::-1]):
+            coeffs[k] += weight * c * x
+    if coeffs[-1] != d:
+        raise InvariantViolation(
+            f"B[{r},{s}](x) should be monic of degree {r + s}, "
+            f"got leading coefficient {Fraction(coeffs[-1], d)}"
+        )
+    return coeffs
+
+
 class BsTable(namedtuple("BsTable", "max_r max_s denominator scaled")):
     """Dense rectangle of B[r,s] for 0 <= r <= max_r, 0 <= s <= max_s, in integers.
 
@@ -103,32 +125,9 @@ class BsTable(namedtuple("BsTable", "max_r max_s denominator scaled")):
         return [[_lowest_terms(x, d)[1] for x in row] for row in self.scaled]
 
     def scaled_polynomial(self, r: int, s: int) -> list[int]:
-        """D times the coefficients of B[r,s](x), lowest power first; monic of degree r + s.
-
-        [x^k] B[r,s](x) = sum(C(r, j) * C(s, k - j) * B[r - j, s - k + j]), which
-        is Vandermonde on the umbral form (B + 1 + x)^r (B + x)^s.
-        """
+        """D times the coefficients of B[r,s](x), lowest power first; monic of degree r + s."""
         self._check_inside(r, s, "(x)")
-        scaled = self.scaled
-        comb_r = [comb(r, j) for j in range(r + 1)]
-        comb_s = [comb(s, i) for i in range(s + 1)]
-        coeffs = []
-        for k in range(r + s + 1):
-            acc = 0
-            for j in range(max(0, k - s), min(r, k) + 1):
-                acc += comb_r[j] * comb_s[k - j] * scaled[r - j][s - k + j]
-            coeffs.append(acc)
-        if coeffs[-1] != self.denominator:
-            got = Poly(Fraction(c, self.denominator) for c in coeffs)
-            raise InvariantViolation(
-                f"B[{r},{s}](x) should be monic of degree {r + s}, got {got!r}"
-            )
-        return coeffs
-
-    def polynomial(self, r: int, s: int) -> Poly:
-        """B[r,s](x) read off the table: monic of degree r + s, constant term B[r,s]."""
-        d = self.denominator
-        return Poly(Fraction(c, d) for c in self.scaled_polynomial(r, s))
+        return _scaled_polynomial(self.scaled[: r + 1], r, s, self.denominator)
 
 
 def _table_rows(cache: BernoulliCache, max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:
@@ -221,6 +220,10 @@ def antidiagonal_sums(cache: BernoulliCache, n_max: int) -> list[Fraction]:
     return [Fraction(total, d) for total in sums]
 
 
-def bs_polynomial(cache: BernoulliCache, r: int, s: int) -> Poly:
-    """B[r,s](x) = sum(C(r, v) * B_{s+v}(x)), via BsTable.polynomial on its own table."""
-    return bs_table_recursive(cache, r, s).polynomial(r, s)
+def bs_polynomial(cache: BernoulliCache, r: int, s: int) -> tuple[Fraction, ...]:
+    """The coefficients of B[r,s](x) = sum(C(r, v) * B_{s+v}(x)), lowest power first.
+
+    Only one row of the table up to (r, s) is held at a time.
+    """
+    d, rows = _table_rows(cache, r, s)
+    return tuple(Fraction(c, d) for c in _scaled_polynomial(rows, r, s, d))

@@ -7,7 +7,7 @@ here keeps a rename from surfacing only when the slow benchmark suite runs.
 import pytest
 
 import bernshift
-from bernshift import bernoulli, cli, umbral, verify
+from bernshift import bernoulli, cli, denom, umbral, verify
 
 
 def test_every_exported_name_exists():
@@ -36,19 +36,33 @@ def test_dir_lists_every_name_and_unknown_names_raise():
 
 
 def test_names_resolve_to_their_defining_modules():
-    assert bernshift.Poly is bernoulli.Poly
+    assert bernshift.BernoulliCache is bernoulli.BernoulliCache
     assert bernshift.forward_difference is umbral.forward_difference
-    assert bernshift.Poly.__module__ == "bernshift.bernoulli"
+    assert bernshift.BernoulliCache.__module__ == "bernshift.bernoulli"
     assert bernshift.forward_difference.__module__ == "bernshift.umbral"
 
 
-@pytest.mark.parametrize("name", ["binomial", "grabisch_b", "bs_shift_identity_check"])
+DELETED = {  # defining module -> the names it no longer has
+    bernoulli: ("Poly", "bernoulli_polynomial"),
+    denom: ("psi_periodicity_check", "psi_reciprocity_check"),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["binomial", "grabisch_b", "bs_shift_identity_check", *(n for names in DELETED.values() for n in names)],
+)
 def test_deleted_names_are_gone(name):
     assert name not in bernshift.__all__
     with pytest.raises(AttributeError):
         getattr(bernshift, name)
 
 
-def test_poly_is_a_value_without_arithmetic():
-    with pytest.raises(TypeError):
-        bernshift.Poly([1]) + bernshift.Poly([1])
+def test_deleted_names_are_gone_from_their_modules():
+    for module, names in DELETED.items():
+        for name in names:
+            with pytest.raises(AttributeError):
+                getattr(module, name)
+    # a polynomial is a coefficient tuple from bs_polynomial or BsTable.scaled_polynomial
+    with pytest.raises(AttributeError):
+        umbral.BsTable.polynomial

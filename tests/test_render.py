@@ -61,7 +61,7 @@ def test_int_table_csv_matches_csv_writer(denoms):
 
 
 def test_coefficients_csv_match_csv_writer():
-    coeffs = bs_polynomial(BernoulliCache(14), 7, 5).coeffs
+    coeffs = bs_polynomial(BernoulliCache(14), 7, 5)
     assert len(coeffs) == 13
     assert render_coefficients(coeffs, CSV) == csv_oracle([coeffs])
 

@@ -4,11 +4,12 @@ from math import comb, prod
 import pytest
 
 from bernshift import CapacityError, InvariantViolation
-from bernshift.bernoulli import BernoulliCache, Poly, bernoulli_polynomial
+from bernshift.bernoulli import BernoulliCache
 from bernshift.exact_arith import primes_up_to
 from bernshift.umbral import (
     BsTable,
     _scaled_bernoulli,
+    _scaled_polynomial,
     _triangle_rows,
     antidiagonal_sums,
     bs_direct,
@@ -17,6 +18,7 @@ from bernshift.umbral import (
     bs_via_difference,
     reduced_rows,
 )
+from oracles import bernoulli_polynomial, evaluate, reflect
 from reference_grid import REFERENCE_GRID
 
 
@@ -127,10 +129,6 @@ class TestIntegerTriangle:
         assert table.denominators() == [[q.denominator for q in row] for row in table.entries]
         pairs = [[(q.numerator, q.denominator) for q in row] for row in table.entries]
         assert list(reduced_rows(cache, 9, 5)) == pairs
-        for r in range(10):
-            for s in range(6):
-                coeffs = table.scaled_polynomial(r, s)
-                assert table.polynomial(r, s) == Poly(Fraction(c, table.denominator) for c in coeffs)
 
 
 class TestBsViaDifference:
@@ -187,28 +185,42 @@ class TestAntidiagonal:
 
 
 def weighted_sum(terms):
-    """sum(w * p) over the (w, p) in terms, as a Poly, added coefficient by coefficient."""
+    """sum(w * p) over the (w, p) in terms, added coefficient by coefficient."""
     coeffs = []
     for weight, poly in terms:
-        coeffs += [0] * (len(poly.coeffs) - len(coeffs))
-        for k, c in enumerate(poly.coeffs):
+        coeffs += [0] * (len(poly) - len(coeffs))
+        for k, c in enumerate(poly):
             coeffs[k] += weight * c
-    return Poly(coeffs)
+    return tuple(coeffs)
+
+
+def column_polynomial(table, r, s):
+    """D * B[r,s](x) column by column: [x^k] = sum(C(r, j) * C(s, k - j) * D * B[r - j, s - k + j])."""
+    x = table.scaled
+    return [
+        sum(comb(r, j) * comb(s, k - j) * x[r - j][s - k + j] for j in range(max(0, k - s), min(r, k) + 1))
+        for k in range(r + s + 1)
+    ]
+
+
+def over_denominator(table, coeffs):
+    return tuple(Fraction(c, table.denominator) for c in coeffs)
 
 
 class TestBsPolynomial:
     def test_examples(self, cache):
-        assert bs_polynomial(cache, 0, 1) == Poly([Fraction(-1, 2), 1])
-        assert bs_polynomial(cache, 2, 2)(0) == Fraction(2, 15)
-        assert bs_polynomial(cache, 1, 0) == Poly([Fraction(1, 2), 1])
+        assert bs_polynomial(cache, 0, 1) == (Fraction(-1, 2), 1)
+        assert evaluate(bs_polynomial(cache, 2, 2), 0) == Fraction(2, 15)
+        assert bs_polynomial(cache, 1, 0) == (Fraction(1, 2), 1)
+        assert all(type(c) is Fraction for c in bs_polynomial(cache, 3, 2))
 
     def test_monic_with_constant_term(self, cache):
         for r in range(11):
             for s in range(11):
                 poly = bs_polynomial(cache, r, s)
-                assert poly.degree == r + s
-                assert poly.coeffs[-1] == 1
-                assert poly(0) == bs_direct(cache, r, s)
+                assert len(poly) == r + s + 1
+                assert poly[-1] == 1
+                assert evaluate(poly, 0) == bs_direct(cache, r, s)
 
     def test_sums_bernoulli_polynomials(self, cache):
         # B[2,2](x) = B_2(x) + 2 B_3(x) + B_4(x)
@@ -224,21 +236,44 @@ class TestBsPolynomial:
                     (comb(r, v), bernoulli_polynomial(cache, s + v)) for v in range(r + 1)
                 )
                 assert bs_polynomial(cache, r, s) == expected
-                assert square.polynomial(r, s) == expected
+                assert over_denominator(square, square.scaled_polynomial(r, s)) == expected
+
+    @pytest.mark.parametrize("max_r, max_s", [(12, 12), (9, 4), (4, 9)])
+    def test_row_accumulation_matches_column_sums(self, cache, max_r, max_s):
+        table = bs_table_recursive(cache, max_r, max_s)
+        for r in range(max_r + 1):
+            for s in range(max_s + 1):
+                expected = column_polynomial(table, r, s)
+                assert table.scaled_polynomial(r, s) == expected
+                # rows i = 0..r, longer than s + 1, read once from an iterator
+                rows = iter(table.scaled[: r + 1])
+                assert _scaled_polynomial(rows, r, s, table.denominator) == expected
 
     def test_table_polynomial_on_non_square_table(self, cache):
         table = bs_table_recursive(cache, 9, 4)
         for r in range(10):
             for s in range(5):
-                assert table.polynomial(r, s) == bs_polynomial(cache, r, s)
+                assert over_denominator(table, table.scaled_polynomial(r, s)) == bs_polynomial(cache, r, s)
         with pytest.raises(ValueError):
-            table.polynomial(4, 9)
+            table.scaled_polynomial(4, 9)
+
+    def test_never_builds_a_whole_table(self, cache, monkeypatch):
+        import bernshift.umbral as umbral
+
+        table = bs_table_recursive(cache, 7, 5)
+        expected = over_denominator(table, column_polynomial(table, 7, 5))
+
+        def refuse(*args):
+            raise AssertionError("bs_polynomial built a whole table")
+
+        monkeypatch.setattr(umbral, "bs_table_recursive", refuse)
+        assert bs_polynomial(cache, 7, 5) == expected
 
     def test_wrong_table_is_not_monic(self):
-        # the leading coefficient of B[r,s](x) is read from B[0,0]
-        table = BsTable(1, 1, 1, ((3, 1), (1, 1)))
-        with pytest.raises(InvariantViolation):
-            table.polynomial(1, 1)
+        # the leading coefficient of B[r,s](x) is read from B[0,0], here 3/2 instead of 1
+        table = BsTable(1, 1, 2, ((3, 1), (1, 1)))
+        with pytest.raises(InvariantViolation, match=r"B\[1,1\]\(x\) .* leading coefficient 3/2$"):
+            table.scaled_polynomial(1, 1)
 
     def test_bounds(self):
         with pytest.raises(CapacityError):
@@ -249,10 +284,10 @@ class TestBsPolynomial:
     def test_reciprocity_small(self, cache):
         for r in range(11):
             for s in range(11):
-                # [x^k] of (-1)^r B[r,s](x) and of (-1)^s B[s,r](-x)
-                lhs = bs_polynomial(cache, r, s).coeffs
-                rhs = bs_polynomial(cache, s, r).coeffs
-                assert list(lhs) == [-c if (r + s + k) % 2 else c for k, c in enumerate(rhs)]
+                # (-1)^r B[r,s](x) = (-1)^s B[s,r](-x)
+                sign = -1 if (r + s) % 2 else 1
+                rhs = tuple(sign * c for c in reflect(bs_polynomial(cache, s, r)))
+                assert bs_polynomial(cache, r, s) == rhs
 
 
 def test_difference_disagreement_raises(cache, monkeypatch):
