@@ -13,10 +13,9 @@ B[r,s](x) as a tuple of its coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, prod
 
 from .errors import CapacityError, InvariantViolation
-from .exact_arith import clausen_primes, is_prime
+from .exact_arith import _binomial_row, _hermite_stern_residue, _product_tree, clausen_primes, is_prime
 
 
 class BernoulliCache:
@@ -79,7 +78,7 @@ def bernoulli_denominator(n: int) -> int:
         return 2
     if n % 2:
         return 1
-    return prod(clausen_primes(n))
+    return _product_tree(clausen_primes(n))
 
 
 def von_staudt_clausen_witness(cache: BernoulliCache, n: int) -> int:
@@ -106,7 +105,4 @@ def hermite_stern_check(m: int, p: int) -> int:
         raise ValueError("hermite_stern_check: m must be >= 1")
     if not is_prime(p):
         raise ValueError(f"hermite_stern_check: {p} is not prime")
-    total = 0
-    for v in range(p - 1, m, p - 1):
-        total += comb(m, v)
-    return total % p
+    return _hermite_stern_residue(_binomial_row(m), p)

@@ -20,13 +20,15 @@ _psi_periodic state psi's two congruences on values the caller holds.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
-from itertools import islice
-from math import comb, lcm, prod
-from typing import TYPE_CHECKING, Iterable
+from itertools import compress, islice
+from math import comb, lcm
+from operator import mod
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InvariantViolation
-from .exact_arith import _triangle_rows, clausen_primes, is_prime, least_positive_residue, primes_up_to
+from .exact_arith import _product_tree, _triangle_rows, clausen_primes, is_prime, primes_up_to
 
 if TYPE_CHECKING:
     from .bernoulli import BernoulliCache
@@ -144,16 +146,19 @@ def denom_via_psi(r: int, s: int) -> int:
     """
     if r < 2 or s < 2:
         raise ValueError("denom_via_psi: requires r >= 2 and s >= 2")
-    value = 1
-    for p in primes_up_to(r + s + 1):
-        if _divides_denominator(p, _psi_value(r, s, p)):
-            value *= p
-    return value
+    odd = primes_up_to(r + s + 1)[1:]  # 2 never divides it
+    flags = _divides_denominator(odd, (_psi_value(r, s, p) for p in odd))
+    return _product_tree(list(compress(odd, flags)))
 
 
-def _divides_denominator(p: int, psi_value: int) -> bool:
-    """For r, s >= 2: whether the prime p divides denom(B[r,s]), given psi(r, s, p)."""
-    return p >= 3 and psi_value % p != 0
+def _divides_denominator(primes: Iterable[int], psi_values: Iterable[int]) -> Iterator[int]:
+    """For r, s >= 2: psi(r, s, p) mod p for each odd prime p given, read as a flag.
+
+    p divides denom(B[r,s]) exactly when p does not divide psi, so a
+    nonzero residue means it does.  The prime 2 never divides this
+    denominator, so callers leave it out.
+    """
+    return map(mod, psi_values, primes)
 
 
 class DenomFactorization(namedtuple("DenomFactorization", "eps2 primes value")):
@@ -177,7 +182,7 @@ class DenomFactorization(namedtuple("DenomFactorization", "eps2 primes value")):
     @classmethod
     def _from_sieve(cls, eps2: int, primes: tuple[int, ...]) -> DenomFactorization:
         """Unchecked construction for increasing odd primes taken from primes_up_to."""
-        return tuple.__new__(cls, (eps2, primes, 2**eps2 * prod(primes)))
+        return tuple.__new__(cls, (eps2, primes, 2**eps2 * _product_tree(primes)))
 
 
 def _bernoulli_denominator_factorization(n: int) -> DenomFactorization:
@@ -202,17 +207,15 @@ def denom_formula(r: int, s: int) -> DenomFactorization:
 
 
 def _denom_formula(r: int, s: int, primes: list[int]) -> DenomFactorization:
-    """denom_formula(r, s) with its primes read from a sieve reaching at least r + s + 1."""
+    """denom_formula(r, s) with its primes read from primes_up_to(bound), bound >= r + s + 1."""
     if r == 0 or s == 0:
         return _bernoulli_denominator_factorization(max(r, s))
     eps2 = 1 if (r == 1 or s == 1) and r != s else 0
-    odd = [3]
-    for p in primes:
-        if p > r + s + 1:
-            break
-        if p >= 5 and least_positive_residue(r, p - 1) + least_positive_residue(s, p - 1) >= p - 1:
-            odd.append(p)
-    return DenomFactorization._from_sieve(eps2, tuple(odd))
+    # <x>_m = (x - 1) % m + 1 for x >= 1, so <r>_m + <s>_m >= m, with
+    # m = p - 1, reads (r - 1) % m + (s - 1) % m >= m - 2 = p - 3
+    beyond = bisect_right(primes, r + s + 1)
+    odd = [p for p in islice(primes, 2, beyond) if (r - 1) % (p - 1) + (s - 1) % (p - 1) >= p - 3]
+    return DenomFactorization._from_sieve(eps2, (3, *odd))
 
 
 def _psi_reciprocal(r: int, s: int, psi_rs: int, psi_sr: int, p: int) -> bool:

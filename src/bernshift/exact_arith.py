@@ -1,15 +1,20 @@
-"""Integer substrate: primes, Miller-Rabin, residues, and the triangle recurrence.
+"""Integer substrate: primes, Miller-Rabin, residues, binomial rows, products, and the triangle recurrence.
 
 Everything here takes and returns plain Python ints; no floats, and no
 rationals either -- those live in bernoulli and umbral.  The triangle
 recurrence X[r+1,s] = X[r,s] + X[r,s+1] fills both D * B[r,s] (umbral) and
 psi (denom); it is stated here once, so that denom need not load umbral.
+The sums weighted by a whole row C(n, 0..n) -- the defining sum and the
+forward differences (umbral), the polynomial coefficients, and Hermite-Stern
+-- read it from _binomial_row(n), which keeps each row once built.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from math import comb, prod
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -27,11 +32,66 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i in range(bound + 1) if sieve[i]]
 
 
-def clausen_primes(n: int) -> list[int]:
-    """The primes p with p - 1 | n, increasing; for even n these divide denom(B_n)."""
+def clausen_primes(n: int, sieve: Optional[Sequence[int]] = None) -> list[int]:
+    """The primes p with p - 1 | n, increasing; for even n these divide denom(B_n).
+
+    sieve, if given, is primes_up_to(bound) for a bound >= n + 1; a prime past
+    n + 1 never qualifies, since then 0 < n < p - 1.
+    """
     if n < 1:
         raise ValueError("clausen_primes: n must be >= 1")
-    return [p for p in primes_up_to(n + 1) if n % (p - 1) == 0]
+    primes = primes_up_to(n + 1) if sieve is None else sieve
+    return [p for p in primes if n % (p - 1) == 0]
+
+
+# Rows up to this order are kept once built: all 401 of them take 5.1 MB.
+# A higher order is rebuilt at each call, so that a sweep walking ever
+# larger orders holds one row at a time, not all of them.
+_KEPT_ROWS = 400
+_ROWS: dict[int, tuple[int, ...]] = {}
+
+
+def _binomial_row(n: int) -> tuple[int, ...]:
+    """(C(n, 0), C(n, 1), ..., C(n, n)), built once per order up to _KEPT_ROWS.
+
+    A row whose predecessor is kept is made from it by Pascal's rule, a
+    pass of additions; any other by math.comb, entry by entry.
+    """
+    row = _ROWS.get(n)
+    if row is None:
+        before = _ROWS.get(n - 1)
+        if before is None:
+            row = tuple(map(comb, repeat(n), range(n + 1)))
+        else:
+            row = tuple(map(add, (0, *before), (*before, 0)))
+        if n <= _KEPT_ROWS:
+            _ROWS[n] = row
+    return row
+
+
+def _hermite_stern_residue(row: Sequence[int], p: int) -> int:
+    """sum(C(m, v) for 0 < v < m with p - 1 | v) mod p, from row = C(m, 0..m); p unchecked.
+
+    bernoulli.hermite_stern_check is the checked entry point.
+    """
+    m = len(row) - 1
+    return sum(row[p - 1 : m : p - 1]) % p
+
+
+_PRODUCT_LEAF = 32  # below this many factors, math.prod's own loop is faster
+
+
+def _product_tree(values: Sequence[int]) -> int:
+    """product(values), 1 when empty, multiplying halves of balanced size.
+
+    math.prod multiplies left to right, so its running product grows one
+    factor at a time and a long list of primes costs quadratic time; the
+    tree keeps both sides of each multiplication the same size.
+    """
+    if len(values) <= _PRODUCT_LEAF:
+        return prod(values)
+    half = len(values) // 2
+    return _product_tree(values[:half]) * _product_tree(values[half:])
 
 
 # Miller-Rabin with the first thirteen primes as bases is exact below this

@@ -18,13 +18,14 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
-from math import comb, gcd, prod
+from itertools import compress, islice
+from math import gcd
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .bernoulli import BernoulliCache
 from .errors import CapacityError, InvariantViolation
-from .exact_arith import _triangle_rows, primes_up_to
+from .exact_arith import _binomial_row, _product_tree, _triangle_rows, primes_up_to
 
 Scalar = Union[int, Fraction]
 
@@ -40,7 +41,8 @@ def _check_key(cache: BernoulliCache, r: int, s: int) -> None:
 
 def _defining_sum(b: Sequence[Scalar], r: int, s: int) -> Scalar:
     """sum(C(r, v) * b[s + v] for v in 0..r), zero terms skipped; b is B_n or D * B_n."""
-    return sum(comb(r, v) * b[s + v] for v in range(r + 1) if b[s + v])
+    terms = list(map(b.__getitem__, range(s, s + r + 1)))
+    return sum(map(mul, compress(_binomial_row(r), terms), filter(None, terms)))
 
 
 def bs_direct(cache: BernoulliCache, r: int, s: int) -> Fraction:
@@ -55,7 +57,7 @@ def _scaled_bernoulli(cache: BernoulliCache, n: int) -> tuple[int, list[int]]:
     By von Staudt-Clausen the denominator of each B_k with k <= n divides D;
     a B_k that breaks this raises InvariantViolation.
     """
-    d = prod(primes_up_to(n + 1))
+    d = _product_tree(primes_up_to(n + 1))
     seed = []
     for k in range(n + 1):
         b = cache[k]
@@ -80,10 +82,10 @@ def _scaled_polynomial(rows: Iterable[Sequence[int]], r: int, s: int, d: int) ->
     i = r - j adds all of its terms at once, so the rows are read one at a
     time.  B[r,s](x) is monic: InvariantViolation unless [x^(r+s)] is D.
     """
-    comb_s = [comb(s, t) for t in range(s + 1)]
+    comb_r, comb_s = _binomial_row(r), _binomial_row(s)
     coeffs = [0] * (r + s + 1)
     for i, row in enumerate(rows):
-        weight = comb(r, i)  # C(r, j) for j = r - i
+        weight = comb_r[i]  # C(r, j) for j = r - i
         for k, c, x in zip(range(r - i, r - i + s + 1), comb_s, row[s::-1]):
             coeffs[k] += weight * c * x
     if coeffs[-1] != d:
@@ -171,12 +173,12 @@ def forward_difference(f: Callable[[int], Scalar], order: int, start: int = 0) -
     """
     if order < 0:
         raise ValueError("forward_difference: order must be non-negative")
-    acc = 0
-    sign = -1 if order % 2 else 1
-    for v in range(order + 1):
-        acc += sign * comb(order, v) * f(start + v)
-        sign = -sign
-    return acc
+    row = _binomial_row(order)
+    values = list(map(f, range(start, start + order + 1)))
+    # the terms at even v and at odd v, each summed without its sign
+    even = sum(map(mul, row[::2], values[::2]))
+    odd = sum(map(mul, row[1::2], values[1::2]))
+    return odd - even if order % 2 else even - odd
 
 
 def _difference_forms(f: Callable[[int], Scalar], r: int, s: int) -> tuple[Scalar, Scalar]:

@@ -4,41 +4,24 @@ Each property is swept over an explicit range and every failing instance is
 recorded with its witness key, so a report either certifies the range or
 names a counterexample.  Sweeps are pure; the parallel path partitions rows
 across worker processes and merges, with results independent of the split.
+
+Each runner imports the layers it reads when it runs, so a request loads
+only its own sweep's: the psi sweeps load no Bernoulli number and no
+fractions, and the table sweeps that use no psi do not load denom.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from fractions import Fraction
+from itertools import compress, repeat
 from time import perf_counter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .bernoulli import (
-    BernoulliCache,
-    bernoulli_denominator,
-    hermite_stern_check,
-    von_staudt_clausen_witness,
-)
-from .denom import (
-    _denom_formula,
-    _divides_denominator,
-    _integral,
-    _psi_periodic,
-    _psi_reciprocal,
-    _psi_table,
-    psi_matrix,
-)
 from .errors import InvariantViolation, WorkerDied
-from .exact_arith import clausen_primes, primes_up_to
-from .umbral import (
-    BsTable,
-    _defining_sum,
-    _difference_forms,
-    _scaled_bernoulli,
-    antidiagonal_sums,
-    bs_table_recursive,
-)
+
+if TYPE_CHECKING:
+    from .umbral import BsTable
 
 SweepResult = tuple[int, list[str], list[str]]  # instances, failures, notes
 Rows = Optional[Sequence[int]]
@@ -67,6 +50,9 @@ def _rows(rows: Rows, max_r: int, start: int = 0) -> Sequence[int]:
 
 def _table(max_r: int, max_s: int) -> BsTable:
     """B[r,s] for the whole rectangle, filled once by the recurrence."""
+    from .bernoulli import BernoulliCache
+    from .umbral import bs_table_recursive
+
     return bs_table_recursive(BernoulliCache(max_r + max_s + 2), max_r, max_s)
 
 
@@ -91,6 +77,9 @@ def _sweep_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_antidiagonal(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+    from .bernoulli import BernoulliCache
+    from .umbral import antidiagonal_sums
+
     cache = BernoulliCache(max_r + max_s + 2)
     instances, failures = 0, []
     for n, total in enumerate(antidiagonal_sums(cache, max_r + max_s)):
@@ -103,6 +92,11 @@ def _sweep_antidiagonal(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 def _sweep_paths(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     """Defining sum, table and both difference forms, each computed apart in integers over D."""
+    from fractions import Fraction
+
+    from .bernoulli import BernoulliCache
+    from .umbral import _defining_sum, _difference_forms, _scaled_bernoulli, bs_table_recursive
+
     bound = max(max_r, max_s)
     cache = BernoulliCache(max_r + max_s + 2)
     table = bs_table_recursive(cache, max_r, max_s)
@@ -129,6 +123,8 @@ def _sweep_paths(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     """[x^k]: (-1)^r c_k(r,s) = (-1)^(s+k) c_k(s,r), compared as integers over the shared D."""
+    from fractions import Fraction
+
     table = _table(max_r, max_s)
     swapped = table if max_r == max_s else _table(max_s, max_r)
     # one scaled_polynomial per ordered key: on a square range (s, r) is also a row key
@@ -169,18 +165,19 @@ def _sweep_nonvanishing(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_denominators(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+    from .denom import _denom_formula, _divides_denominator, _psi_table
+    from .exact_arith import primes_up_to
+
     exact = _table(max_r, max_s).denominators()
     sieve = primes_up_to(max_r + max_s + 1)
     ranks = _rows(rows, max_r)
     # for r, s >= 2: the product of the primes that psi(r, s, p) puts in the denominator
     via_psi = {r: [1] * (max_s + 1) for r in ranks if r >= 2}
-    for p in sieve:  # one prime's psi table alive at a time
+    for p in sieve[1:]:  # one odd prime's psi table alive at a time; 2 never divides
         psi_p = _psi_table(p, max_r, max_s)
         for r, product in via_psi.items():
-            row = psi_p[r]
-            for s in range(2, max_s + 1):
-                if _divides_denominator(p, row[s]):
-                    product[s] *= p
+            for s in compress(range(2, max_s + 1), _divides_denominator(repeat(p), psi_p[r][2:])):
+                product[s] *= p
     # one evaluation per ordered key: F(r, s) and F(s, r) are still computed apart
     formula_at = functools.cache(lambda r, s: _denom_formula(r, s, sieve).value)
     instances, failures = 0, []
@@ -200,6 +197,9 @@ def _sweep_denominators(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 def _sweep_integrality(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     """B[r,s] + sum(psi/p) summed over D one prime's psi table at a time, plus psi divisibility."""
+    from .denom import _integral, _psi_table
+    from .exact_arith import primes_up_to
+
     table = _table(max_r, max_s)
     d, ranks = table.denominator, _rows(rows, max_r, start=2)
     # D * (B[r,s] + the psi/p terms so far) for s = 2..max_s, one list per rank
@@ -236,6 +236,9 @@ def _sweep_integrality(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_psi_matrix(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+    from .denom import psi_matrix
+    from .exact_arith import primes_up_to
+
     instances, failures = 0, []
     for p in primes_up_to(max(max_r, max_s)):
         if p < 5:
@@ -249,6 +252,9 @@ def _sweep_psi_matrix(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_psi_congruences(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+    from .denom import _psi_periodic, _psi_reciprocal, _psi_table
+    from .exact_arith import primes_up_to
+
     bound = max(max_r, max_s)
     instances, failures = 0, []
     for p in primes_up_to(min(37, bound + 1)):
@@ -277,17 +283,23 @@ def _sweep_psi_congruences(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_hermite_stern(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+    from .exact_arith import _binomial_row, _hermite_stern_residue, primes_up_to
+
+    primes = primes_up_to(max_s)
     instances, failures = 0, []
     for m in _rows(rows, max_r, start=1):
-        for p in primes_up_to(max_s):
+        row = _binomial_row(m)
+        for p in primes:
             instances += 1
-            residue = hermite_stern_check(m, p)
+            residue = _hermite_stern_residue(row, p)
             if residue != 0:
                 failures.append(f"(m={m}, p={p}): residue {residue}")
     return instances, failures, []
 
 
 def _sweep_staudt_clausen(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+    from .bernoulli import BernoulliCache, bernoulli_denominator, von_staudt_clausen_witness
+
     bound = max(max_r, max_s)
     cache = BernoulliCache(bound + 2)
     instances, failures = 0, []
@@ -315,6 +327,9 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Rows) -> SweepResult
     with every prime factor <= r + s + 1; and denominator 1 exactly at
     (0, 0) and the exceptional zeros.
     """
+    from .bernoulli import bernoulli_denominator
+    from .exact_arith import clausen_primes, primes_up_to
+
     denoms = _table(max_r, max_s).denominators()
     sieve = primes_up_to(max_r + max_s + 1)
     counts = dict.fromkeys(
@@ -339,6 +354,8 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Rows) -> SweepResult
 
     bound = min(max_r, max_s)
     for r in range(max_r + 1):
+        if r >= 2 and r % 2 == 0:
+            forced = [p for p in clausen_primes(r, sieve) if p >= 3]
         for s in range(max_s + 1):
             d = denoms[r][s]
             if r <= bound and s <= bound:
@@ -359,7 +376,6 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Rows) -> SweepResult
             if r >= 1 and s >= 1:
                 check("three-divides", d % 3 == 0, f"(r={r}, s={s}): 3 does not divide {d}")
             if r >= 2 and r % 2 == 0:
-                forced = [p for p in clausen_primes(r) if p >= 3]
                 check(
                     "even-rank-forced-primes",
                     all(d % p == 0 for p in forced),

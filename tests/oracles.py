@@ -1,16 +1,22 @@
-"""Helpers the tests share: polynomials as coefficient tuples, and psi's two congruences.
+"""Helpers the tests share: polynomials as coefficient tuples, psi's two congruences, slow forms.
 
 The library gives a polynomial as a tuple of its coefficients, lowest power
 first.  Evaluation, x -> -x and the classical B_n(x) are needed only to
 check such tuples, so they live here.  The psi congruences are stated once
 in bernshift.denom on values the caller already holds; the wrappers below
 feed them from psi's checked entry point, one (rank, shift) pair at a time.
+
+The slow forms are the library's sums as they read on paper: one math.comb
+per term, and the denominator formula in least positive residues.  The
+library sums whole binomial rows and tests residues inline instead; each
+slow form is the oracle of its fast one.
 """
 
 from fractions import Fraction
 from math import comb
 
 from bernshift.denom import _psi_periodic, _psi_reciprocal, psi
+from bernshift.exact_arith import least_positive_residue, primes_up_to
 
 
 def evaluate(coeffs, x):
@@ -40,3 +46,37 @@ def psi_periodic(r, r2, s, s2, p):
     """Whether psi is unchanged from s to s2 at ranks r and r2, and mod p from r to r2."""
     values = [psi(a, b, p).value for a, b in ((r, s), (r, s2), (r2, s), (r2, s2))]
     return _psi_periodic(*values, p)
+
+
+def defining_sum(b, r, s):
+    """sum(C(r, v) * b[s + v] for v in 0..r), one math.comb per nonzero term."""
+    return sum(comb(r, v) * b[s + v] for v in range(r + 1) if b[s + v])
+
+
+def forward_difference(f, order, start=0):
+    """sum(C(order, v) * (-1)^(order-v) * f(start+v)), one math.comb per term."""
+    acc = 0
+    sign = -1 if order % 2 else 1
+    for v in range(order + 1):
+        acc += sign * comb(order, v) * f(start + v)
+        sign = -sign
+    return acc
+
+
+def hermite_stern_residue(m, p):
+    """sum(C(m, v) for 0 < v < m with p-1 | v) mod p, one math.comb per term."""
+    return sum(comb(m, v) for v in range(p - 1, m, p - 1)) % p
+
+
+def denom_formula(r, s):
+    """(eps2, odd primes) of denom(B[r,s]) for r, s >= 1, in least positive residues.
+
+    3, and the primes 5 <= p <= r+s+1 with <r>_{p-1} + <s>_{p-1} >= p - 1.
+    """
+    eps2 = 1 if (r == 1 or s == 1) and r != s else 0
+    odd = [3] + [
+        p
+        for p in primes_up_to(r + s + 1)
+        if p >= 5 and least_positive_residue(r, p - 1) + least_positive_residue(s, p - 1) >= p - 1
+    ]
+    return eps2, tuple(odd)

@@ -399,6 +399,27 @@ def test_default_verify_with_two_jobs_starts_no_pool():
     assert loaded & {"concurrent.futures", "multiprocessing"} == set()
 
 
+@pytest.mark.parametrize(
+    "prop, layer",
+    [
+        ("psi-matrix", "bernshift.denom"),
+        ("psi-congruences", "bernshift.denom"),
+        ("hermite-stern", "bernshift.exact_arith"),
+    ],
+)
+def test_integer_sweeps_load_no_bernoulli_number(prop, layer):
+    loaded = _newly_loaded(f"from bernshift.cli import main\nassert main(['verify', {prop!r}]) == 0")
+    assert {"bernshift.verify", layer} <= loaded
+    assert loaded & {"bernshift.umbral", "bernshift.bernoulli", "fractions"} == set()
+
+
+@pytest.mark.parametrize("prop", ["reciprocity", "paths"])
+def test_table_sweeps_without_psi_leave_denom_unloaded(prop):
+    loaded = _newly_loaded(f"from bernshift.cli import main\nassert main(['verify', {prop!r}]) == 0")
+    assert {"bernshift.verify", "bernshift.umbral"} <= loaded
+    assert "bernshift.denom" not in loaded
+
+
 def test_package_import_loads_no_submodule():
     assert {m for m in _newly_loaded("import bernshift") if m.startswith("bernshift.")} == set()
 

@@ -5,12 +5,15 @@ are the tests' own helpers on coefficient tuples; all are tested here on
 their own, apart from B[r,s].
 """
 
+import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bernshift.exact_arith import is_prime, least_positive_residue, primes_up_to
+import bernshift.exact_arith as exact_arith
+from bernshift.exact_arith import _binomial_row, _product_tree, is_prime, least_positive_residue, primes_up_to
 from bernshift.umbral import forward_difference
 from oracles import evaluate, reflect
 
@@ -99,6 +102,47 @@ class TestForwardDifference:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             forward_difference(lambda k: k, -1)
+
+
+class TestBinomialRow:
+    def test_rows_in_order_match_comb(self, monkeypatch):
+        # each row after the first is made from the one before by Pascal's rule
+        monkeypatch.setattr(exact_arith, "_ROWS", {})
+        for n in range(301):
+            assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
+
+    def test_rows_out_of_order_match_comb(self, monkeypatch):
+        # a row with no kept predecessor is made by math.comb
+        monkeypatch.setattr(exact_arith, "_ROWS", {})
+        orders = list(range(301))
+        random.Random(12).shuffle(orders)
+        for n in orders:
+            assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
+
+    def test_only_low_orders_are_kept(self, monkeypatch):
+        monkeypatch.setattr(exact_arith, "_ROWS", {})
+        top = exact_arith._KEPT_ROWS
+        for n in (top, top + 1, top + 50):
+            assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
+        assert _binomial_row(top) is _binomial_row(top)
+        assert sorted(exact_arith._ROWS) == [top]
+
+
+class TestProductTree:
+    def test_matches_prod_for_short_lists(self):
+        primes = primes_up_to(400)
+        for n in range(71):
+            assert _product_tree(primes[:n]) == prod(primes[:n]), n
+            assert _product_tree(tuple(range(1, n + 1))) == prod(range(1, n + 1)), n
+
+    def test_matches_prod_for_random_lists(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            values = [rng.randint(-(2**70), 2**70) for _ in range(rng.randint(0, 300))]
+            assert _product_tree(values) == prod(values)
+
+    def test_empty_product_is_one(self):
+        assert _product_tree([]) == _product_tree(()) == 1
 
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(tuple)

@@ -1,14 +1,19 @@
 import concurrent.futures
 import importlib.util
+import inspect
 import os
 import re
 import sys
+import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import bernshift.bernoulli as bernoulli
 import bernshift.denom as denom
+import bernshift.exact_arith as exact_arith
+import bernshift.umbral as umbral
 import bernshift.verify as verify
 from bernshift.umbral import BsTable
 from bernshift.verify import (
@@ -256,7 +261,7 @@ def test_failures_are_reported_with_witnesses(monkeypatch):
         rows = tuple(tuple(r + 1 for _ in range(max_s + 1)) for r in range(max_r + 1))
         return BsTable(max_r, max_s, 1, rows)
 
-    monkeypatch.setattr(verify, "bs_table_recursive", fake_table)
+    monkeypatch.setattr(umbral, "bs_table_recursive", fake_table)
     report = verify._sweep_reciprocity(3, 3, None)
     instances, failures, _notes = report
     assert instances == 16
@@ -276,14 +281,14 @@ def test_poly_reciprocity_failure_names_a_witness(monkeypatch):
 
 
 def test_denominators_evaluate_each_ordered_key_once(monkeypatch):
-    real, calls = verify._denom_formula, []
+    real, calls = denom._denom_formula, []
 
     def counted(r, s, primes):  # F(2, 7) wrong, F(7, 2) right
         calls.append((r, s))
         value = real(r, s, primes).value
         return SimpleNamespace(value=3 * value if (r, s) == (2, 7) else value)
 
-    monkeypatch.setattr(verify, "_denom_formula", counted)
+    monkeypatch.setattr(denom, "_denom_formula", counted)
     instances, failures, _notes = verify._sweep_denominators(10, 10, None)
     assert instances == 121
     assert len(calls) == len(set(calls)) == 121
@@ -325,7 +330,7 @@ def _solo_and_split(name, max_r, max_s):
 
 @pytest.mark.parametrize("name", ["paths", "integrality", "denominators"])
 def test_one_wrong_table_entry_is_named(monkeypatch, name):
-    real = verify.bs_table_recursive
+    real = umbral.bs_table_recursive
 
     def bumped(cache, max_r, max_s):  # D * B[5,4] off by one
         table = real(cache, max_r, max_s)
@@ -333,7 +338,7 @@ def test_one_wrong_table_entry_is_named(monkeypatch, name):
         rows[5][4] += 1
         return BsTable(max_r, max_s, table.denominator, tuple(map(tuple, rows)))
 
-    monkeypatch.setattr(verify, "bs_table_recursive", bumped)
+    monkeypatch.setattr(umbral, "bs_table_recursive", bumped)
     solo = _solo_and_split(name, 10, 10)
     assert solo.failures
     assert all("(r=5, s=4)" in f for f in solo.failures), solo.failures
@@ -356,6 +361,55 @@ def test_one_wrong_psi_seed_is_named(monkeypatch, name):
         report = run_verify(name, 10, 10)
     assert report.failures
     assert all(WITNESS.search(f) for f in report.failures), report.failures
+
+
+def _one_wrong_binomial(monkeypatch, order, index):
+    """Every reader of _binomial_row sees C(order, index) off by one; other rows stay right."""
+    real = exact_arith._binomial_row
+
+    def wrong(n):
+        row = real(n)
+        return row[:index] + (row[index] + 1,) + row[index + 1 :] if n == order else row
+
+    for module in (exact_arith, umbral, bernoulli):
+        monkeypatch.setattr(module, "_binomial_row", wrong)
+
+
+def test_one_wrong_binomial_row_fails_paths_at_its_rank(monkeypatch):
+    # the defining sum and both difference forms read rows; the table does not
+    _one_wrong_binomial(monkeypatch, 7, 3)
+    solo = _solo_and_split("paths", 10, 10)
+    keys = [tuple(map(int, re.search(r"\(r=(\d+), s=(\d+)\)", f).groups())) for f in solo.failures]
+    assert any(r == 7 for r, _ in keys), solo.failures
+    assert all(7 in key for key in keys), solo.failures
+
+
+def test_one_wrong_binomial_row_fails_hermite_stern_at_its_m(monkeypatch):
+    # C(12, 6) + 1: the sums over multiples of 1, 2 and 6 move, so p = 2, 3 and 7 fail
+    _one_wrong_binomial(monkeypatch, 12, 6)
+    solo = _solo_and_split("hermite-stern", *SMALL["hermite-stern"])
+    assert [f.split(":")[0] for f in solo.failures] == ["(m=12, p=2)", "(m=12, p=3)", "(m=12, p=7)"]
+
+
+def test_a_one_prime_slip_in_the_residue_test_is_named(monkeypatch):
+    # the inline test with p = 7's bound one too low: 7 is wrongly counted where
+    # (r - 1) % 6 + (s - 1) % 6 == 3 and 7 <= r + s + 1
+    source = textwrap.dedent(inspect.getsource(denom._denom_formula))
+    slipped = source.replace(">= p - 3", ">= p - 3 - (p == 7)")
+    assert slipped != source
+    namespace = dict(vars(denom))
+    exec(compile(slipped, denom.__file__, "exec"), namespace)
+    monkeypatch.setattr(denom, "_denom_formula", namespace["_denom_formula"])
+    solo = _solo_and_split("denominators", 10, 10)
+    expected = {
+        f"(r={r}, s={s})"
+        for r in range(1, 11)
+        for s in range(1, 11)
+        if r + s + 1 >= 7 and (r - 1) % 6 + (s - 1) % 6 == 3
+    }
+    assert expected
+    assert {f.split(":")[0] for f in solo.failures} == expected
+    assert all(" != exact " in f for f in solo.failures), solo.failures
 
 
 def test_default_sweeps_pass_with_benchmark_counts(monkeypatch):
