@@ -15,15 +15,13 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {  # module -> the names it exports here
-    "bernoulli": (
-        "BernoulliCache", "bernoulli_denominator", "hermite_stern_check", "von_staudt_clausen_witness",
-    ),
+    "bernoulli": ("BernoulliCache", "bernoulli_denominator", "von_staudt_clausen_witness"),
     "denom": (
         "DenomFactorization", "PsiValue", "denom_exact", "denom_formula", "denom_via_psi",
         "integrality_witness", "psi", "psi_matrix",
     ),
     "errors": ("CapacityError", "InvariantViolation"),
-    "exact_arith": ("is_prime", "least_positive_residue", "primes_up_to"),
+    "exact_arith": ("is_prime", "primes_up_to"),
     "umbral": (
         "BsTable", "antidiagonal_sums", "bs_direct", "bs_polynomial", "bs_table_recursive",
         "bs_via_difference", "forward_difference",

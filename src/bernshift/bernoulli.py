@@ -4,10 +4,11 @@ The cache holds B_0..B_capacity under the convention B_1 = -1/2 and is sealed
 after construction, so concurrent reads never race a resize.  It is filled
 from tangent numbers in integer arithmetic (Brent and Harvey, 2011); the
 defining recurrence sum(C(n+1, k) * B_k) = 0 is kept only as a test oracle.
-The closed denominator formula and the von Staudt-Clausen witness give two
-independent handles on the fractional part of B_n that the test suite plays
-against the cached values.  No polynomial is built here: umbral gives
-B[r,s](x) as a tuple of its coefficients.
+The closed denominator formula (the product of exact_arith.clausen_primes)
+and the von Staudt-Clausen witness give two independent handles on the
+fractional part of B_n that the test suite plays against the cached values.
+No polynomial is built here: umbral gives B[r,s](x) as a tuple of its
+coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CapacityError, InvariantViolation
-from .exact_arith import _binomial_row, _hermite_stern_residue, _product_tree, clausen_primes, is_prime
+from .exact_arith import _product_tree, clausen_primes
 
 
 class BernoulliCache:
@@ -66,23 +67,12 @@ class BernoulliCache:
 
 
 def bernoulli_denominator(n: int) -> int:
-    """Closed form for denom(B_n): product of primes p with p-1 | n for even n.
-
-    Equals 1 for n = 0 and odd n >= 3, and 2 for n = 1.
-    """
-    if n < 0:
-        raise ValueError("bernoulli_denominator: n must be non-negative")
-    if n == 0:
-        return 1
-    if n == 1:
-        return 2
-    if n % 2:
-        return 1
+    """denom(B_n), the product of clausen_primes(n): 1 for n = 0 and odd n >= 3, 2 for n = 1."""
     return _product_tree(clausen_primes(n))
 
 
 def von_staudt_clausen_witness(cache: BernoulliCache, n: int) -> int:
-    """The integer B_n + sum(1/p for primes p with p-1 | n), for even n >= 2.
+    """The integer B_n + sum(1/p for p in clausen_primes(n)), for even n >= 2.
 
     Raises InvariantViolation if the sum is not an integer, which would
     falsify the von Staudt-Clausen relation; the error path is a test hook
@@ -95,14 +85,3 @@ def von_staudt_clausen_witness(cache: BernoulliCache, n: int) -> int:
         raise InvariantViolation(f"B_{n} + sum(1/p) = {total} is not an integer")
     return int(total)
 
-
-def hermite_stern_check(m: int, p: int) -> int:
-    """Residue mod p of sum(C(m, v) for 0 < v < m with p-1 | v); contract: 0.
-
-    The empty sum (m = 1, or no multiple of p-1 below m) gives 0 directly.
-    """
-    if m < 1:
-        raise ValueError("hermite_stern_check: m must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"hermite_stern_check: {p} is not prime")
-    return _hermite_stern_residue(_binomial_row(m), p)

@@ -1,12 +1,14 @@
 """Denominator structure of the rank/shift Bernoulli numbers.
 
 For each prime p, the binomial sum psi(r, s, p) collects C(r, v) over the
-indices where B_{s+v} picks up a 1/p from von Staudt-Clausen, i.e. where
-s + v is a positive even multiple of p - 1.  These sums control denom(B[r,s])
-completely: adding sum(psi/p) restores integrality, p divides the denominator
-exactly when p does not divide psi, and reducing the residues of r and s
-mod p - 1 turns that test into a closed product formula.  All three routes to
-the denominator are implemented and cross-checked.
+indices where B_{s+v} picks up a 1/p from von Staudt-Clausen: where p is
+one of exact_arith.clausen_primes(s + v), the primes dividing denom(B_{s+v}),
+and s + v is even, i.e. s + v is a positive even multiple of p - 1.  These
+sums control denom(B[r,s]) completely: adding sum(psi/p) restores
+integrality, p divides the denominator exactly when p does not divide psi,
+and reducing the residues of r and s mod p - 1 turns that test into a closed
+product formula.  All three routes to the denominator are implemented and
+cross-checked.
 
 psi(r, s, p) is B[r,s] with B_n replaced by its von Staudt-Clausen indicator
 chi_p(n), so it obeys the same recurrence psi[r+1,s] = psi[r,s] + psi[r,s+1];
@@ -73,10 +75,10 @@ def _psi_value(r: int, s: int, p: int) -> int:
 
 
 def _psi_seed(p: int, n: int) -> list[int]:
-    """chi_p(0..n): 1 at the positive multiples of lcm(2, p - 1), where B_t carries 1/p; else 0."""
-    step = lcm(2, p - 1)
+    """chi_p(0..n): 1 at the even t where p divides denom(B_t), the t in _psi_indices(n, 0, p); else 0."""
     seed = [0] * (n + 1)
-    seed[step::step] = [1] * len(range(step, n + 1, step))
+    ones = _psi_indices(n, 0, p)
+    seed[ones.start :: ones.step] = [1] * len(ones)
     return seed
 
 
@@ -185,14 +187,6 @@ class DenomFactorization(namedtuple("DenomFactorization", "eps2 primes value")):
         return tuple.__new__(cls, (eps2, primes, 2**eps2 * _product_tree(primes)))
 
 
-def _bernoulli_denominator_factorization(n: int) -> DenomFactorization:
-    if n == 0 or (n % 2 and n >= 3):
-        return DenomFactorization._from_sieve(0, ())
-    if n == 1:
-        return DenomFactorization._from_sieve(1, ())
-    return DenomFactorization._from_sieve(1, tuple(p for p in clausen_primes(n) if p >= 3))
-
-
 def denom_formula(r: int, s: int) -> DenomFactorization:
     """Closed product formula for denom(B[r,s]).
 
@@ -209,7 +203,8 @@ def denom_formula(r: int, s: int) -> DenomFactorization:
 def _denom_formula(r: int, s: int, primes: list[int]) -> DenomFactorization:
     """denom_formula(r, s) with its primes read from primes_up_to(bound), bound >= r + s + 1."""
     if r == 0 or s == 0:
-        return _bernoulli_denominator_factorization(max(r, s))
+        classical = clausen_primes(max(r, s))  # denom(B_n), with 2 first when present
+        return DenomFactorization._from_sieve(1 if classical else 0, tuple(classical[1:]))
     eps2 = 1 if (r == 1 or s == 1) and r != s else 0
     # <x>_m = (x - 1) % m + 1 for x >= 1, so <r>_m + <s>_m >= m, with
     # m = p - 1, reads (r - 1) % m + (s - 1) % m >= m - 2 = p - 3
@@ -236,9 +231,10 @@ def _psi_periodic(v_rs: int, v_rs2: int, v_r2s: int, v_r2s2: int, p: int) -> boo
 def psi_matrix(p: int) -> tuple[tuple[int, ...], ...]:
     """The grid psi(r, s, p) for 1 <= r, s <= p - 2, with its structure verified.
 
-    Entries are 0 strictly above the anti-diagonal (r + s < p - 1), exactly 1
-    on it, and equal to C(r, p-1-s), nonzero mod p, below it.  Any violation
-    raises InvariantViolation; the grid is returned row-major, grid[r-1][s-1].
+    Every entry is C(r, p-1-s): so 0 strictly above the anti-diagonal
+    (r + s < p - 1), exactly 1 on it, and nonzero mod p below it.  Any
+    violation raises InvariantViolation; the grid is returned row-major,
+    grid[r-1][s-1].
     """
     if p < 5 or not is_prime(p):
         raise ValueError(f"psi_matrix: requires a prime p >= 5, got {p}")
@@ -247,23 +243,12 @@ def psi_matrix(p: int) -> tuple[tuple[int, ...], ...]:
         row = []
         for s in range(1, p - 1):
             value = _psi_value(r, s, p)
-            if r + s < p - 1:
-                if value != 0:
-                    raise InvariantViolation(
-                        f"psi matrix p={p}: entry ({r},{s}) above anti-diagonal is {value}, not 0"
-                    )
-            elif r + s == p - 1:
-                if value != 1:
-                    raise InvariantViolation(
-                        f"psi matrix p={p}: entry ({r},{s}) on anti-diagonal is {value}, not 1"
-                    )
-            else:
-                expected = comb(r, p - 1 - s)
-                if value != expected or value % p == 0:
-                    raise InvariantViolation(
-                        f"psi matrix p={p}: entry ({r},{s}) is {value}, "
-                        f"expected C({r},{p - 1 - s}) = {expected} nonzero mod {p}"
-                    )
+            expected = comb(r, p - 1 - s)  # 0 above the anti-diagonal, 1 on it
+            if value != expected or (expected and value % p == 0):
+                raise InvariantViolation(
+                    f"psi matrix p={p}: entry ({r},{s}) is {value}, "
+                    f"expected C({r},{p - 1 - s}) = {expected}, nonzero mod {p} unless 0"
+                )
             row.append(value)
         rows.append(tuple(row))
     return tuple(rows)

@@ -1,9 +1,11 @@
-"""Integer substrate: primes, Miller-Rabin, residues, binomial rows, products, and the triangle recurrence.
+"""Integer substrate: primes, Miller-Rabin, binomial rows, products, and the triangle recurrence.
 
 Everything here takes and returns plain Python ints; no floats, and no
-rationals either -- those live in bernoulli and umbral.  The triangle
-recurrence X[r+1,s] = X[r,s] + X[r,s+1] fills both D * B[r,s] (umbral) and
-psi (denom); it is stated here once, so that denom need not load umbral.
+rationals either -- those live in bernoulli and umbral.  clausen_primes(n)
+is the one statement of von Staudt-Clausen: the primes dividing denom(B_n),
+which bernoulli and denom both read.  The triangle recurrence
+X[r+1,s] = X[r,s] + X[r,s+1] fills both D * B[r,s] (umbral) and psi
+(denom); it is stated here once, so that denom need not load umbral.
 The sums weighted by a whole row C(n, 0..n) -- the defining sum and the
 forward differences (umbral), the polynomial coefficients, and Hermite-Stern
 -- read it from _binomial_row(n), which keeps each row once built.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from itertools import repeat
 from math import comb, prod
 from operator import add
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -32,16 +34,19 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i in range(bound + 1) if sieve[i]]
 
 
-def clausen_primes(n: int, sieve: Optional[Sequence[int]] = None) -> list[int]:
-    """The primes p with p - 1 | n, increasing; for even n these divide denom(B_n).
+def clausen_primes(n: int) -> list[int]:
+    """The primes dividing denom(B_n), increasing: von Staudt-Clausen, stated once.
 
-    sieve, if given, is primes_up_to(bound) for a bound >= n + 1; a prime past
-    n + 1 never qualifies, since then 0 < n < p - 1.
+    None for n = 0 and odd n >= 3, [2] for n = 1 (B_1 = -1/2), and for even
+    n >= 2 the primes p with p - 1 | n, each at most n + 1.
     """
-    if n < 1:
-        raise ValueError("clausen_primes: n must be >= 1")
-    primes = primes_up_to(n + 1) if sieve is None else sieve
-    return [p for p in primes if n % (p - 1) == 0]
+    if n < 0:
+        raise ValueError("clausen_primes: n must be >= 0")
+    if n == 1:
+        return [2]
+    if n == 0 or n % 2:
+        return []
+    return [p for p in primes_up_to(n + 1) if n % (p - 1) == 0]
 
 
 # Rows up to this order are kept once built: all 401 of them take 5.1 MB.
@@ -70,10 +75,7 @@ def _binomial_row(n: int) -> tuple[int, ...]:
 
 
 def _hermite_stern_residue(row: Sequence[int], p: int) -> int:
-    """sum(C(m, v) for 0 < v < m with p - 1 | v) mod p, from row = C(m, 0..m); p unchecked.
-
-    bernoulli.hermite_stern_check is the checked entry point.
-    """
+    """sum(C(m, v) for 0 < v < m with p - 1 | v) mod p, from row = C(m, 0..m), for a prime p."""
     m = len(row) - 1
     return sum(row[p - 1 : m : p - 1]) % p
 
@@ -130,18 +132,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def least_positive_residue(x: int, m: int) -> int:
-    """The representative of x mod m lying in {1, ..., m}.
-
-    Returns m (not 0) when m divides x.  Defined for x >= 1 only.
-    """
-    if x < 1:
-        raise ValueError("least_positive_residue: x must be >= 1")
-    if m < 1:
-        raise ValueError("least_positive_residue: m must be >= 1")
-    return (x - 1) % m + 1
 
 
 def _triangle_rows(seed: Sequence[int]) -> Iterator[list[int]]:

@@ -355,7 +355,7 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Rows) -> SweepResult
     bound = min(max_r, max_s)
     for r in range(max_r + 1):
         if r >= 2 and r % 2 == 0:
-            forced = [p for p in clausen_primes(r, sieve) if p >= 3]
+            forced = clausen_primes(r)[1:]  # the odd ones
         for s in range(max_s + 1):
             d = denoms[r][s]
             if r <= bound and s <= bound:
@@ -410,7 +410,6 @@ class PropertySpec(NamedTuple):
     parallel: bool
     default_r: int
     default_s: int
-    description: str
     # The fewest keys (max_r + 1) * (max_s + 1) at which a parallel sweep's
     # rows go to a process pool.  Below it one process is faster: the pool's
     # import and fork, and each worker rebuilding the sweep's table, cost more
@@ -420,47 +419,33 @@ class PropertySpec(NamedTuple):
 
 
 PROPERTIES: dict[str, PropertySpec] = {
-    "reciprocity": PropertySpec(
-        _sweep_reciprocity, False, 80, 80, "sign-flipped symmetry of B[r,s] under swapping rank and shift"
-    ),
-    "antidiagonal": PropertySpec(
-        _sweep_antidiagonal, False, 50, 50, "sum of B[r,s] over r+s = n vanishes for n >= 1"
-    ),
+    "reciprocity": PropertySpec(_sweep_reciprocity, False, 80, 80),
+    "antidiagonal": PropertySpec(_sweep_antidiagonal, False, 50, 50),
     "paths": PropertySpec(
-        _sweep_paths, True, 80, 80, "defining sum, recurrence table, and both difference forms agree",
+        _sweep_paths, True, 80, 80,
         pool_from=101 * 101,  # from 100 x 100
     ),
     "poly-reciprocity": PropertySpec(
-        _sweep_poly_reciprocity, True, 25, 25, "(-1)^r B[r,s](x) equals (-1)^s B[s,r](-x) coefficientwise",
+        _sweep_poly_reciprocity, True, 25, 25,
         pool_from=46 * 46,  # from 45 x 45
     ),
-    "nonvanishing": PropertySpec(
-        _sweep_nonvanishing, False, 60, 60, "B[r,s] = 0 only at rank-0/shift-0 odd-index keys"
-    ),
+    "nonvanishing": PropertySpec(_sweep_nonvanishing, False, 60, 60),
     "denominators": PropertySpec(
-        _sweep_denominators, True, 80, 80, "exact, psi-product, and closed-formula denominators agree",
+        _sweep_denominators, True, 80, 80,
         pool_from=121 * 121,  # from 120 x 120
     ),
     "integrality": PropertySpec(
-        _sweep_integrality, True, 80, 80, "B[r,s] + sum(psi/p) is an integer; psi divisibility holds",
+        _sweep_integrality, True, 80, 80,
         pool_from=121 * 121,  # from 120 x 120
     ),
-    "psi-matrix": PropertySpec(
-        _sweep_psi_matrix, False, 19, 19, "zero / one / binomial trichotomy of the psi grid per prime"
-    ),
-    "psi-congruences": PropertySpec(
-        _sweep_psi_congruences, False, 60, 60, "psi periodicity in shift and rank, and its reciprocity mod p"
-    ),
+    "psi-matrix": PropertySpec(_sweep_psi_matrix, False, 19, 19),
+    "psi-congruences": PropertySpec(_sweep_psi_congruences, False, 60, 60),
     "hermite-stern": PropertySpec(
-        _sweep_hermite_stern, True, 200, 31, "binomial sums over multiples of p-1 vanish mod p",
+        _sweep_hermite_stern, True, 200, 31,
         pool_from=301 * 32,  # from 300 x 31
     ),
-    "staudt-clausen": PropertySpec(
-        _sweep_staudt_clausen, False, 200, 200, "classical witness integrality and closed Bernoulli denominators"
-    ),
-    "denom-divisibility": PropertySpec(
-        _sweep_denom_divisibility, False, 40, 40, "structural divisibility properties of denom(B[r,s])"
-    ),
+    "staudt-clausen": PropertySpec(_sweep_staudt_clausen, False, 200, 200),
+    "denom-divisibility": PropertySpec(_sweep_denom_divisibility, False, 40, 40),
 }
 
 

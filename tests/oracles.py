@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from bernshift.denom import _psi_periodic, _psi_reciprocal, psi
-from bernshift.exact_arith import least_positive_residue, primes_up_to
+from bernshift.exact_arith import primes_up_to
 
 
 def evaluate(coeffs, x):
@@ -66,6 +66,15 @@ def forward_difference(f, order, start=0):
 def hermite_stern_residue(m, p):
     """sum(C(m, v) for 0 < v < m with p-1 | v) mod p, one math.comb per term."""
     return sum(comb(m, v) for v in range(p - 1, m, p - 1)) % p
+
+
+def least_positive_residue(x, m):
+    """The representative of x mod m lying in {1, ..., m}: m, not 0, when m divides x; x, m >= 1."""
+    if x < 1:
+        raise ValueError("least_positive_residue: x must be >= 1")
+    if m < 1:
+        raise ValueError("least_positive_residue: m must be >= 1")
+    return (x - 1) % m + 1
 
 
 def denom_formula(r, s):

@@ -9,13 +9,9 @@ checked.
 from fractions import Fraction
 from math import comb
 
-from bernshift.bernoulli import (
-    bernoulli_denominator,
-    hermite_stern_check,
-    von_staudt_clausen_witness,
-)
+from bernshift.bernoulli import bernoulli_denominator, von_staudt_clausen_witness
 from bernshift.denom import _psi_reciprocal, denom_formula, denom_via_psi, psi, psi_matrix
-from bernshift.exact_arith import primes_up_to
+from bernshift.exact_arith import _binomial_row, _hermite_stern_residue, primes_up_to
 from bernshift.umbral import (
     antidiagonal_sums,
     bs_direct,
@@ -167,7 +163,7 @@ def test_08_hermite_stern():
         (m, p)
         for m in range(1, 201)
         for p in primes_up_to(31)
-        if hermite_stern_check(m, p) != 0
+        if _hermite_stern_residue(_binomial_row(m), p) != 0
     ]
     _report(
         "binomial congruence, m <= 200, p <= 31",

@@ -1,17 +1,13 @@
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from bernshift import CapacityError
-from bernshift.bernoulli import (
-    BernoulliCache,
-    bernoulli_denominator,
-    hermite_stern_check,
-    von_staudt_clausen_witness,
-)
-from bernshift.exact_arith import primes_up_to
-from oracles import bernoulli_polynomial, evaluate
+from bernshift.bernoulli import BernoulliCache, bernoulli_denominator, von_staudt_clausen_witness
+from bernshift.denom import denom_formula
+from bernshift.exact_arith import _binomial_row, _hermite_stern_residue, clausen_primes, primes_up_to
+from oracles import bernoulli_polynomial, evaluate, hermite_stern_residue
 
 
 def _akiyama_tanigawa(limit):
@@ -145,6 +141,27 @@ class TestBernoulliDenominator:
             bernoulli_denominator(-1)
 
 
+class TestClausenPrimes:
+    def test_is_the_one_rule_for_every_denominator(self):
+        # the exact B_n, the closed form and both borders of the rank/shift formula
+        cache = BernoulliCache(300)
+        for n in range(301):
+            primes = clausen_primes(n)
+            assert primes == sorted(set(primes)), n
+            assert prod(primes) == cache[n].denominator == bernoulli_denominator(n), n
+            assert denom_formula(0, n).value == denom_formula(n, 0).value == prod(primes), n
+
+    def test_examples(self):
+        assert clausen_primes(0) == []
+        assert clausen_primes(1) == [2]
+        assert clausen_primes(3) == []
+        assert clausen_primes(12) == [2, 3, 5, 7, 13]
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            clausen_primes(-1)
+
+
 class TestVonStaudtClausen:
     def test_examples(self, cache):
         assert von_staudt_clausen_witness(cache, 2) == 1
@@ -164,17 +181,11 @@ class TestVonStaudtClausen:
 
 class TestHermiteStern:
     def test_examples(self):
-        assert hermite_stern_check(1, 5) == 0
-        assert hermite_stern_check(6, 3) == 0  # C(6,2) + C(6,4) = 30
-        assert hermite_stern_check(10, 5) == 0  # C(10,4) + C(10,8) = 255
+        assert hermite_stern_residue(1, 5) == 0
+        assert hermite_stern_residue(6, 3) == 0  # C(6,2) + C(6,4) = 30
+        assert hermite_stern_residue(10, 5) == 0  # C(10,4) + C(10,8) = 255
 
     def test_small_sweep(self):
         for m in range(1, 61):
             for p in primes_up_to(13):
-                assert hermite_stern_check(m, p) == 0
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            hermite_stern_check(0, 5)
-        with pytest.raises(ValueError):
-            hermite_stern_check(5, 6)
+                assert _hermite_stern_residue(_binomial_row(m), p) == 0

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -472,6 +473,14 @@ def test_profiler_output_survives_the_frozen_exit():
 
 def test_property_names_match_the_sweeps():
     assert cli.PROPERTY_NAMES == tuple(sorted(verify.PROPERTIES))
+
+
+def test_readme_states_each_property_once():
+    # the "What is checked" table is the one statement of each sweep's claim
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## What is checked\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(verify.PROPERTIES) == list(cli.PROPERTY_NAMES)
 
 
 def test_json_int_threshold():

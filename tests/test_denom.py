@@ -17,9 +17,9 @@ from bernshift.denom import (
     psi_matrix,
 )
 from bernshift.errors import InvariantViolation
-from bernshift.exact_arith import least_positive_residue, primes_up_to
+from bernshift.exact_arith import primes_up_to
 from bernshift.umbral import BsTable, bs_table_recursive
-from oracles import psi_periodic, psi_reciprocal
+from oracles import least_positive_residue, psi_periodic, psi_reciprocal
 
 
 @pytest.fixture(scope="module")

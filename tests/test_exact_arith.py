@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bernshift.exact_arith as exact_arith
-from bernshift.exact_arith import _binomial_row, _product_tree, is_prime, least_positive_residue, primes_up_to
+from bernshift.exact_arith import _binomial_row, _product_tree, is_prime, primes_up_to
 from bernshift.umbral import forward_difference
-from oracles import evaluate, reflect
+from oracles import evaluate, least_positive_residue, reflect
 
 
 class TestPrimes:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from bernshift.bernoulli import BernoulliCache, hermite_stern_check
+from bernshift.bernoulli import BernoulliCache
 from bernshift.denom import _denom_formula
 from bernshift.exact_arith import _binomial_row, _hermite_stern_residue, primes_up_to
 from bernshift.umbral import _defining_sum, _scaled_bernoulli, forward_difference
@@ -65,7 +65,6 @@ def test_hermite_stern():
         for p in primes_up_to(31):
             expected = oracles.hermite_stern_residue(m, p)
             assert _hermite_stern_residue(_binomial_row(m), p) == expected, (m, p)
-            assert hermite_stern_check(m, p) == expected, (m, p)
 
 
 def test_denominator_formula():

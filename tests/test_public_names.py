@@ -4,10 +4,12 @@ perfbench/ drives the library through a fixed set of names; checking them
 here keeps a rename from surfacing only when the slow benchmark suite runs.
 """
 
+import inspect
+
 import pytest
 
 import bernshift
-from bernshift import bernoulli, cli, denom, umbral, verify
+from bernshift import bernoulli, cli, denom, exact_arith, umbral, verify
 
 
 def test_every_exported_name_exists():
@@ -43,8 +45,9 @@ def test_names_resolve_to_their_defining_modules():
 
 
 DELETED = {  # defining module -> the names it no longer has
-    bernoulli: ("Poly", "bernoulli_polynomial"),
+    bernoulli: ("Poly", "bernoulli_polynomial", "hermite_stern_check"),
     denom: ("psi_periodicity_check", "psi_reciprocity_check"),
+    exact_arith: ("least_positive_residue",),
 }
 
 
@@ -66,3 +69,6 @@ def test_deleted_names_are_gone_from_their_modules():
     # a polynomial is a coefficient tuple from bs_polynomial or BsTable.scaled_polynomial
     with pytest.raises(AttributeError):
         umbral.BsTable.polynomial
+    # README's "What is checked" table states each claim; denom(B_n)'s primes take no sieve
+    assert "description" not in verify.PropertySpec._fields
+    assert list(inspect.signature(exact_arith.clausen_primes).parameters) == ["n"]

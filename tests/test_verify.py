@@ -5,16 +5,17 @@ import os
 import re
 import sys
 import textwrap
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-import bernshift.bernoulli as bernoulli
 import bernshift.denom as denom
 import bernshift.exact_arith as exact_arith
 import bernshift.umbral as umbral
 import bernshift.verify as verify
+from bernshift.errors import InvariantViolation
 from bernshift.umbral import BsTable
 from bernshift.verify import (
     PROPERTIES,
@@ -363,6 +364,23 @@ def test_one_wrong_psi_seed_is_named(monkeypatch, name):
     assert all(WITNESS.search(f) for f in report.failures), report.failures
 
 
+@pytest.mark.parametrize("r, s", [(1, 2), (2, 4), (4, 5)])  # above, on and below the anti-diagonal
+def test_one_wrong_psi_matrix_entry_is_named(monkeypatch, r, s):
+    real = denom._psi_value
+
+    def bumped(r2, s2, p):  # psi(r, s, 7) off by one
+        return real(r2, s2, p) + ((r2, s2, p) == (r, s, 7))
+
+    monkeypatch.setattr(denom, "_psi_value", bumped)
+    expected = comb(r, 6 - s)
+    witness = f"psi matrix p=7: entry ({r},{s}) is {expected + 1}, expected C({r},{6 - s}) = {expected}"
+    with pytest.raises(InvariantViolation, match=re.escape(witness)):
+        denom.psi_matrix(7)
+    report = run_verify("psi-matrix", 7, 7)
+    assert report.instances == 3 * 3 + 5 * 5  # p = 5 passes, p = 7 fails at its first bad entry
+    assert len(report.failures) == 1 and report.failures[0].startswith(witness), report.failures
+
+
 def _one_wrong_binomial(monkeypatch, order, index):
     """Every reader of _binomial_row sees C(order, index) off by one; other rows stay right."""
     real = exact_arith._binomial_row
@@ -371,7 +389,7 @@ def _one_wrong_binomial(monkeypatch, order, index):
         row = real(n)
         return row[:index] + (row[index] + 1,) + row[index + 1 :] if n == order else row
 
-    for module in (exact_arith, umbral, bernoulli):
+    for module in (exact_arith, umbral):
         monkeypatch.setattr(module, "_binomial_row", wrong)
 
 
@@ -445,4 +463,3 @@ def test_defaults_are_positive():
     for spec in PROPERTIES.values():
         assert spec.default_r >= 1
         assert spec.default_s >= 1
-        assert spec.description
