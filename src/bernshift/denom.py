@@ -16,8 +16,8 @@ _psi_table fills it that way, while psi walks the binomial sum, which serves
 any prime and is the table's oracle.  The recurrence itself is
 exact_arith._triangle_rows, shared with umbral's B[r,s] table, so this
 module loads neither umbral nor bernoulli, and a psi or denom request builds
-no Bernoulli number and loads no fractions.  _psi_reciprocal and
-_psi_periodic state psi's two congruences on values the caller holds.
+no Bernoulli number and loads no fractions.  _psi_reciprocal states psi's
+reciprocity mod p on values the caller holds.
 """
 
 from __future__ import annotations
@@ -220,19 +220,12 @@ def _psi_reciprocal(r: int, s: int, psi_rs: int, psi_sr: int, p: int) -> bool:
     return (lhs - rhs) % p == 0
 
 
-def _psi_periodic(v_rs: int, v_rs2: int, v_r2s: int, v_r2s2: int, p: int) -> bool:
-    """Whether psi, given at (r, s), (r, s2), (r2, s) and (r2, s2), is periodic.
-
-    Exact in the shift at both ranks, and mod p in the rank.
-    """
-    return v_rs == v_rs2 and v_r2s == v_r2s2 and (v_rs - v_r2s) % p == 0
-
-
 def psi_matrix(p: int) -> tuple[tuple[int, ...], ...]:
     """The grid psi(r, s, p) for 1 <= r, s <= p - 2, with its structure verified.
 
     Every entry is C(r, p-1-s): so 0 strictly above the anti-diagonal
-    (r + s < p - 1), exactly 1 on it, and nonzero mod p below it.  Any
+    (r + s < p - 1), exactly 1 on it, and nonzero mod p below it, since
+    with r <= p - 2 that binomial is a product of factors below p.  Any
     violation raises InvariantViolation; the grid is returned row-major,
     grid[r-1][s-1].
     """
@@ -244,10 +237,10 @@ def psi_matrix(p: int) -> tuple[tuple[int, ...], ...]:
         for s in range(1, p - 1):
             value = _psi_value(r, s, p)
             expected = comb(r, p - 1 - s)  # 0 above the anti-diagonal, 1 on it
-            if value != expected or (expected and value % p == 0):
+            if value != expected:
                 raise InvariantViolation(
                     f"psi matrix p={p}: entry ({r},{s}) is {value}, "
-                    f"expected C({r},{p - 1 - s}) = {expected}, nonzero mod {p} unless 0"
+                    f"expected C({r},{p - 1 - s}) = {expected}"
                 )
             row.append(value)
         rows.append(tuple(row))

@@ -111,25 +111,12 @@ class BsTable(namedtuple("BsTable", "max_r max_s denominator scaled")):
         d = self.denominator
         return tuple(tuple(Fraction(x, d) for x in row) for row in self.scaled)
 
-    def _check_inside(self, r: int, s: int, suffix: str = "") -> None:
-        if not (0 <= r <= self.max_r and 0 <= s <= self.max_s):
-            raise ValueError(f"B[{r},{s}]{suffix} lies outside the {self.max_r}x{self.max_s} table")
-
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         """B[r,s]; ValueError for a key outside the rectangle, negative ones included."""
         r, s = key
-        self._check_inside(r, s)
+        if not (0 <= r <= self.max_r and 0 <= s <= self.max_s):
+            raise ValueError(f"B[{r},{s}] lies outside the {self.max_r}x{self.max_s} table")
         return Fraction(self.scaled[r][s], self.denominator)
-
-    def denominators(self) -> list[list[int]]:
-        """denom(B[r,s]) for every key, no Fraction built."""
-        d = self.denominator
-        return [[_lowest_terms(x, d)[1] for x in row] for row in self.scaled]
-
-    def scaled_polynomial(self, r: int, s: int) -> list[int]:
-        """D times the coefficients of B[r,s](x), lowest power first; monic of degree r + s."""
-        self._check_inside(r, s, "(x)")
-        return _scaled_polynomial(self.scaled[: r + 1], r, s, self.denominator)
 
 
 def _table_rows(cache: BernoulliCache, max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:

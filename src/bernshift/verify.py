@@ -5,8 +5,10 @@ recorded with its witness key, so a report either certifies the range or
 names a counterexample.  Sweeps are pure; the parallel path partitions rows
 across worker processes and merges, with results independent of the split.
 
-Each runner imports the layers it reads when it runs, so a request loads
-only its own sweep's: the psi sweeps load no Bernoulli number and no
+The table sweeps read the rows of D * B[r,s] as they are made
+(umbral._table_rows) and hold a whole table only where they read transposed
+keys.  Each runner imports the layers it reads when it runs, so a request
+loads only its own sweep's: the psi sweeps load no Bernoulli number and no
 fractions, and the table sweeps that use no psi do not load denom.
 """
 
@@ -16,12 +18,9 @@ import functools
 import os
 from itertools import compress, repeat
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, WorkerDied
-
-if TYPE_CHECKING:
-    from .umbral import BsTable
 
 SweepResult = tuple[int, list[str], list[str]]  # instances, failures, notes
 Rows = Optional[Sequence[int]]
@@ -48,12 +47,12 @@ def _rows(rows: Rows, max_r: int, start: int = 0) -> Sequence[int]:
     return [r for r in rows if r >= start]
 
 
-def _table(max_r: int, max_s: int) -> BsTable:
-    """B[r,s] for the whole rectangle, filled once by the recurrence."""
+def _table(max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:
+    """(D, the rows D * B[r, 0..max_s] for r = 0..max_r), each made as it is read."""
     from .bernoulli import BernoulliCache
-    from .umbral import bs_table_recursive
+    from .umbral import _table_rows
 
-    return bs_table_recursive(BernoulliCache(max_r + max_s + 2), max_r, max_s)
+    return _table_rows(BernoulliCache(max_r + max_s + 2), max_r, max_s)
 
 
 def _exceptional_zero(r: int, s: int) -> bool:
@@ -62,17 +61,20 @@ def _exceptional_zero(r: int, s: int) -> bool:
 
 
 def _sweep_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
-    table = _table(max_r, max_s)
-    swapped = table if max_r == max_s else _table(max_s, max_r)
+    from fractions import Fraction
+
+    d, table = _table(max_r, max_s)
+    table = list(table)
+    # both tables share D = product(primes <= max_r + max_s + 1)
+    swapped = table if max_r == max_s else list(_table(max_s, max_r)[1])
     instances, failures = 0, []
     for r in range(max_r + 1):
         for s in range(max_s + 1):
             instances += 1
-            # both tables share D = product(primes <= max_r + max_s + 1)
-            a = table.scaled[r][s]
-            b = swapped.scaled[s][r]
+            a = table[r][s]
+            b = swapped[s][r]
             if (a if r % 2 == 0 else -a) != (b if s % 2 == 0 else -b):
-                failures.append(f"(r={r}, s={s}): {table[r, s]} vs {swapped[s, r]}")
+                failures.append(f"(r={r}, s={s}): {Fraction(a, d)} vs {Fraction(b, d)}")
     return instances, failures, []
 
 
@@ -95,15 +97,17 @@ def _sweep_paths(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     from fractions import Fraction
 
     from .bernoulli import BernoulliCache
-    from .umbral import _defining_sum, _difference_forms, _scaled_bernoulli, bs_table_recursive
+    from .umbral import _defining_sum, _difference_forms, _scaled_bernoulli, _table_rows
 
-    bound = max(max_r, max_s)
+    bound, ranks = max(max_r, max_s), _rows(rows, max_r)
     cache = BernoulliCache(max_r + max_s + 2)
-    table = bs_table_recursive(cache, max_r, max_s)
-    d, seed = _scaled_bernoulli(cache, max_r + max_s)
+    d, table = _table_rows(cache, max_r, max_s)
+    _, seed = _scaled_bernoulli(cache, max_r + max_s)
     signed = [-x if n % 2 else x for n, x in enumerate(seed)]  # D * (-1)^n B_n
     instances, failures = 0, []
-    for r in _rows(rows, max_r):
+    for r, row in enumerate(table):
+        if r not in ranks:
+            continue
         for s in range(min(max_s, bound - r) + 1):
             instances += 1
             direct = _defining_sum(seed, r, s)
@@ -113,9 +117,9 @@ def _sweep_paths(max_r: int, max_s: int, rows: Rows) -> SweepResult:
                     f"difference forms disagree at (r={r}, s={s}): "
                     f"{Fraction(rank_form, d)} != {Fraction(shift_form, d)}"
                 )
-            elif not (direct == table.scaled[r][s] == rank_form):
+            elif not (direct == row[s] == rank_form):
                 failures.append(
-                    f"(r={r}, s={s}): direct={Fraction(direct, d)}, table={table[r, s]}, "
+                    f"(r={r}, s={s}): direct={Fraction(direct, d)}, table={Fraction(row[s], d)}, "
                     f"difference={Fraction(rank_form, d)}"
                 )
     return instances, failures, []
@@ -125,11 +129,14 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     """[x^k]: (-1)^r c_k(r,s) = (-1)^(s+k) c_k(s,r), compared as integers over the shared D."""
     from fractions import Fraction
 
-    table = _table(max_r, max_s)
-    swapped = table if max_r == max_s else _table(max_s, max_r)
-    # one scaled_polynomial per ordered key: on a square range (s, r) is also a row key
-    lhs_at = functools.cache(table.scaled_polynomial)
-    rhs_at = lhs_at if swapped is table else swapped.scaled_polynomial
+    from .umbral import _scaled_polynomial
+
+    d, table = _table(max_r, max_s)
+    table = list(table)
+    swapped = table if max_r == max_s else list(_table(max_s, max_r)[1])
+    # one polynomial per ordered key: on a square range (s, r) is also a row key
+    lhs_at = functools.cache(lambda r, s: _scaled_polynomial(table[: r + 1], r, s, d))
+    rhs_at = lhs_at if swapped is table else lambda s, r: _scaled_polynomial(swapped[: s + 1], s, r, d)
     instances, failures = 0, []
     for r in _rows(rows, max_r):
         for s in range(max_s + 1):
@@ -139,7 +146,6 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
             pairs = enumerate(zip(lhs, rhs))
             k = next((k for k, (a, b) in pairs if a != (-b if (r + s + k) % 2 else b)), None)
             if k is not None:  # the first power of x where the two sides differ
-                d = table.denominator
                 failures.append(
                     f"(r={r}, s={s}): [x^{k}] {Fraction(lhs[k], d)} in B[{r},{s}](x) "
                     f"vs {Fraction(rhs[k], d)} in B[{s},{r}](x)"
@@ -148,15 +154,16 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_nonvanishing(max_r: int, max_s: int, rows: Rows) -> SweepResult:
-    table = _table(max_r, max_s)
+    from fractions import Fraction
+
+    d, table = _table(max_r, max_s)
     instances, failures, notes = 0, [], []
-    for r in range(max_r + 1):
-        for s in range(max_s + 1):
+    for r, row in enumerate(table):
+        for s, value in enumerate(row):
             instances += 1
-            value = table.scaled[r][s]
             if _exceptional_zero(r, s):
                 if value != 0:
-                    failures.append(f"(r={r}, s={s}): expected 0, got {table[r, s]}")
+                    failures.append(f"(r={r}, s={s}): expected 0, got {Fraction(value, d)}")
                 else:
                     notes.append(f"zero at (r={r}, s={s})")
             elif value == 0:
@@ -165,10 +172,11 @@ def _sweep_nonvanishing(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_denominators(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+    from .bernoulli import BernoulliCache
     from .denom import _denom_formula, _divides_denominator, _psi_table
     from .exact_arith import primes_up_to
+    from .umbral import reduced_rows
 
-    exact = _table(max_r, max_s).denominators()
     sieve = primes_up_to(max_r + max_s + 1)
     ranks = _rows(rows, max_r)
     # for r, s >= 2: the product of the primes that psi(r, s, p) puts in the denominator
@@ -181,10 +189,11 @@ def _sweep_denominators(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     # one evaluation per ordered key: F(r, s) and F(s, r) are still computed apart
     formula_at = functools.cache(lambda r, s: _denom_formula(r, s, sieve).value)
     instances, failures = 0, []
-    for r in ranks:
-        for s in range(max_s + 1):
+    for r, row in enumerate(reduced_rows(BernoulliCache(max_r + max_s + 2), max_r, max_s)):
+        if r not in ranks:
+            continue
+        for s, (_, d) in enumerate(row):
             instances += 1
-            d = exact[r][s]
             formula = formula_at(r, s)
             if formula != d:
                 failures.append(f"(r={r}, s={s}): formula {formula} != exact {d}")
@@ -200,11 +209,10 @@ def _sweep_integrality(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     from .denom import _integral, _psi_table
     from .exact_arith import primes_up_to
 
-    table = _table(max_r, max_s)
-    d, ranks = table.denominator, _rows(rows, max_r, start=2)
+    d, table = _table(max_r, max_s)
+    ranks = _rows(rows, max_r, start=2)
     # D * (B[r,s] + the psi/p terms so far) for s = 2..max_s, one list per rank
-    totals = [list(table.scaled[r][2:]) for r in ranks]
-    del table  # its values live on in totals only
+    totals = [row[2:] for r, row in enumerate(table) if r in ranks]
     failures = []
     psi_two: list[list[int]] = []
     for p in primes_up_to(max_r + max_s + 1):  # one prime's psi table alive at a time
@@ -252,7 +260,7 @@ def _sweep_psi_matrix(max_r: int, max_s: int, rows: Rows) -> SweepResult:
 
 
 def _sweep_psi_congruences(max_r: int, max_s: int, rows: Rows) -> SweepResult:
-    from .denom import _psi_periodic, _psi_reciprocal, _psi_table
+    from .denom import _psi_reciprocal, _psi_table
     from .exact_arith import primes_up_to
 
     bound = max(max_r, max_s)
@@ -267,13 +275,11 @@ def _sweep_psi_congruences(max_r: int, max_s: int, rows: Rows) -> SweepResult:
             for s in range(bound + 1):
                 if s > step:
                     instances += 1
-                    v, v2 = row[s], row[s - step]
-                    if not _psi_periodic(v, v2, v, v2, p):
+                    if row[s] != row[s - step]:  # exact in the shift
                         failures.append(f"p={p}: shift periodicity fails at (r={r}, s={s})")
                 if r > step:
                     instances += 1
-                    v, v2 = row[s], psi_p[r - step][s]
-                    if not _psi_periodic(v, v, v2, v2, p):
+                    if (row[s] - psi_p[r - step][s]) % p:  # mod p in the rank
                         failures.append(f"p={p}: rank periodicity fails at (r={r}, s={s})")
                 if r <= s:
                     instances += 1
@@ -327,10 +333,13 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Rows) -> SweepResult
     with every prime factor <= r + s + 1; and denominator 1 exactly at
     (0, 0) and the exceptional zeros.
     """
-    from .bernoulli import bernoulli_denominator
+    from .bernoulli import BernoulliCache, bernoulli_denominator
     from .exact_arith import clausen_primes, primes_up_to
+    from .umbral import reduced_rows
 
-    denoms = _table(max_r, max_s).denominators()
+    # held whole: the symmetry part reads transposed keys
+    rows_in_lowest_terms = reduced_rows(BernoulliCache(max_r + max_s + 2), max_r, max_s)
+    denoms = [[d for _, d in row] for row in rows_in_lowest_terms]
     sieve = primes_up_to(max_r + max_s + 1)
     counts = dict.fromkeys(
         (

@@ -2,9 +2,10 @@
 
 The library gives a polynomial as a tuple of its coefficients, lowest power
 first.  Evaluation, x -> -x and the classical B_n(x) are needed only to
-check such tuples, so they live here.  The psi congruences are stated once
-in bernshift.denom on values the caller already holds; the wrappers below
-feed them from psi's checked entry point, one (rank, shift) pair at a time.
+check such tuples, so they live here.  psi's reciprocity is stated once in
+bernshift.denom on values the caller already holds, and the psi-congruences
+sweep states its two periodicities inline; the wrappers below state both
+congruences from psi's checked entry point, one (rank, shift) pair at a time.
 
 The slow forms are the library's sums as they read on paper: one math.comb
 per term, and the denominator formula in least positive residues.  The
@@ -15,7 +16,7 @@ slow form is the oracle of its fast one.
 from fractions import Fraction
 from math import comb
 
-from bernshift.denom import _psi_periodic, _psi_reciprocal, psi
+from bernshift.denom import _psi_reciprocal, psi
 from bernshift.exact_arith import primes_up_to
 
 
@@ -44,8 +45,8 @@ def psi_reciprocal(r, s, p):
 
 def psi_periodic(r, r2, s, s2, p):
     """Whether psi is unchanged from s to s2 at ranks r and r2, and mod p from r to r2."""
-    values = [psi(a, b, p).value for a, b in ((r, s), (r, s2), (r2, s), (r2, s2))]
-    return _psi_periodic(*values, p)
+    v_rs, v_rs2, v_r2s, v_r2s2 = (psi(a, b, p).value for a, b in ((r, s), (r, s2), (r2, s), (r2, s2)))
+    return v_rs == v_rs2 and v_r2s == v_r2s2 and (v_rs - v_r2s) % p == 0
 
 
 def defining_sum(b, r, s):

@@ -46,7 +46,7 @@ def test_names_resolve_to_their_defining_modules():
 
 DELETED = {  # defining module -> the names it no longer has
     bernoulli: ("Poly", "bernoulli_polynomial", "hermite_stern_check"),
-    denom: ("psi_periodicity_check", "psi_reciprocity_check"),
+    denom: ("psi_periodicity_check", "psi_reciprocity_check", "_psi_periodic"),
     exact_arith: ("least_positive_residue",),
 }
 
@@ -66,9 +66,10 @@ def test_deleted_names_are_gone_from_their_modules():
         for name in names:
             with pytest.raises(AttributeError):
                 getattr(module, name)
-    # a polynomial is a coefficient tuple from bs_polynomial or BsTable.scaled_polynomial
-    with pytest.raises(AttributeError):
-        umbral.BsTable.polynomial
+    # a polynomial is a coefficient tuple from bs_polynomial or umbral._scaled_polynomial,
+    # and denominators come from reduced_rows: a BsTable only holds and reads values
+    for name in ("polynomial", "scaled_polynomial", "denominators", "_check_inside"):
+        assert not hasattr(umbral.BsTable, name), name
     # README's "What is checked" table states each claim; denom(B_n)'s primes take no sieve
     assert "description" not in verify.PropertySpec._fields
     assert list(inspect.signature(exact_arith.clausen_primes).parameters) == ["n"]

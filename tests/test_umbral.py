@@ -7,7 +7,6 @@ from bernshift import CapacityError, InvariantViolation
 from bernshift.bernoulli import BernoulliCache
 from bernshift.exact_arith import primes_up_to
 from bernshift.umbral import (
-    BsTable,
     _scaled_bernoulli,
     _scaled_polynomial,
     _triangle_rows,
@@ -126,7 +125,6 @@ class TestIntegerTriangle:
         assert table.denominator == prod(primes_up_to(15))
         oracle = list(fraction_triangle_rows(cache, 14))[:10]
         assert table.entries == tuple(tuple(row[:6]) for row in oracle)
-        assert table.denominators() == [[q.denominator for q in row] for row in table.entries]
         pairs = [[(q.numerator, q.denominator) for q in row] for row in table.entries]
         assert list(reduced_rows(cache, 9, 5)) == pairs
 
@@ -236,7 +234,8 @@ class TestBsPolynomial:
                     (comb(r, v), bernoulli_polynomial(cache, s + v)) for v in range(r + 1)
                 )
                 assert bs_polynomial(cache, r, s) == expected
-                assert over_denominator(square, square.scaled_polynomial(r, s)) == expected
+                scaled = _scaled_polynomial(square.scaled[: r + 1], r, s, square.denominator)
+                assert over_denominator(square, scaled) == expected
 
     @pytest.mark.parametrize("max_r, max_s", [(12, 12), (9, 4), (4, 9)])
     def test_row_accumulation_matches_column_sums(self, cache, max_r, max_s):
@@ -244,7 +243,6 @@ class TestBsPolynomial:
         for r in range(max_r + 1):
             for s in range(max_s + 1):
                 expected = column_polynomial(table, r, s)
-                assert table.scaled_polynomial(r, s) == expected
                 # rows i = 0..r, longer than s + 1, read once from an iterator
                 rows = iter(table.scaled[: r + 1])
                 assert _scaled_polynomial(rows, r, s, table.denominator) == expected
@@ -253,9 +251,8 @@ class TestBsPolynomial:
         table = bs_table_recursive(cache, 9, 4)
         for r in range(10):
             for s in range(5):
-                assert over_denominator(table, table.scaled_polynomial(r, s)) == bs_polynomial(cache, r, s)
-        with pytest.raises(ValueError):
-            table.scaled_polynomial(4, 9)
+                scaled = _scaled_polynomial(table.scaled[: r + 1], r, s, table.denominator)
+                assert over_denominator(table, scaled) == bs_polynomial(cache, r, s)
 
     def test_never_builds_a_whole_table(self, cache, monkeypatch):
         import bernshift.umbral as umbral
@@ -271,9 +268,8 @@ class TestBsPolynomial:
 
     def test_wrong_table_is_not_monic(self):
         # the leading coefficient of B[r,s](x) is read from B[0,0], here 3/2 instead of 1
-        table = BsTable(1, 1, 2, ((3, 1), (1, 1)))
         with pytest.raises(InvariantViolation, match=r"B\[1,1\]\(x\) .* leading coefficient 3/2$"):
-            table.scaled_polynomial(1, 1)
+            _scaled_polynomial(((3, 1), (1, 1)), 1, 1, 2)
 
     def test_bounds(self):
         with pytest.raises(CapacityError):

@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import textwrap
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,7 +17,6 @@ import bernshift.exact_arith as exact_arith
 import bernshift.umbral as umbral
 import bernshift.verify as verify
 from bernshift.errors import InvariantViolation
-from bernshift.umbral import BsTable
 from bernshift.verify import (
     PROPERTIES,
     VerifyReport,
@@ -94,6 +94,16 @@ def test_each_property_passes_at_small_scale(name):
     assert report.failures == ()
     assert report.instances > 0
     assert report.property_name == name
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTIES))
+def test_sweeps_build_no_whole_table(name, monkeypatch):
+    # every sweep streams umbral._table_rows; bs_table_recursive is the library's record only
+    def refuse(*args):
+        raise AssertionError("a sweep built a whole BsTable")
+
+    monkeypatch.setattr(umbral, "bs_table_recursive", refuse)
+    assert run_verify(name, *SMALL[name]).ok
 
 
 @pytest.mark.parametrize("name", sorted(PROPERTIES))
@@ -258,11 +268,10 @@ def test_unknown_property_raises():
 
 
 def test_failures_are_reported_with_witnesses(monkeypatch):
-    def fake_table(cache, max_r, max_s):
-        rows = tuple(tuple(r + 1 for _ in range(max_s + 1)) for r in range(max_r + 1))
-        return BsTable(max_r, max_s, 1, rows)
+    def fake_rows(cache, max_r, max_s):
+        return 1, ([r + 1] * (max_s + 1) for r in range(max_r + 1))
 
-    monkeypatch.setattr(umbral, "bs_table_recursive", fake_table)
+    monkeypatch.setattr(umbral, "_table_rows", fake_rows)
     report = verify._sweep_reciprocity(3, 3, None)
     instances, failures, _notes = report
     assert instances == 16
@@ -271,10 +280,10 @@ def test_failures_are_reported_with_witnesses(monkeypatch):
 
 
 def test_poly_reciprocity_failure_names_a_witness(monkeypatch):
-    def wrong_polynomial(self, r, s):
+    def wrong_polynomial(rows, r, s, d):
         return [r + 1, 0, 1]
 
-    monkeypatch.setattr(BsTable, "scaled_polynomial", wrong_polynomial)
+    monkeypatch.setattr(umbral, "_scaled_polynomial", wrong_polynomial)
     instances, failures, _notes = PROPERTIES["poly-reciprocity"].runner(3, 3, None)
     assert instances == 16
     # [x^0]: (-1)^0 * 1/D against (-1)^1 * 2/D, over D = 2 * 3 * 5 * 7
@@ -303,13 +312,13 @@ def test_denominators_evaluate_each_ordered_key_once(monkeypatch):
 
 
 def test_poly_reciprocity_computes_each_ordered_key_once(monkeypatch):
-    real, calls = BsTable.scaled_polynomial, []
+    real, calls = umbral._scaled_polynomial, []
 
-    def counted(self, r, s):
-        calls.append((self.max_r, self.max_s, r, s))
-        return real(self, r, s)
+    def counted(rows, r, s, d):
+        calls.append((len(rows[0]), r, s))  # the row width tells the two tables apart
+        return real(rows, r, s, d)
 
-    monkeypatch.setattr(BsTable, "scaled_polynomial", counted)
+    monkeypatch.setattr(umbral, "_scaled_polynomial", counted)
     assert PROPERTIES["poly-reciprocity"].runner(8, 8, None) == (81, [], [])
     assert len(calls) == len(set(calls)) == 81
     calls.clear()
@@ -329,20 +338,36 @@ def _solo_and_split(name, max_r, max_s):
     return solo
 
 
+def _edit_table_rows(monkeypatch, r, s, value):
+    """Every streamed table has D * B[r,s] replaced by value(D * B[r,s])."""
+    real = umbral._table_rows
+
+    def edited(cache, max_r, max_s):
+        d, rows = real(cache, max_r, max_s)
+        rows = list(rows)
+        rows[r][s] = value(rows[r][s])
+        return d, iter(rows)
+
+    monkeypatch.setattr(umbral, "_table_rows", edited)
+
+
 @pytest.mark.parametrize("name", ["paths", "integrality", "denominators"])
 def test_one_wrong_table_entry_is_named(monkeypatch, name):
-    real = umbral.bs_table_recursive
-
-    def bumped(cache, max_r, max_s):  # D * B[5,4] off by one
-        table = real(cache, max_r, max_s)
-        rows = [list(row) for row in table.scaled]
-        rows[5][4] += 1
-        return BsTable(max_r, max_s, table.denominator, tuple(map(tuple, rows)))
-
-    monkeypatch.setattr(umbral, "bs_table_recursive", bumped)
+    _edit_table_rows(monkeypatch, 5, 4, lambda x: x + 1)
     solo = _solo_and_split(name, 10, 10)
     assert solo.failures
     assert all("(r=5, s=4)" in f for f in solo.failures), solo.failures
+
+
+def test_nonvanishing_names_a_lost_and_a_stray_zero(monkeypatch):
+    _edit_table_rows(monkeypatch, 5, 4, lambda x: 0)
+    assert run_verify("nonvanishing", 10, 10).failures == ("(r=5, s=4): unexpected zero",)
+    monkeypatch.undo()
+    _edit_table_rows(monkeypatch, 3, 0, lambda x: 1)  # D * B[3,0] = 1: B[3,0] = 1/D
+    d = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19  # the primes <= 21
+    report = run_verify("nonvanishing", 10, 10)
+    assert report.failures == (f"(r=3, s=0): expected 0, got {Fraction(1, d)}",)
+    assert "zero at (r=3, s=0)" not in report.notes
 
 
 @pytest.mark.parametrize("name", ["integrality", "denominators", "psi-congruences"])
