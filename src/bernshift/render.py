@@ -1,11 +1,12 @@
 """Deterministic text renderings: plain, csv, json, latex.
 
-Every byte the CLI writes to stdout is built here.  Values are integers or
-fractions; fractions render as "num/den" with "/1" suppressed and the sign on
-the numerator, so a CSV cell holds only digits, "-" and "/" and never needs
-quoting.  JSON output carries no floats; integers beyond 2**53 are encoded as
-decimal strings so consumers that parse into doubles cannot silently lose
-precision.  All output is byte-stable across runs.
+Every value, table and JSON document the CLI writes is built here; the plain
+psi --show-indices and denom --factor lines are built in cli, and the verify
+report text in verify.  A fraction renders as "num/den", "/1" suppressed and
+the sign on the numerator, so a CSV cell is only digits, "-" and "/" and needs
+no quoting.  JSON carries no floats: integers beyond 2**53 are decimal
+strings, so consumers that parse into doubles cannot lose precision.  All
+output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _table_lines(rows: Iterable[list], fmt: str, width: int) -> Iterator[str]:
 
 
 def fraction_table_lines(
-    rows: Iterable[Sequence[tuple[int, int]]], fmt: str, width: int
+    rows: Iterable[Iterable[tuple[int, int]]], fmt: str, width: int
 ) -> Iterator[str]:
     """Render rows of (numerator, denominator) pairs in lowest terms, as each row is reached."""
     cell = _FRACTION_CELL[fmt]

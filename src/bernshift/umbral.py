@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from math import gcd
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -142,14 +142,14 @@ def bs_table_recursive(cache: BernoulliCache, max_r: int, max_s: int) -> BsTable
     return BsTable(max_r, max_s, d, tuple(map(tuple, rows)))
 
 
-def reduced_rows(cache: BernoulliCache, max_r: int, max_s: int) -> Iterator[list[tuple[int, int]]]:
+def reduced_rows(cache: BernoulliCache, max_r: int, max_s: int) -> Iterator[Iterator[tuple[int, int]]]:
     """The rows B[r, 0..max_s] for r = 0..max_r as (numerator, denominator) pairs in lowest terms.
 
-    Checked like bs_table_recursive before this returns; only the row being
-    read is held, so a table can be written out without ever being whole.
+    Checked like bs_table_recursive before this returns; a row is reduced as
+    it is read, so a table is never whole and a row left unread costs no gcd.
     """
     d, rows = _table_rows(cache, max_r, max_s)
-    return ([_lowest_terms(x, d) for x in row] for row in rows)
+    return (map(_lowest_terms, row, repeat(d)) for row in rows)
 
 
 def forward_difference(f: Callable[[int], Scalar], order: int, start: int = 0) -> Scalar:

@@ -18,12 +18,11 @@ import functools
 import os
 from itertools import compress, repeat
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvariantViolation, WorkerDied
 
 SweepResult = tuple[int, list[str], list[str]]  # instances, failures, notes
-Rows = Optional[Sequence[int]]
 
 
 class VerifyReport(NamedTuple):
@@ -41,12 +40,6 @@ class VerifyReport(NamedTuple):
         return not self.failures
 
 
-def _rows(rows: Rows, max_r: int, start: int = 0) -> Sequence[int]:
-    if rows is None:
-        return range(start, max_r + 1)
-    return [r for r in rows if r >= start]
-
-
 def _table(max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:
     """(D, the rows D * B[r, 0..max_s] for r = 0..max_r), each made as it is read."""
     from .bernoulli import BernoulliCache
@@ -55,18 +48,26 @@ def _table(max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:
     return _table_rows(BernoulliCache(max_r + max_s + 2), max_r, max_s)
 
 
+def _both_orders(max_r: int, max_s: int) -> tuple[int, list[list[int]], list[list[int]]]:
+    """(D, rows D * B[r, 0..max_s], rows D * B[s, 0..max_r]) from one cache; one list if square."""
+    from .bernoulli import BernoulliCache
+    from .umbral import _table_rows
+
+    cache = BernoulliCache(max_r + max_s + 2)
+    d, table = _table_rows(cache, max_r, max_s)
+    table = list(table)
+    return d, table, table if max_r == max_s else list(_table_rows(cache, max_s, max_r)[1])
+
+
 def _exceptional_zero(r: int, s: int) -> bool:
     """The keys where B[r,s] = 0: (n, 0) and (0, n) with odd n >= 3."""
     return (s == 0 and r >= 3 and r % 2 == 1) or (r == 0 and s >= 3 and s % 2 == 1)
 
 
-def _sweep_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+def _sweep_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from fractions import Fraction
 
-    d, table = _table(max_r, max_s)
-    table = list(table)
-    # both tables share D = product(primes <= max_r + max_s + 1)
-    swapped = table if max_r == max_s else list(_table(max_s, max_r)[1])
+    d, table, swapped = _both_orders(max_r, max_s)
     instances, failures = 0, []
     for r in range(max_r + 1):
         for s in range(max_s + 1):
@@ -78,7 +79,7 @@ def _sweep_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     return instances, failures, []
 
 
-def _sweep_antidiagonal(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+def _sweep_antidiagonal(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from .bernoulli import BernoulliCache
     from .umbral import antidiagonal_sums
 
@@ -92,21 +93,21 @@ def _sweep_antidiagonal(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     return instances, failures, []
 
 
-def _sweep_paths(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+def _sweep_paths(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     """Defining sum, table and both difference forms, each computed apart in integers over D."""
     from fractions import Fraction
 
     from .bernoulli import BernoulliCache
     from .umbral import _defining_sum, _difference_forms, _scaled_bernoulli, _table_rows
 
-    bound, ranks = max(max_r, max_s), _rows(rows, max_r)
+    bound = max(max_r, max_s)
     cache = BernoulliCache(max_r + max_s + 2)
     d, table = _table_rows(cache, max_r, max_s)
     _, seed = _scaled_bernoulli(cache, max_r + max_s)
     signed = [-x if n % 2 else x for n, x in enumerate(seed)]  # D * (-1)^n B_n
     instances, failures = 0, []
     for r, row in enumerate(table):
-        if r not in ranks:
+        if r not in rows:
             continue
         for s in range(min(max_s, bound - r) + 1):
             instances += 1
@@ -125,20 +126,18 @@ def _sweep_paths(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     return instances, failures, []
 
 
-def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     """[x^k]: (-1)^r c_k(r,s) = (-1)^(s+k) c_k(s,r), compared as integers over the shared D."""
     from fractions import Fraction
 
     from .umbral import _scaled_polynomial
 
-    d, table = _table(max_r, max_s)
-    table = list(table)
-    swapped = table if max_r == max_s else list(_table(max_s, max_r)[1])
+    d, table, swapped = _both_orders(max_r, max_s)
     # one polynomial per ordered key: on a square range (s, r) is also a row key
     lhs_at = functools.cache(lambda r, s: _scaled_polynomial(table[: r + 1], r, s, d))
     rhs_at = lhs_at if swapped is table else lambda s, r: _scaled_polynomial(swapped[: s + 1], s, r, d)
     instances, failures = 0, []
-    for r in _rows(rows, max_r):
+    for r in rows:
         for s in range(max_s + 1):
             instances += 1
             lhs = lhs_at(r, s)
@@ -153,7 +152,7 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     return instances, failures, []
 
 
-def _sweep_nonvanishing(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+def _sweep_nonvanishing(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from fractions import Fraction
 
     d, table = _table(max_r, max_s)
@@ -171,16 +170,15 @@ def _sweep_nonvanishing(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     return instances, failures, notes
 
 
-def _sweep_denominators(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+def _sweep_denominators(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from .bernoulli import BernoulliCache
     from .denom import _denom_formula, _divides_denominator, _psi_table
     from .exact_arith import primes_up_to
     from .umbral import reduced_rows
 
     sieve = primes_up_to(max_r + max_s + 1)
-    ranks = _rows(rows, max_r)
     # for r, s >= 2: the product of the primes that psi(r, s, p) puts in the denominator
-    via_psi = {r: [1] * (max_s + 1) for r in ranks if r >= 2}
+    via_psi = {r: [1] * (max_s + 1) for r in rows if r >= 2}
     for p in sieve[1:]:  # one odd prime's psi table alive at a time; 2 never divides
         psi_p = _psi_table(p, max_r, max_s)
         for r, product in via_psi.items():
@@ -190,7 +188,7 @@ def _sweep_denominators(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     formula_at = functools.cache(lambda r, s: _denom_formula(r, s, sieve).value)
     instances, failures = 0, []
     for r, row in enumerate(reduced_rows(BernoulliCache(max_r + max_s + 2), max_r, max_s)):
-        if r not in ranks:
+        if r not in rows:
             continue
         for s, (_, d) in enumerate(row):
             instances += 1
@@ -204,13 +202,13 @@ def _sweep_denominators(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     return instances, failures, []
 
 
-def _sweep_integrality(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+def _sweep_integrality(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     """B[r,s] + sum(psi/p) summed over D one prime's psi table at a time, plus psi divisibility."""
     from .denom import _integral, _psi_table
     from .exact_arith import primes_up_to
 
     d, table = _table(max_r, max_s)
-    ranks = _rows(rows, max_r, start=2)
+    ranks = [r for r in rows if r >= 2]
     # D * (B[r,s] + the psi/p terms so far) for s = 2..max_s, one list per rank
     totals = [row[2:] for r, row in enumerate(table) if r in ranks]
     failures = []
@@ -223,7 +221,7 @@ def _sweep_integrality(max_r: int, max_s: int, rows: Rows) -> SweepResult:
             if p == 3:
                 for s in range(2, max_s + 1):
                     psi2, psi3 = psi_two[r][s], row[s]
-                    if not (psi2 == psi3 == 2 ** (r - 1) and psi2 % 2 == 0 and psi3 % 3 != 0):
+                    if not (psi2 == psi3 == 2 ** (r - 1)):  # so even and prime to 3, as r >= 2
                         failures.append(f"(r={r}, s={s}): psi(2)={psi2}, psi(3)={psi3}")
             elif p >= 5:
                 # p - 1 | r or p - 1 | s: then p must not divide psi
@@ -243,7 +241,7 @@ def _sweep_integrality(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     return sum(map(len, totals)), failures, []
 
 
-def _sweep_psi_matrix(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+def _sweep_psi_matrix(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from .denom import psi_matrix
     from .exact_arith import primes_up_to
 
@@ -259,7 +257,7 @@ def _sweep_psi_matrix(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     return instances, failures, []
 
 
-def _sweep_psi_congruences(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+def _sweep_psi_congruences(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from .denom import _psi_reciprocal, _psi_table
     from .exact_arith import primes_up_to
 
@@ -288,12 +286,12 @@ def _sweep_psi_congruences(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     return instances, failures, []
 
 
-def _sweep_hermite_stern(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+def _sweep_hermite_stern(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from .exact_arith import _binomial_row, _hermite_stern_residue, primes_up_to
 
     primes = primes_up_to(max_s)
     instances, failures = 0, []
-    for m in _rows(rows, max_r, start=1):
+    for m in [m for m in rows if m >= 1]:
         row = _binomial_row(m)
         for p in primes:
             instances += 1
@@ -303,7 +301,7 @@ def _sweep_hermite_stern(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     return instances, failures, []
 
 
-def _sweep_staudt_clausen(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+def _sweep_staudt_clausen(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from .bernoulli import BernoulliCache, bernoulli_denominator, von_staudt_clausen_witness
 
     bound = max(max_r, max_s)
@@ -324,7 +322,7 @@ def _sweep_staudt_clausen(max_r: int, max_s: int, rows: Rows) -> SweepResult:
     return instances, failures, []
 
 
-def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Rows) -> SweepResult:
+def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     """Structural facts about denom(B[r,s]), counted per part over the rectangle.
 
     Symmetry in (r, s); the r = 0 row is the classical denominator; the
@@ -415,7 +413,7 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Rows) -> SweepResult
 
 
 class PropertySpec(NamedTuple):
-    runner: Callable[[int, int, Rows], SweepResult]
+    runner: Callable[[int, int, Sequence[int]], SweepResult]
     parallel: bool
     default_r: int
     default_s: int
@@ -490,7 +488,7 @@ def run_verify(name: str, max_r: int, max_s: int, jobs: int = 1) -> VerifyReport
     chunks = plan_chunks(max_r, jobs, os.cpu_count() or 1) if pays else []
     workers = max(1, len(chunks))
     if workers == 1:
-        parts = [spec.runner(max_r, max_s, None)]
+        parts = [spec.runner(max_r, max_s, range(max_r + 1))]
     else:
         # Imported here: concurrent.futures pulls in logging and multiprocessing,
         # which no other request needs.

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import bernshift.bernoulli as bernoulli
 import bernshift.denom as denom
 import bernshift.exact_arith as exact_arith
 import bernshift.umbral as umbral
@@ -272,7 +273,7 @@ def test_failures_are_reported_with_witnesses(monkeypatch):
         return 1, ([r + 1] * (max_s + 1) for r in range(max_r + 1))
 
     monkeypatch.setattr(umbral, "_table_rows", fake_rows)
-    report = verify._sweep_reciprocity(3, 3, None)
+    report = verify._sweep_reciprocity(3, 3, range(4))
     instances, failures, _notes = report
     assert instances == 16
     assert failures
@@ -284,7 +285,7 @@ def test_poly_reciprocity_failure_names_a_witness(monkeypatch):
         return [r + 1, 0, 1]
 
     monkeypatch.setattr(umbral, "_scaled_polynomial", wrong_polynomial)
-    instances, failures, _notes = PROPERTIES["poly-reciprocity"].runner(3, 3, None)
+    instances, failures, _notes = PROPERTIES["poly-reciprocity"].runner(3, 3, range(4))
     assert instances == 16
     # [x^0]: (-1)^0 * 1/D against (-1)^1 * 2/D, over D = 2 * 3 * 5 * 7
     assert "(r=0, s=1): [x^0] 1/210 in B[0,1](x) vs 1/105 in B[1,0](x)" in failures
@@ -299,7 +300,7 @@ def test_denominators_evaluate_each_ordered_key_once(monkeypatch):
         return SimpleNamespace(value=3 * value if (r, s) == (2, 7) else value)
 
     monkeypatch.setattr(denom, "_denom_formula", counted)
-    instances, failures, _notes = verify._sweep_denominators(10, 10, None)
+    instances, failures, _notes = verify._sweep_denominators(10, 10, range(11))
     assert instances == 121
     assert len(calls) == len(set(calls)) == 121
     # the symmetry check still compares the two keys computed apart, from both sides
@@ -319,11 +320,59 @@ def test_poly_reciprocity_computes_each_ordered_key_once(monkeypatch):
         return real(rows, r, s, d)
 
     monkeypatch.setattr(umbral, "_scaled_polynomial", counted)
-    assert PROPERTIES["poly-reciprocity"].runner(8, 8, None) == (81, [], [])
+    assert PROPERTIES["poly-reciprocity"].runner(8, 8, range(9)) == (81, [], [])
     assert len(calls) == len(set(calls)) == 81
     calls.clear()
-    assert PROPERTIES["poly-reciprocity"].runner(5, 8, None) == (54, [], [])
+    assert PROPERTIES["poly-reciprocity"].runner(5, 8, range(6)) == (54, [], [])
     assert len(calls) == len(set(calls)) == 2 * 54  # two tables, each key once
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTIES))
+def test_a_sweep_builds_at_most_one_bernoulli_cache(name, monkeypatch):
+    # a non-square range: reciprocity and poly-reciprocity read both key orders from one cache
+    built = []
+
+    class Counted(bernoulli.BernoulliCache):
+        def __init__(self, capacity):
+            built.append(capacity)
+            super().__init__(capacity)
+
+    monkeypatch.setattr(bernoulli, "BernoulliCache", Counted)
+    assert run_verify(name, 6, 9).ok
+    assert len(built) <= 1, built
+
+
+def test_a_denominators_chunk_reduces_only_its_own_ranks(monkeypatch):
+    real, calls = umbral._lowest_terms, []
+
+    def counted(x, d):
+        calls.append(x)
+        return real(x, d)
+
+    monkeypatch.setattr(umbral, "_lowest_terms", counted)
+    even = plan_chunks(10, 2, cpus=2)[0]
+    assert verify._sweep_denominators(10, 10, even) == (66, [], [])
+    assert len(calls) == 66  # ranks 0, 2, .., 10: not one gcd for the 5 rows the chunk skips
+
+
+def test_runners_are_always_given_their_ranks(monkeypatch):
+    seen = []
+    for name, spec in list(PROPERTIES.items()):
+
+        def spy(max_r, max_s, rows, runner=spec.runner):
+            seen.append(rows)
+            return runner(max_r, max_s, rows)
+
+        monkeypatch.setitem(PROPERTIES, name, spec._replace(runner=spy, pool_from=0))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for name in PROPERTIES:
+        max_r, max_s = SMALL[name]
+        for jobs in (1, 2):
+            seen.clear()
+            assert run_verify(name, max_r, max_s, jobs=jobs).ok
+            assert None not in seen, name
+            assert sorted(r for rows in seen for r in rows) == list(range(max_r + 1)), name
 
 
 WITNESS = re.compile(r"\(r=\d+, s=\d+\)")
