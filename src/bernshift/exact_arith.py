@@ -8,7 +8,7 @@ X[r+1,s] = X[r,s] + X[r,s+1] fills both D * B[r,s] (umbral) and psi
 (denom); it is stated here once, so that denom need not load umbral.
 The sums weighted by a whole row C(n, 0..n) -- the defining sum and the
 forward differences (umbral), the polynomial coefficients, and Hermite-Stern
--- read it from _binomial_row(n), which keeps each row once built.
+-- read it from _binomial_row(n), which keeps rows to order 400 and the newest.
 """
 
 from __future__ import annotations
@@ -50,17 +50,18 @@ def clausen_primes(n: int) -> list[int]:
 
 
 # Rows up to this order are kept once built: all 401 of them take 5.1 MB.
-# A higher order is rebuilt at each call, so that a sweep walking ever
-# larger orders holds one row at a time, not all of them.
+# Past it only the newest row is held, so that a sweep walking ever larger
+# orders holds one row at a time, not all of them.
 _KEPT_ROWS = 400
 _ROWS: dict[int, tuple[int, ...]] = {}
 
 
 def _binomial_row(n: int) -> tuple[int, ...]:
-    """(C(n, 0), C(n, 1), ..., C(n, n)), built once per order up to _KEPT_ROWS.
+    """(C(n, 0), C(n, 1), ..., C(n, n)), kept up to order _KEPT_ROWS; past it, only the newest.
 
-    A row whose predecessor is kept is made from it by Pascal's rule, a
-    pass of additions; any other by math.comb, entry by entry.
+    A row whose predecessor is held is made from it by Pascal's rule, a
+    pass of additions, so a rising walk is additions all the way; any other
+    row is made by math.comb, entry by entry.
     """
     row = _ROWS.get(n)
     if row is None:
@@ -69,8 +70,10 @@ def _binomial_row(n: int) -> tuple[int, ...]:
             row = tuple(map(comb, repeat(n), range(n + 1)))
         else:
             row = tuple(map(add, (0, *before), (*before, 0)))
-        if n <= _KEPT_ROWS:
-            _ROWS[n] = row
+        if n > _KEPT_ROWS:
+            for held in [k for k in _ROWS if k > _KEPT_ROWS]:
+                del _ROWS[held]
+        _ROWS[n] = row
     return row
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import os
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -98,15 +98,13 @@ def _sweep_paths(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from fractions import Fraction
 
     from .bernoulli import BernoulliCache
-    from .umbral import _defining_sum, _difference_forms, _scaled_bernoulli, _table_rows
+    from .umbral import _defining_sum, _difference_forms, _scaled_bernoulli, _triangle_rows
 
-    bound = max(max_r, max_s)
-    cache = BernoulliCache(max_r + max_s + 2)
-    d, table = _table_rows(cache, max_r, max_s)
-    _, seed = _scaled_bernoulli(cache, max_r + max_s)
+    bound = max(max_r, max_s)  # the keys checked are those with r + s <= bound
+    d, seed = _scaled_bernoulli(BernoulliCache(bound + 2), bound)
     signed = [-x if n % 2 else x for n, x in enumerate(seed)]  # D * (-1)^n B_n
     instances, failures = 0, []
-    for r, row in enumerate(table):
+    for r, row in zip(range(max_r + 1), _triangle_rows(seed)):
         if r not in rows:
             continue
         for s in range(min(max_s, bound - r) + 1):
@@ -331,6 +329,9 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Sequence[int]) -> Sw
     with every prime factor <= r + s + 1; and denominator 1 exactly at
     (0, 0) and the exceptional zeros.
     """
+    from bisect import bisect_right
+    from operator import mul
+
     from .bernoulli import BernoulliCache, bernoulli_denominator
     from .exact_arith import clausen_primes, primes_up_to
     from .umbral import reduced_rows
@@ -339,6 +340,7 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Sequence[int]) -> Sw
     rows_in_lowest_terms = reduced_rows(BernoulliCache(max_r + max_s + 2), max_r, max_s)
     denoms = [[d for _, d in row] for row in rows_in_lowest_terms]
     sieve = primes_up_to(max_r + max_s + 1)
+    primorials = list(accumulate(sieve, mul, initial=1))  # [k]: the product of the first k primes
     counts = dict.fromkeys(
         (
             "symmetry",
@@ -388,18 +390,10 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Sequence[int]) -> Sw
                     all(d % p == 0 for p in forced),
                     f"(r={r}, s={s}): {d} misses one of {forced}",
                 )
-            rest = d
-            square_ok = True
-            for p in sieve:
-                if p > r + s + 1:
-                    break
-                if rest % p == 0:
-                    rest //= p
-                    if rest % p == 0:
-                        square_ok = False
+            # squarefree with every prime factor <= r + s + 1: the divisors of those primes' product
             check(
                 "squarefree-bounded",
-                square_ok and rest == 1,
+                primorials[bisect_right(sieve, r + s + 1)] % d == 0,
                 f"(r={r}, s={s}): {d} has a square factor or a prime factor > {r + s + 1}",
             )
             unit_expected = (r, s) == (0, 0) or _exceptional_zero(r, s)
@@ -447,10 +441,7 @@ PROPERTIES: dict[str, PropertySpec] = {
     ),
     "psi-matrix": PropertySpec(_sweep_psi_matrix, False, 19, 19),
     "psi-congruences": PropertySpec(_sweep_psi_congruences, False, 60, 60),
-    "hermite-stern": PropertySpec(
-        _sweep_hermite_stern, True, 200, 31,
-        pool_from=301 * 32,  # from 300 x 31
-    ),
+    "hermite-stern": PropertySpec(_sweep_hermite_stern, False, 200, 31),
     "staudt-clausen": PropertySpec(_sweep_staudt_clausen, False, 200, 200),
     "denom-divisibility": PropertySpec(_sweep_denom_divisibility, False, 40, 40),
 }

@@ -120,12 +120,38 @@ class TestBinomialRow:
             assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
 
     def test_only_low_orders_are_kept(self, monkeypatch):
+        # every order up to the bound is kept; past it, only the newest order is held
         monkeypatch.setattr(exact_arith, "_ROWS", {})
         top = exact_arith._KEPT_ROWS
-        for n in (top, top + 1, top + 50):
+        for n in (top, top + 1, top + 50, 7):
             assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
         assert _binomial_row(top) is _binomial_row(top)
-        assert sorted(exact_arith._ROWS) == [top]
+        assert _binomial_row(top + 50) is _binomial_row(top + 50)
+        assert sorted(exact_arith._ROWS) == [7, top, top + 50]
+        assert _binomial_row(top + 51) == tuple(comb(top + 51, v) for v in range(top + 52))
+        assert sorted(exact_arith._ROWS) == [7, top, top + 51]
+
+    def test_at_most_one_row_past_the_bound_is_held(self, monkeypatch):
+        calls = []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return comb(n, k)
+
+        monkeypatch.setattr(exact_arith, "_ROWS", {})
+        monkeypatch.setattr(exact_arith, "comb", counted)
+        top = exact_arith._KEPT_ROWS
+        # a rising walk builds order 0 by math.comb and every later order by Pascal's rule
+        for n in range(top + 31):
+            _binomial_row(n)
+            assert sum(k > top for k in exact_arith._ROWS) <= 1, n
+        assert calls == [(0, 0)]
+        orders = list(range(top - 20, top + 60)) * 2
+        random.Random(5).shuffle(orders)
+        for n in orders:
+            assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
+            assert sum(k > top for k in exact_arith._ROWS) <= 1, n
+        assert sorted(k for k in exact_arith._ROWS if k <= top) == list(range(top + 1))
 
 
 class TestProductTree:

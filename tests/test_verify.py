@@ -387,32 +387,35 @@ def _solo_and_split(name, max_r, max_s):
     return solo
 
 
-def _edit_table_rows(monkeypatch, r, s, value):
-    """Every streamed table has D * B[r,s] replaced by value(D * B[r,s])."""
-    real = umbral._table_rows
+def _edit_triangle(monkeypatch, r, s, value):
+    """Every triangle umbral streams has D * B[r,s] replaced by value(D * B[r,s]).
 
-    def edited(cache, max_r, max_s):
-        d, rows = real(cache, max_r, max_s)
-        rows = list(rows)
-        rows[r][s] = value(rows[r][s])
-        return d, iter(rows)
+    That is the triangle `paths` reads and the one `umbral._table_rows` trims
+    for the other table sweeps.  The edited row is a copy, so the rows made
+    after it are right.
+    """
+    real = umbral._triangle_rows
 
-    monkeypatch.setattr(umbral, "_table_rows", edited)
+    def edited(seed):
+        for i, row in enumerate(real(seed)):
+            yield [*row[:s], value(row[s]), *row[s + 1 :]] if i == r else row
+
+    monkeypatch.setattr(umbral, "_triangle_rows", edited)
 
 
 @pytest.mark.parametrize("name", ["paths", "integrality", "denominators"])
 def test_one_wrong_table_entry_is_named(monkeypatch, name):
-    _edit_table_rows(monkeypatch, 5, 4, lambda x: x + 1)
+    _edit_triangle(monkeypatch, 5, 4, lambda x: x + 1)
     solo = _solo_and_split(name, 10, 10)
     assert solo.failures
     assert all("(r=5, s=4)" in f for f in solo.failures), solo.failures
 
 
 def test_nonvanishing_names_a_lost_and_a_stray_zero(monkeypatch):
-    _edit_table_rows(monkeypatch, 5, 4, lambda x: 0)
+    _edit_triangle(monkeypatch, 5, 4, lambda x: 0)
     assert run_verify("nonvanishing", 10, 10).failures == ("(r=5, s=4): unexpected zero",)
     monkeypatch.undo()
-    _edit_table_rows(monkeypatch, 3, 0, lambda x: 1)  # D * B[3,0] = 1: B[3,0] = 1/D
+    _edit_triangle(monkeypatch, 3, 0, lambda x: 1)  # D * B[3,0] = 1: B[3,0] = 1/D
     d = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19  # the primes <= 21
     report = run_verify("nonvanishing", 10, 10)
     assert report.failures == (f"(r=3, s=0): expected 0, got {Fraction(1, d)}",)
@@ -481,6 +484,69 @@ def test_one_wrong_binomial_row_fails_hermite_stern_at_its_m(monkeypatch):
     _one_wrong_binomial(monkeypatch, 12, 6)
     solo = _solo_and_split("hermite-stern", *SMALL["hermite-stern"])
     assert [f.split(":")[0] for f in solo.failures] == ["(m=12, p=2)", "(m=12, p=3)", "(m=12, p=7)"]
+
+
+def test_hermite_stern_walks_pascals_rule_past_the_kept_rows(monkeypatch):
+    # one rising walk: order 1 by math.comb, every later order from the one before
+    calls = []
+
+    def counted(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(exact_arith, "_ROWS", {})
+    monkeypatch.setattr(exact_arith, "comb", counted)
+    report = run_verify("hermite-stern", 450, 31)
+    assert (report.ok, report.instances) == (True, 450 * 11)  # 11 primes <= 31
+    assert len(calls) <= 2, len(calls)
+
+
+def test_paths_builds_one_cache_and_one_seed_at_the_size_it_checks(monkeypatch):
+    # the keys checked have r + s <= max(max_r, max_s), so no B_n past that is needed
+    built, seeds = [], []
+
+    class Counted(bernoulli.BernoulliCache):
+        def __init__(self, capacity):
+            built.append(capacity)
+            super().__init__(capacity)
+
+    real = umbral._scaled_bernoulli
+
+    def counted(cache, n):
+        seeds.append(n)
+        return real(cache, n)
+
+    monkeypatch.setattr(bernoulli, "BernoulliCache", Counted)
+    monkeypatch.setattr(umbral, "_scaled_bernoulli", counted)
+    for max_r, max_s in ((6, 9), (10, 10), (9, 4)):
+        built.clear()
+        seeds.clear()
+        assert run_verify("paths", max_r, max_s).ok
+        bound = max(max_r, max_s)
+        assert len(built) == 1 and built[0] <= bound + 2, built
+        assert seeds == [bound]
+
+
+def test_denom_divisibility_names_a_square_factor_and_a_large_prime(monkeypatch):
+    # 25 puts a square factor in denom(B[5,4]); 11 is a prime above r + s + 1 = 6 at (2, 3)
+    real = umbral.reduced_rows
+    factors = {(5, 4): 25, (2, 3): 11}
+
+    def edited(cache, max_r, max_s):
+        rows = [list(row) for row in real(cache, max_r, max_s)]
+        for (r, s), factor in factors.items():
+            x, d = rows[r][s]
+            rows[r][s] = (x, d * factor)
+        return iter(rows)
+
+    exact = [[d for _, d in row] for row in real(bernoulli.BernoulliCache(22), 10, 10)]
+    monkeypatch.setattr(umbral, "reduced_rows", edited)
+    report = run_verify("denom-divisibility", 10, 10)
+    assert report.instances == PINNED["denom-divisibility"][0]
+    assert [f for f in report.failures if f.startswith("squarefree-bounded")] == [
+        f"squarefree-bounded at (r=2, s=3): {11 * exact[2][3]} has a square factor or a prime factor > 6",
+        f"squarefree-bounded at (r=5, s=4): {25 * exact[5][4]} has a square factor or a prime factor > 10",
+    ]
 
 
 def test_a_one_prime_slip_in_the_residue_test_is_named(monkeypatch):
