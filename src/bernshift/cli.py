@@ -242,7 +242,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except WorkerDied as exc:
         print(f"error: a sweep worker process died: {exc}", file=sys.stderr)
         return 3
-    except MemoryError:
+    except (MemoryError, OverflowError):  # OverflowError: a size too large to index
         print("error: out of memory", file=sys.stderr)
         return 3
     finally:

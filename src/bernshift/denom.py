@@ -197,11 +197,11 @@ def denom_formula(r: int, s: int) -> DenomFactorization:
     """
     if r < 0 or s < 0:
         raise ValueError("rank and shift must be non-negative")
-    return _denom_formula(r, s, primes_up_to(r + s + 1))
+    return _denom_formula(r, s, primes_up_to(r + s + 1) if r and s else [])
 
 
 def _denom_formula(r: int, s: int, primes: list[int]) -> DenomFactorization:
-    """denom_formula(r, s) with its primes read from primes_up_to(bound), bound >= r + s + 1."""
+    """denom_formula(r, s) given primes_up_to(bound), bound >= r + s + 1; not read when r or s is 0."""
     if r == 0 or s == 0:
         classical = clausen_primes(max(r, s))  # denom(B_n), with 2 first when present
         return DenomFactorization._from_sieve(1 if classical else 0, tuple(classical[1:]))

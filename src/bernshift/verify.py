@@ -48,15 +48,15 @@ def _table(max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:
     return _table_rows(BernoulliCache(max_r + max_s + 2), max_r, max_s)
 
 
-def _both_orders(max_r: int, max_s: int) -> tuple[int, list[list[int]], list[list[int]]]:
-    """(D, rows D * B[r, 0..max_s], rows D * B[s, 0..max_r]) from one cache; one list if square."""
+def _both_orders(max_r: int, max_s: int) -> tuple[int, list[list[int]]]:
+    """(D, rows) from one triangle walk, with rows[r][s] = D * B[r,s] and rows[s][r] = D * B[s,r]."""
     from .bernoulli import BernoulliCache
-    from .umbral import _table_rows
+    from .umbral import _scaled_bernoulli, _triangle_rows
 
-    cache = BernoulliCache(max_r + max_s + 2)
-    d, table = _table_rows(cache, max_r, max_s)
-    table = list(table)
-    return d, table, table if max_r == max_s else list(_table_rows(cache, max_s, max_r)[1])
+    lo, hi = sorted((max_r, max_s))
+    d, seed = _scaled_bernoulli(BernoulliCache(max_r + max_s + 2), max_r + max_s)
+    # rows 0..lo serve both key orders, the rest only the longer order's, lo + 1 wide
+    return d, [row[: 1 + (hi if k <= lo else lo)] for k, row in zip(range(hi + 1), _triangle_rows(seed))]
 
 
 def _exceptional_zero(r: int, s: int) -> bool:
@@ -67,13 +67,13 @@ def _exceptional_zero(r: int, s: int) -> bool:
 def _sweep_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from fractions import Fraction
 
-    d, table, swapped = _both_orders(max_r, max_s)
+    d, table = _both_orders(max_r, max_s)
     instances, failures = 0, []
     for r in range(max_r + 1):
         for s in range(max_s + 1):
             instances += 1
             a = table[r][s]
-            b = swapped[s][r]
+            b = table[s][r]
             if (a if r % 2 == 0 else -a) != (b if s % 2 == 0 else -b):
                 failures.append(f"(r={r}, s={s}): {Fraction(a, d)} vs {Fraction(b, d)}")
     return instances, failures, []
@@ -130,24 +130,24 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> Swee
 
     from .umbral import _scaled_polynomial
 
-    d, table, swapped = _both_orders(max_r, max_s)
-    # one polynomial per ordered key: on a square range (s, r) is also a row key
-    lhs_at = functools.cache(lambda r, s: _scaled_polynomial(table[: r + 1], r, s, d))
-    rhs_at = lhs_at if swapped is table else lambda s, r: _scaled_polynomial(swapped[: s + 1], s, r, d)
-    instances, failures = 0, []
+    d, table = _both_orders(max_r, max_s)
+    failures = []
     for r in rows:
         for s in range(max_s + 1):
-            instances += 1
-            lhs = lhs_at(r, s)
-            rhs = rhs_at(s, r)
+            mirrored = s in rows and r <= max_s  # the key (s, r) is also this chunk's
+            if mirrored and s < r:
+                continue  # the key (s, r) made both polynomials
+            lhs = _scaled_polynomial(table[: r + 1], r, s, d)
+            rhs = lhs if r == s else _scaled_polynomial(table[: s + 1], s, r, d)
             pairs = enumerate(zip(lhs, rhs))
             k = next((k for k, (a, b) in pairs if a != (-b if (r + s + k) % 2 else b)), None)
-            if k is not None:  # the first power of x where the two sides differ
-                failures.append(
-                    f"(r={r}, s={s}): [x^{k}] {Fraction(lhs[k], d)} in B[{r},{s}](x) "
-                    f"vs {Fraction(rhs[k], d)} in B[{s},{r}](x)"
-                )
-    return instances, failures, []
+            if k is not None:  # the first power of x where the sides differ, as for the key (s, r)
+                for i, j, a, b in [(r, s, lhs, rhs), (s, r, rhs, lhs)][: 2 if mirrored and r != s else 1]:
+                    failures.append(
+                        f"(r={i}, s={j}): [x^{k}] {Fraction(a[k], d)} in B[{i},{j}](x) "
+                        f"vs {Fraction(b[k], d)} in B[{j},{i}](x)"
+                    )
+    return len(rows) * (max_s + 1), failures, []
 
 
 def _sweep_nonvanishing(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:

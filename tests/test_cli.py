@@ -392,6 +392,14 @@ def test_closed_pipe_exits_three_without_traceback():
     assert err == b""
 
 
+@pytest.mark.parametrize("command, r", [("denom", "0"), ("value", "0"), ("table", "1")])
+def test_a_request_too_large_to_index_exits_three(capsys, command, r):
+    # the sieve's bytearray or the cache's list is refused at once, before anything is made
+    code, out, err = run_cli(capsys, command, r, str(10**20))
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory\n"
+
+
 def test_default_verify_with_two_jobs_starts_no_pool():
     loaded = _newly_loaded(
         "from bernshift.cli import main\nassert main(['verify', 'reciprocity', '--jobs', '2']) == 0"

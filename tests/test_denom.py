@@ -3,6 +3,8 @@ from math import comb
 
 import pytest
 
+import bernshift.denom as denom
+import bernshift.exact_arith as exact_arith
 from bernshift.bernoulli import bernoulli_denominator
 from bernshift.denom import (
     DenomFactorization,
@@ -189,6 +191,20 @@ class TestDenominators:
         assert denom_formula(0, 7).value == 1
         assert denom_formula(1, 3).value == 30 == bernoulli_denominator(4)
         assert denom_formula(0, 12).value == 2730
+
+    @pytest.mark.parametrize("r, s", [(0, 50), (50, 0)])
+    def test_formula_sieves_once_at_a_border_key(self, monkeypatch, r, s):
+        real, bounds = exact_arith.primes_up_to, []
+
+        def counted(bound):
+            bounds.append(bound)
+            return real(bound)
+
+        monkeypatch.setattr(exact_arith, "primes_up_to", counted)
+        monkeypatch.setattr(denom, "primes_up_to", counted)
+        value = denom_formula(r, s).value
+        assert bounds == [51]  # clausen_primes(50)'s sieve, and no other
+        assert value == bernoulli_denominator(50)
 
     def test_formula_symmetric(self):
         for r in range(21):

@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import textwrap
+import weakref
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -269,10 +270,10 @@ def test_unknown_property_raises():
 
 
 def test_failures_are_reported_with_witnesses(monkeypatch):
-    def fake_rows(cache, max_r, max_s):
-        return 1, ([r + 1] * (max_s + 1) for r in range(max_r + 1))
+    def fake_rows(seed):  # every D * B[r,s] read as r + 1
+        return ([r + 1] * (len(seed) - r) for r in range(len(seed)))
 
-    monkeypatch.setattr(umbral, "_table_rows", fake_rows)
+    monkeypatch.setattr(umbral, "_triangle_rows", fake_rows)
     report = verify._sweep_reciprocity(3, 3, range(4))
     instances, failures, _notes = report
     assert instances == 16
@@ -316,7 +317,7 @@ def test_poly_reciprocity_computes_each_ordered_key_once(monkeypatch):
     real, calls = umbral._scaled_polynomial, []
 
     def counted(rows, r, s, d):
-        calls.append((len(rows[0]), r, s))  # the row width tells the two tables apart
+        calls.append((r, s))
         return real(rows, r, s, d)
 
     monkeypatch.setattr(umbral, "_scaled_polynomial", counted)
@@ -324,7 +325,59 @@ def test_poly_reciprocity_computes_each_ordered_key_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 81
     calls.clear()
     assert PROPERTIES["poly-reciprocity"].runner(5, 8, range(6)) == (54, [], [])
-    assert len(calls) == len(set(calls)) == 2 * 54  # two tables, each key once
+    # the 54 keys, and the mirrors (s, r) of the 18 keys with s > 5, each made once
+    assert len(calls) == len(set(calls)) == 54 + 18
+
+
+class _Polynomial(list):
+    __hash__ = object.__hash__  # by identity, so that a WeakSet can hold it
+
+
+@pytest.mark.parametrize("max_r, max_s", [(8, 8), (5, 8), (8, 5)])
+def test_poly_reciprocity_holds_at_most_four_polynomials(monkeypatch, max_r, max_s):
+    # each pair of keys is made, compared and dropped: no polynomial is kept for later
+    real, alive, counts = umbral._scaled_polynomial, weakref.WeakSet(), []
+
+    def tracked(rows, r, s, d):
+        counts.append(len(alive))
+        polynomial = _Polynomial(real(rows, r, s, d))
+        alive.add(polynomial)
+        return polynomial
+
+    monkeypatch.setattr(umbral, "_scaled_polynomial", tracked)
+    instances = (max_r + 1) * (max_s + 1)
+    assert PROPERTIES["poly-reciprocity"].runner(max_r, max_s, range(max_r + 1)) == (instances, [], [])
+    assert counts and max(counts) <= 4, max(counts)
+
+
+@pytest.mark.parametrize("name", ["reciprocity", "poly-reciprocity"])
+def test_both_key_orders_come_from_one_seed(monkeypatch, name):
+    real, seeds = umbral._scaled_bernoulli, []
+
+    def counted(cache, n):
+        seeds.append(n)
+        return real(cache, n)
+
+    monkeypatch.setattr(umbral, "_scaled_bernoulli", counted)
+    for max_r, max_s in ((6, 9), (9, 6)):
+        seeds.clear()
+        assert run_verify(name, max_r, max_s).ok
+        assert seeds == [max_r + max_s]
+
+
+@pytest.mark.parametrize("max_r, max_s", [(3, 7), (7, 3), (5, 5)])
+def test_both_orders_rows_match_the_table(cache, max_r, max_s):
+    d, rows = verify._both_orders(max_r, max_s)
+    table = umbral.bs_table_recursive(cache, max_r, max_s)
+    swapped = umbral.bs_table_recursive(cache, max_s, max_r)
+    assert d == table.denominator == swapped.denominator
+    for r in range(max_r + 1):
+        for s in range(max_s + 1):
+            assert rows[r][s] == table.scaled[r][s]
+            assert rows[s][r] == swapped.scaled[s][r]
+    # rows up to the shorter side serve both orders; no row is wider than its keys
+    lo, hi = sorted((max_r, max_s))
+    assert [len(row) for row in rows] == [hi + 1] * (lo + 1) + [lo + 1] * (hi - lo)
 
 
 @pytest.mark.parametrize("name", sorted(PROPERTIES))
