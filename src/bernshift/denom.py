@@ -11,9 +11,11 @@ product formula.  All three routes to the denominator are implemented and
 cross-checked.
 
 psi(r, s, p) is B[r,s] with B_n replaced by its von Staudt-Clausen indicator
-chi_p(n), so it obeys the same recurrence psi[r+1,s] = psi[r,s] + psi[r,s+1];
-_psi_table fills it that way, while psi walks the binomial sum, which serves
-any prime and is the table's oracle.  The recurrence itself is
+chi_p(n), so it obeys the same recurrence psi[r+1,s] = psi[r,s] + psi[r,s+1].
+_psi_sum_rows walks it for many primes at once, as sum((P // p) * psi) with P
+their product, and p divides that sum exactly when it divides psi; with one
+prime it is _psi_rows (_psi_table holds them whole).  psi walks the binomial
+sum, which serves any prime and is the triangles' oracle.  The recurrence is
 exact_arith._triangle_rows, shared with umbral's B[r,s] table, so this
 module loads neither umbral nor bernoulli, and a psi or denom request builds
 no Bernoulli number and loads no fractions.  _psi_reciprocal states psi's
@@ -26,8 +28,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from itertools import compress, islice
 from math import comb, lcm
-from operator import mod
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation
 from .exact_arith import _product_tree, _triangle_rows, clausen_primes, is_prime, primes_up_to
@@ -82,10 +83,33 @@ def _psi_seed(p: int, n: int) -> list[int]:
     return seed
 
 
+def _psi_sum_rows(primes: Sequence[int], max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:
+    """(P, the rows S[r, 0..max_s] for r = 0..max_r), S = sum((P // p) * psi(r, s, p)) over the primes.
+
+    P = product(primes).  The recurrence is linear, so one triangle seeded
+    with sum((P // p) * chi_p) walks every prime's psi at once, each row made
+    as it is read.  Each other prime's term is a multiple of p and P // p is
+    prime to p, so p divides S[r][s] exactly when p divides psi(r, s, p): one
+    walk reads every prime's residue by divisibility (Harvey's multimodular
+    idea).  With one prime, S is that prime's psi.
+    """
+    big, n = _product_tree(primes), max_r + max_s
+    seed = [0] * (n + 1)
+    for p in primes:
+        share = big // p
+        for t in compress(range(n + 1), _psi_seed(p, n)):
+            seed[t] += share
+    return big, (row[: max_s + 1] for row in islice(_triangle_rows(seed), max_r + 1))
+
+
+def _psi_rows(p: int, max_r: int, max_s: int) -> Iterator[list[int]]:
+    """psi(r, 0..max_s, p) for r = 0..max_r, by the B[r,s] recurrence seeded with chi_p, row by row."""
+    return _psi_sum_rows([p], max_r, max_s)[1]
+
+
 def _psi_table(p: int, max_r: int, max_s: int) -> list[list[int]]:
-    """psi(r, s, p) for r <= max_r and s <= max_s, by the B[r,s] recurrence seeded with chi_p."""
-    rows = islice(_triangle_rows(_psi_seed(p, max_r + max_s)), max_r + 1)
-    return [row[: max_s + 1] for row in rows]
+    """psi(r, s, p) for r <= max_r and s <= max_s, held whole: psi-congruences reads transposed keys."""
+    return list(_psi_rows(p, max_r, max_s))
 
 
 def psi(r: int, s: int, p: int) -> PsiValue:
@@ -149,18 +173,8 @@ def denom_via_psi(r: int, s: int) -> int:
     if r < 2 or s < 2:
         raise ValueError("denom_via_psi: requires r >= 2 and s >= 2")
     odd = primes_up_to(r + s + 1)[1:]  # 2 never divides it
-    flags = _divides_denominator(odd, (_psi_value(r, s, p) for p in odd))
+    flags = (_psi_value(r, s, p) % p for p in odd)  # a nonzero residue puts p in the denominator
     return _product_tree(list(compress(odd, flags)))
-
-
-def _divides_denominator(primes: Iterable[int], psi_values: Iterable[int]) -> Iterator[int]:
-    """For r, s >= 2: psi(r, s, p) mod p for each odd prime p given, read as a flag.
-
-    p divides denom(B[r,s]) exactly when p does not divide psi, so a
-    nonzero residue means it does.  The prime 2 never divides this
-    denominator, so callers leave it out.
-    """
-    return map(mod, psi_values, primes)
 
 
 class DenomFactorization(namedtuple("DenomFactorization", "eps2 primes value")):

@@ -142,8 +142,8 @@ def _triangle_rows(seed: Sequence[int]) -> Iterator[list[int]]:
 
     Row r + 1 is X[r+1,s] = X[r,s] + X[r,s+1], one entry shorter than row r.
     Seeded with D * B_0..D * B_n it gives D * B[r,s] (umbral._table_rows);
-    seeded with a prime's von Staudt-Clausen indicator it gives psi
-    (denom._psi_table).
+    seeded with von Staudt-Clausen indicators weighted over several primes
+    it gives the same weighted sum of their psi (denom._psi_sum_rows).
     """
     row = list(seed)
     yield row

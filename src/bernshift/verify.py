@@ -14,9 +14,8 @@ fractions, and the table sweeps that use no psi do not load denom.
 
 from __future__ import annotations
 
-import functools
 import os
-from itertools import accumulate, compress, repeat
+from itertools import accumulate
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -169,74 +168,63 @@ def _sweep_nonvanishing(max_r: int, max_s: int, rows: Sequence[int]) -> SweepRes
 
 
 def _sweep_denominators(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
+    from math import gcd
+
     from .bernoulli import BernoulliCache
-    from .denom import _denom_formula, _divides_denominator, _psi_table
+    from .denom import _denom_formula, _psi_sum_rows
     from .exact_arith import primes_up_to
     from .umbral import reduced_rows
 
     sieve = primes_up_to(max_r + max_s + 1)
-    # for r, s >= 2: the product of the primes that psi(r, s, p) puts in the denominator
-    via_psi = {r: [1] * (max_s + 1) for r in rows if r >= 2}
-    for p in sieve[1:]:  # one odd prime's psi table alive at a time; 2 never divides
-        psi_p = _psi_table(p, max_r, max_s)
-        for r, product in via_psi.items():
-            for s in compress(range(2, max_s + 1), _divides_denominator(repeat(p), psi_p[r][2:])):
-                product[s] *= p
-    # one evaluation per ordered key: F(r, s) and F(s, r) are still computed apart
-    formula_at = functools.cache(lambda r, s: _denom_formula(r, s, sieve).value)
+    # p divides the sum exactly when p divides psi(r, s, p); 2 never divides the denominator
+    odd, psi_sums = _psi_sum_rows(sieve[1:], max_r, max_s)
+    table = reduced_rows(BernoulliCache(max_r + max_s + 2), max_r, max_s)
     instances, failures = 0, []
-    for r, row in enumerate(reduced_rows(BernoulliCache(max_r + max_s + 2), max_r, max_s)):
+    for r, (row, sums) in enumerate(zip(table, psi_sums)):
         if r not in rows:
             continue
         for s, (_, d) in enumerate(row):
             instances += 1
-            formula = formula_at(r, s)
+            formula = _denom_formula(r, s, sieve).value
             if formula != d:
                 failures.append(f"(r={r}, s={s}): formula {formula} != exact {d}")
-            if formula_at(s, r) != formula:
+            if _denom_formula(s, r, sieve).value != formula:  # computed apart, not read back
                 failures.append(f"(r={r}, s={s}): formula not symmetric")
-            if r >= 2 and s >= 2 and via_psi[r][s] != d:
-                failures.append(f"(r={r}, s={s}): psi product {via_psi[r][s]} != exact {d}")
+            if r >= 2 and s >= 2:
+                via_psi = odd // gcd(sums[s], odd)  # the odd primes that do not divide psi
+                if via_psi != d:
+                    failures.append(f"(r={r}, s={s}): psi product {via_psi} != exact {d}")
     return instances, failures, []
 
 
 def _sweep_integrality(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    """B[r,s] + sum(psi/p) summed over D one prime's psi table at a time, plus psi divisibility."""
-    from .denom import _integral, _psi_table
+    """B[r,s] + sum(psi/p) over D, and psi divisibility, read from one walk of the psi sums."""
+    from .denom import _integral, _psi_rows, _psi_sum_rows
     from .exact_arith import primes_up_to
 
     d, table = _table(max_r, max_s)
-    ranks = [r for r in rows if r >= 2]
-    # D * (B[r,s] + the psi/p terms so far) for s = 2..max_s, one list per rank
-    totals = [row[2:] for r, row in enumerate(table) if r in ranks]
+    primes = primes_up_to(max_r + max_s + 1)
+    _, psi_sums = _psi_sum_rows(primes, max_r, max_s)  # over P = D: D * sum(psi/p)
+    walks = zip(table, psi_sums, _psi_rows(2, max_r, max_s), _psi_rows(3, max_r, max_s))
     failures = []
-    psi_two: list[list[int]] = []
-    for p in primes_up_to(max_r + max_s + 1):  # one prime's psi table alive at a time
-        psi_p, share = _psi_table(p, max_r, max_s), d // p
-        for i, r in enumerate(ranks):
-            row = psi_p[r]
-            totals[i] = [total + value * share for total, value in zip(totals[i], row[2:])]
-            if p == 3:
-                for s in range(2, max_s + 1):
-                    psi2, psi3 = psi_two[r][s], row[s]
-                    if not (psi2 == psi3 == 2 ** (r - 1)):  # so even and prime to 3, as r >= 2
-                        failures.append(f"(r={r}, s={s}): psi(2)={psi2}, psi(3)={psi3}")
-            elif p >= 5:
-                # p - 1 | r or p - 1 | s: then p must not divide psi
-                step = 1 if r % (p - 1) == 0 else p - 1
-                failures.extend(
-                    f"(r={r}, s={s}): p={p} divides psi"
-                    for s in range(max(2, step), max_s + 1, step)
-                    if row[s] % p == 0
-                )
-        psi_two = psi_p if p == 2 else []
-    for r, row in zip(ranks, totals):
-        for s, total in enumerate(row, start=2):
+    for r, (row, sums, psi2, psi3) in enumerate(walks):
+        if r < 2 or r not in rows:
+            continue
+        for s in range(2, max_s + 1):
             try:
-                _integral(r, s, total, d)
+                _integral(r, s, row[s] + sums[s], d)
             except InvariantViolation as exc:
                 failures.append(f"(r={r}, s={s}): {exc}")
-    return sum(map(len, totals)), failures, []
+            if not (psi2[s] == psi3[s] == 2 ** (r - 1)):  # so even and prime to 3, as r >= 2
+                failures.append(f"(r={r}, s={s}): psi(2)={psi2[s]}, psi(3)={psi3[s]}")
+        for p in primes[2:]:  # p >= 5, with p - 1 | r or p - 1 | s: then p must not divide psi
+            step = 1 if r % (p - 1) == 0 else p - 1
+            failures.extend(
+                f"(r={r}, s={s}): p={p} divides psi"
+                for s in range(max(2, step), max_s + 1, step)
+                if sums[s] % p == 0
+            )
+    return sum(r >= 2 for r in rows) * max(0, max_s - 1), failures, []
 
 
 def _sweep_psi_matrix(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
@@ -413,7 +401,7 @@ class PropertySpec(NamedTuple):
     default_s: int
     # The fewest keys (max_r + 1) * (max_s + 1) at which a parallel sweep's
     # rows go to a process pool.  Below it one process is faster: the pool's
-    # import and fork, and each worker rebuilding the sweep's table, cost more
+    # import and fork, and each worker rebuilding the sweep's data, cost more
     # than the split saves.  Measured as --jobs 2 against --jobs 1 wall time
     # (see CHANGES.md); unused when parallel is False.
     pool_from: int = 0
@@ -433,11 +421,11 @@ PROPERTIES: dict[str, PropertySpec] = {
     "nonvanishing": PropertySpec(_sweep_nonvanishing, False, 60, 60),
     "denominators": PropertySpec(
         _sweep_denominators, True, 80, 80,
-        pool_from=121 * 121,  # from 120 x 120
+        pool_from=96 * 96,  # from 95 x 95
     ),
     "integrality": PropertySpec(
         _sweep_integrality, True, 80, 80,
-        pool_from=121 * 121,  # from 120 x 120
+        pool_from=206 * 206,  # from 205 x 205
     ),
     "psi-matrix": PropertySpec(_sweep_psi_matrix, False, 19, 19),
     "psi-congruences": PropertySpec(_sweep_psi_congruences, False, 60, 60),

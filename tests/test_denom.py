@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import comb
+from itertools import islice
+from math import comb, gcd, prod
 
 import pytest
 
@@ -9,6 +10,7 @@ from bernshift.bernoulli import bernoulli_denominator
 from bernshift.denom import (
     DenomFactorization,
     _psi_indices,
+    _psi_sum_rows,
     _psi_table,
     _psi_value,
     denom_exact,
@@ -20,7 +22,7 @@ from bernshift.denom import (
 )
 from bernshift.errors import InvariantViolation
 from bernshift.exact_arith import primes_up_to
-from bernshift.umbral import BsTable, bs_table_recursive
+from bernshift.umbral import BsTable, _scaled_bernoulli, bs_table_recursive
 from oracles import least_positive_residue, psi_periodic, psi_reciprocal
 
 
@@ -135,6 +137,44 @@ class TestPsi:
                     doesnt_divide = psi(r, s, p).value % p != 0
                     residues = least_positive_residue(r, p - 1) + least_positive_residue(s, p - 1)
                     assert doesnt_divide == (residues >= p - 1)
+
+
+class TestPsiSumRows:
+    @pytest.mark.parametrize("max_r, max_s", [(0, 0), (1, 6), (6, 1), (7, 3), (20, 20)])
+    @pytest.mark.parametrize("first", [0, 1], ids=["all-primes", "odd-primes"])
+    def test_rows_are_the_weighted_psi_tables(self, max_r, max_s, first):
+        primes = primes_up_to(max_r + max_s + 1)[first:]
+        big, rows = _psi_sum_rows(primes, max_r, max_s)
+        rows = list(rows)
+        assert big == prod(primes)
+        expected = [[0] * (max_s + 1) for _ in range(max_r + 1)]
+        for p in primes:
+            for r, row in enumerate(_psi_table(p, max_r, max_s)):
+                for s, value in enumerate(row):
+                    expected[r][s] += big // p * value
+        assert rows == expected
+
+    def test_product_of_the_primes_not_dividing_the_sum_is_denom_via_psi(self):
+        odd = primes_up_to(61)[1:]
+        big, rows = _psi_sum_rows(odd, 30, 30)
+        for r, row in enumerate(islice(rows, 2, None), start=2):
+            for s in range(2, 31):
+                # past r + s + 1 psi is 0, so the prime divides the sum and stays out
+                assert big // gcd(row[s], big) == denom_via_psi(r, s), (r, s)
+
+    def test_sum_over_d_completes_the_integrality_witness(self, table20):
+        d = table20.denominator
+        big, rows = _psi_sum_rows(primes_up_to(41), 20, 20)
+        assert big == d
+        for r, row in enumerate(islice(rows, 2, None), start=2):
+            for s in range(2, 21):
+                whole, rest = divmod(table20.scaled[r][s] + row[s], d)
+                assert rest == 0 and whole == integrality_witness(table20, r, s), (r, s)
+
+    @pytest.mark.parametrize("max_r, max_s", [(0, 0), (1, 6), (6, 1), (20, 20)])
+    def test_all_primes_give_the_table_denominator(self, cache, max_r, max_s):
+        n = max_r + max_s
+        assert _psi_sum_rows(primes_up_to(n + 1), max_r, max_s)[0] == _scaled_bernoulli(cache, n)[0]
 
 
 class TestIntegralityWitness:

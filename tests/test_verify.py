@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import textwrap
+import tracemalloc
 import weakref
 from fractions import Fraction
 from math import comb
@@ -292,7 +293,7 @@ def test_poly_reciprocity_failure_names_a_witness(monkeypatch):
     assert "(r=0, s=1): [x^0] 1/210 in B[0,1](x) vs 1/105 in B[1,0](x)" in failures
 
 
-def test_denominators_evaluate_each_ordered_key_once(monkeypatch):
+def test_denominators_evaluate_each_ordered_key_twice(monkeypatch):
     real, calls = denom._denom_formula, []
 
     def counted(r, s, primes):  # F(2, 7) wrong, F(7, 2) right
@@ -303,7 +304,9 @@ def test_denominators_evaluate_each_ordered_key_once(monkeypatch):
     monkeypatch.setattr(denom, "_denom_formula", counted)
     instances, failures, _notes = verify._sweep_denominators(10, 10, range(11))
     assert instances == 121
-    assert len(calls) == len(set(calls)) == 121
+    # no memo: F(r, s) at its own key and again as the mirror of the key (s, r)
+    assert len(calls) == 242 and len(set(calls)) == 121
+    assert all(calls.count(key) == 2 for key in set(calls))
     # the symmetry check still compares the two keys computed apart, from both sides
     assert sorted(f.split(":")[0] for f in failures if f.endswith("formula not symmetric")) == [
         "(r=2, s=7)",
@@ -393,6 +396,29 @@ def test_a_sweep_builds_at_most_one_bernoulli_cache(name, monkeypatch):
     monkeypatch.setattr(bernoulli, "BernoulliCache", Counted)
     assert run_verify(name, 6, 9).ok
     assert len(built) <= 1, built
+
+
+@pytest.mark.parametrize("name", ["denominators", "integrality"])
+def test_psi_sweeps_hold_no_whole_rectangle(name):
+    # the table rows and every prime's psi come from walks held one row at a time
+    runner = PROPERTIES[name].runner
+    runner(4, 4, range(5))  # imports outside the trace
+    tracemalloc.start()
+    try:
+        assert runner(120, 120, range(121))[1] == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak  # per-prime psi tables over this rectangle take about 3 MB
+
+
+@pytest.mark.parametrize("name", ["denominators", "integrality"])
+def test_psi_sweeps_build_no_psi_table(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("a sweep built a per-prime psi table")
+
+    monkeypatch.setattr(denom, "_psi_table", refuse)
+    assert run_verify(name, 12, 9).ok
 
 
 def test_a_denominators_chunk_reduces_only_its_own_ranks(monkeypatch):
