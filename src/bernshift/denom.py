@@ -14,8 +14,9 @@ psi(r, s, p) is B[r,s] with B_n replaced by its von Staudt-Clausen indicator
 chi_p(n), so it obeys the same recurrence psi[r+1,s] = psi[r,s] + psi[r,s+1].
 _psi_sum_rows walks it for many primes at once, as sum((P // p) * psi) with P
 their product, and p divides that sum exactly when it divides psi; with one
-prime it is _psi_rows (_psi_table holds them whole).  psi walks the binomial
-sum, which serves any prime and is the triangles' oracle.  The recurrence is
+prime it is _psi_rows, and psi-congruences walks it beside its transpose
+(exact_arith._mirror_rows).  psi walks the binomial sum, which serves any
+prime and is the triangles' oracle.  The recurrence is
 exact_arith._triangle_rows, shared with umbral's B[r,s] table, so this
 module loads neither umbral nor bernoulli, and a psi or denom request builds
 no Bernoulli number and loads no fractions.  _psi_reciprocal states psi's
@@ -105,11 +106,6 @@ def _psi_sum_rows(primes: Sequence[int], max_r: int, max_s: int) -> tuple[int, I
 def _psi_rows(p: int, max_r: int, max_s: int) -> Iterator[list[int]]:
     """psi(r, 0..max_s, p) for r = 0..max_r, by the B[r,s] recurrence seeded with chi_p, row by row."""
     return _psi_sum_rows([p], max_r, max_s)[1]
-
-
-def _psi_table(p: int, max_r: int, max_s: int) -> list[list[int]]:
-    """psi(r, s, p) for r <= max_r and s <= max_s, held whole: psi-congruences reads transposed keys."""
-    return list(_psi_rows(p, max_r, max_s))
 
 
 def psi(r: int, s: int, p: int) -> PsiValue:

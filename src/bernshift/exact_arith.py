@@ -143,10 +143,23 @@ def _triangle_rows(seed: Sequence[int]) -> Iterator[list[int]]:
     Row r + 1 is X[r+1,s] = X[r,s] + X[r,s+1], one entry shorter than row r.
     Seeded with D * B_0..D * B_n it gives D * B[r,s] (umbral._table_rows);
     seeded with von Staudt-Clausen indicators weighted over several primes
-    it gives the same weighted sum of their psi (denom._psi_sum_rows).
+    it gives the same weighted sum of their psi (denom._psi_sum_rows).  A
+    sweep reading transposed keys walks _mirror_rows beside it.
     """
     row = list(seed)
     yield row
     for _ in range(len(row) - 1):
         row = list(map(add, row, row[1:]))
         yield row
+
+
+def _mirror_rows(seed: Sequence[int]) -> Iterator[list[int]]:
+    """The rows of Y[r,s] = (-1)^(r+s) * X[s,r], X the triangle _triangle_rows(seed), one at a time.
+
+    Y obeys X's recurrence: Y[r,s] + Y[r,s+1] = (-1)^(r+s) * (X[s,r] - X[s+1,r])
+    = (-1)^(r+s+1) * X[s,r+1] = Y[r+1,s].  So Y is the triangle of its row 0,
+    the signed column 0 of X, Y[0,k] = (-1)^k * X[k,0], which one more walk of
+    X collects.  Y = X exactly when that column is the seed itself.
+    """
+    column = [row[0] for row in _triangle_rows(seed)]
+    return _triangle_rows([-x if k % 2 else x for k, x in enumerate(column)])

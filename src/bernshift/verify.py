@@ -5,19 +5,21 @@ recorded with its witness key, so a report either certifies the range or
 names a counterexample.  Sweeps are pure; the parallel path partitions rows
 across worker processes and merges, with results independent of the split.
 
-The table sweeps read the rows of D * B[r,s] as they are made
-(umbral._table_rows) and hold a whole table only where they read transposed
-keys.  Each runner imports the layers it reads when it runs, so a request
-loads only its own sweep's: the psi sweeps load no Bernoulli number and no
-fractions, and the table sweeps that use no psi do not load denom.
+The table sweeps walk the rows of D * B[r,s] from their seed as they are
+made, and read a transposed key (s, r) from the mirror walk beside them
+(exact_arith._mirror_rows); only poly-reciprocity holds rows.  Each runner
+imports the layers it reads when it runs, so a request loads only its own
+sweep's: the psi sweeps load no Bernoulli number and no fractions, and the
+table sweeps that use no psi do not load denom.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import accumulate
+from collections import deque
+from itertools import accumulate, islice
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvariantViolation, WorkerDied
 
@@ -39,23 +41,12 @@ class VerifyReport(NamedTuple):
         return not self.failures
 
 
-def _table(max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:
-    """(D, the rows D * B[r, 0..max_s] for r = 0..max_r), each made as it is read."""
+def _seed(max_r: int, max_s: int) -> tuple[int, list[int]]:
+    """(D, D * B_0..D * B_n), n = max_r + max_s: the seed of every table sweep's walk and of its mirror."""
     from .bernoulli import BernoulliCache
-    from .umbral import _table_rows
+    from .umbral import _scaled_bernoulli
 
-    return _table_rows(BernoulliCache(max_r + max_s + 2), max_r, max_s)
-
-
-def _both_orders(max_r: int, max_s: int) -> tuple[int, list[list[int]]]:
-    """(D, rows) from one triangle walk, with rows[r][s] = D * B[r,s] and rows[s][r] = D * B[s,r]."""
-    from .bernoulli import BernoulliCache
-    from .umbral import _scaled_bernoulli, _triangle_rows
-
-    lo, hi = sorted((max_r, max_s))
-    d, seed = _scaled_bernoulli(BernoulliCache(max_r + max_s + 2), max_r + max_s)
-    # rows 0..lo serve both key orders, the rest only the longer order's, lo + 1 wide
-    return d, [row[: 1 + (hi if k <= lo else lo)] for k, row in zip(range(hi + 1), _triangle_rows(seed))]
+    return _scaled_bernoulli(BernoulliCache(max_r + max_s + 2), max_r + max_s)
 
 
 def _exceptional_zero(r: int, s: int) -> bool:
@@ -66,16 +57,17 @@ def _exceptional_zero(r: int, s: int) -> bool:
 def _sweep_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from fractions import Fraction
 
-    d, table = _both_orders(max_r, max_s)
-    instances, failures = 0, []
-    for r in range(max_r + 1):
+    from .exact_arith import _mirror_rows
+    from .umbral import _triangle_rows
+
+    d, seed = _seed(max_r, max_s)
+    failures = []
+    for r, row, mirror in zip(range(max_r + 1), _triangle_rows(seed), _mirror_rows(seed)):
         for s in range(max_s + 1):
-            instances += 1
-            a = table[r][s]
-            b = table[s][r]
-            if (a if r % 2 == 0 else -a) != (b if s % 2 == 0 else -b):
-                failures.append(f"(r={r}, s={s}): {Fraction(a, d)} vs {Fraction(b, d)}")
-    return instances, failures, []
+            if row[s] != mirror[s]:  # (-1)^r B[r,s] against (-1)^s B[s,r], times (-1)^r D
+                swapped = -mirror[s] if (r + s) % 2 else mirror[s]  # D * B[s,r]
+                failures.append(f"(r={r}, s={s}): {Fraction(row[s], d)} vs {Fraction(swapped, d)}")
+    return (max_r + 1) * (max_s + 1), failures, []
 
 
 def _sweep_antidiagonal(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
@@ -127,9 +119,10 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> Swee
     """[x^k]: (-1)^r c_k(r,s) = (-1)^(s+k) c_k(s,r), compared as integers over the shared D."""
     from fractions import Fraction
 
-    from .umbral import _scaled_polynomial
+    from .umbral import _scaled_polynomial, _triangle_rows
 
-    d, table = _both_orders(max_r, max_s)
+    d, seed = _seed(max_r, max_s)
+    table = list(islice(_triangle_rows(seed), max(max_r, max_s) + 1))  # held: the sums reread both key orders
     failures = []
     for r in rows:
         for s in range(max_s + 1):
@@ -152,10 +145,12 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> Swee
 def _sweep_nonvanishing(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from fractions import Fraction
 
-    d, table = _table(max_r, max_s)
+    from .umbral import _triangle_rows
+
+    d, seed = _seed(max_r, max_s)
     instances, failures, notes = 0, [], []
-    for r, row in enumerate(table):
-        for s, value in enumerate(row):
+    for r, row in zip(range(max_r + 1), _triangle_rows(seed)):
+        for s, value in enumerate(row[: max_s + 1]):
             instances += 1
             if _exceptional_zero(r, s):
                 if value != 0:
@@ -201,11 +196,12 @@ def _sweep_integrality(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResu
     """B[r,s] + sum(psi/p) over D, and psi divisibility, read from one walk of the psi sums."""
     from .denom import _integral, _psi_rows, _psi_sum_rows
     from .exact_arith import primes_up_to
+    from .umbral import _triangle_rows
 
-    d, table = _table(max_r, max_s)
+    d, seed = _seed(max_r, max_s)
     primes = primes_up_to(max_r + max_s + 1)
     _, psi_sums = _psi_sum_rows(primes, max_r, max_s)  # over P = D: D * sum(psi/p)
-    walks = zip(table, psi_sums, _psi_rows(2, max_r, max_s), _psi_rows(3, max_r, max_s))
+    walks = zip(_triangle_rows(seed), psi_sums, _psi_rows(2, max_r, max_s), _psi_rows(3, max_r, max_s))
     failures = []
     for r, (row, sums, psi2, psi3) in enumerate(walks):
         if r < 2 or r not in rows:
@@ -244,8 +240,8 @@ def _sweep_psi_matrix(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResul
 
 
 def _sweep_psi_congruences(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    from .denom import _psi_reciprocal, _psi_table
-    from .exact_arith import primes_up_to
+    from .denom import _psi_reciprocal, _psi_seed
+    from .exact_arith import _mirror_rows, _triangle_rows, primes_up_to
 
     bound = max(max_r, max_s)
     instances, failures = 0, []
@@ -253,9 +249,10 @@ def _sweep_psi_congruences(max_r: int, max_s: int, rows: Sequence[int]) -> Sweep
         if p < 3:
             continue
         step = p - 1
-        psi_p = _psi_table(p, bound, bound)
-        for r in range(1, bound + 1):
-            row = psi_p[r]
+        seed = _psi_seed(p, 2 * bound)
+        held = deque(maxlen=p)  # rows r - step..r: the only rows kept
+        for r, row, mirror in islice(zip(range(bound + 1), _triangle_rows(seed), _mirror_rows(seed)), 1, None):
+            held.append(row)
             for s in range(bound + 1):
                 if s > step:
                     instances += 1
@@ -263,11 +260,11 @@ def _sweep_psi_congruences(max_r: int, max_s: int, rows: Sequence[int]) -> Sweep
                         failures.append(f"p={p}: shift periodicity fails at (r={r}, s={s})")
                 if r > step:
                     instances += 1
-                    if (row[s] - psi_p[r - step][s]) % p:  # mod p in the rank
+                    if (row[s] - held[0][s]) % p:  # mod p in the rank
                         failures.append(f"p={p}: rank periodicity fails at (r={r}, s={s})")
                 if r <= s:
                     instances += 1
-                    if not _psi_reciprocal(r, s, row[s], psi_p[s][r], p):
+                    if not _psi_reciprocal(r, s, row[s], -mirror[s] if (r + s) % 2 else mirror[s], p):
                         failures.append(f"p={p}: reciprocity fails at (r={r}, s={s})")
     return instances, failures, []
 
@@ -320,13 +317,11 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Sequence[int]) -> Sw
     from bisect import bisect_right
     from operator import mul
 
-    from .bernoulli import BernoulliCache, bernoulli_denominator
-    from .exact_arith import clausen_primes, primes_up_to
-    from .umbral import reduced_rows
+    from .bernoulli import bernoulli_denominator
+    from .exact_arith import _mirror_rows, clausen_primes, primes_up_to
+    from .umbral import _lowest_terms, _triangle_rows
 
-    # held whole: the symmetry part reads transposed keys
-    rows_in_lowest_terms = reduced_rows(BernoulliCache(max_r + max_s + 2), max_r, max_s)
-    denoms = [[d for _, d in row] for row in rows_in_lowest_terms]
+    scale, seed = _seed(max_r, max_s)
     sieve = primes_up_to(max_r + max_s + 1)
     primorials = list(accumulate(sieve, mul, initial=1))  # [k]: the product of the first k primes
     counts = dict.fromkeys(
@@ -350,13 +345,14 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Sequence[int]) -> Sw
             failures.append(f"{part} at {witness}")
 
     bound = min(max_r, max_s)
-    for r in range(max_r + 1):
+    for r, row, mirror in zip(range(max_r + 1), _triangle_rows(seed), _mirror_rows(seed)):
         if r >= 2 and r % 2 == 0:
             forced = clausen_primes(r)[1:]  # the odd ones
         for s in range(max_s + 1):
-            d = denoms[r][s]
+            d = _lowest_terms(row[s], scale)[1]
             if r <= bound and s <= bound:
-                d_swapped = denoms[s][r]
+                # mirror[s] = +-D * B[s,r]; equal to row[s], its denominator is d, so only another value is reduced
+                d_swapped = d if mirror[s] == row[s] else _lowest_terms(mirror[s], scale)[1]
                 check("symmetry", d == d_swapped, f"(r={r}, s={s}): {d} != {d_swapped}")
             if r == 0:
                 check("row0-classical", d == bernoulli_denominator(s), f"(0, s={s}): {d}")

@@ -1,8 +1,9 @@
 """Helpers the tests share: polynomials as coefficient tuples, psi's two congruences, slow forms.
 
 The library gives a polynomial as a tuple of its coefficients, lowest power
-first.  Evaluation, x -> -x and the classical B_n(x) are needed only to
-check such tuples, so they live here.  psi's reciprocity is stated once in
+first.  Evaluation, x -> -x, the derivative, x -> x + 1 and the classical
+B_n(x) are needed only to check such tuples, so they live here, with the two
+identities B[r,s](x) obeys under d/dx and under the forward difference.  psi's reciprocity is stated once in
 bernshift.denom on values the caller already holds, and the psi-congruences
 sweep states its two periodicities inline; the wrappers below state both
 congruences from psi's checked entry point, one (rank, shift) pair at a time.
@@ -36,6 +37,33 @@ def reflect(coeffs):
 def bernoulli_polynomial(cache, n):
     """B_n(x) = sum(C(n, v) * B_{n-v} * x^v), monic of degree n."""
     return tuple(comb(n, v) * cache[n - v] for v in range(n + 1))
+
+
+def derivative(coeffs):
+    """The coefficients of p'(x)."""
+    return tuple(k * c for k, c in enumerate(coeffs))[1:]
+
+
+def translate(coeffs):
+    """The coefficients of p(x + 1): [x^j] = sum(C(k, j) * c_k for k >= j), one math.comb per term."""
+    return tuple(sum(comb(k, j) * coeffs[k] for k in range(j, len(coeffs))) for j in range(len(coeffs)))
+
+
+def derivative_identity(poly, r, s):
+    """r * B[r-1,s](x) + s * B[r,s-1](x), which is d/dx B[r,s](x); poly((i, j)) gives B[i,j](x)'s coefficients."""
+    terms = [(r, poly((r - 1, s)))] if r else []
+    terms += [(s, poly((r, s - 1)))] if s else []
+    return tuple(sum(weight * coeffs[k] for weight, coeffs in terms) for k in range(r + s))
+
+
+def difference_identity(r, s):
+    """r * (x+1)^(r-1) * x^s + s * (x+1)^r * x^(s-1), which is B[r,s](x+1) - B[r,s](x), degree r + s - 1."""
+    coeffs = [0] * (r + s)
+    for v in range(r):
+        coeffs[s + v] += r * comb(r - 1, v)
+    for v in range(r + 1) if s else ():
+        coeffs[s - 1 + v] += s * comb(r, v)
+    return tuple(coeffs)
 
 
 def psi_reciprocal(r, s, p):

@@ -10,8 +10,8 @@ from bernshift.bernoulli import bernoulli_denominator
 from bernshift.denom import (
     DenomFactorization,
     _psi_indices,
+    _psi_rows,
     _psi_sum_rows,
-    _psi_table,
     _psi_value,
     denom_exact,
     denom_formula,
@@ -100,11 +100,11 @@ class TestPsi:
     def test_tables_match_binomial_sum(self):
         # psi by the recurrence seeded with chi_p, for every prime that can be nonzero
         for p in primes_up_to(61):
-            table = _psi_table(p, 60, 60)
+            table = list(_psi_rows(p, 60, 60))
             for r in range(61):
                 for s in range(61 - r):
                     assert table[r][s] == _psi_value(r, s, p), (p, r, s)
-        assert _psi_table(5, 3, 2) == [[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 3]]
+        assert list(_psi_rows(5, 3, 2)) == [[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 3]]
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -149,7 +149,7 @@ class TestPsiSumRows:
         assert big == prod(primes)
         expected = [[0] * (max_s + 1) for _ in range(max_r + 1)]
         for p in primes:
-            for r, row in enumerate(_psi_table(p, max_r, max_s)):
+            for r, row in enumerate(_psi_rows(p, max_r, max_s)):
                 for s, value in enumerate(row):
                     expected[r][s] += big // p * value
         assert rows == expected

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bernshift.exact_arith as exact_arith
-from bernshift.exact_arith import _binomial_row, _product_tree, is_prime, primes_up_to
-from bernshift.umbral import forward_difference
+from bernshift.exact_arith import _binomial_row, _mirror_rows, _product_tree, _triangle_rows, is_prime, primes_up_to
+from bernshift.umbral import _scaled_bernoulli, forward_difference
 from oracles import evaluate, least_positive_residue, reflect
 
 
@@ -169,6 +169,25 @@ class TestProductTree:
 
     def test_empty_product_is_one(self):
         assert _product_tree([]) == _product_tree(()) == 1
+
+
+class TestMirrorRows:
+    """Y[r,s] = (-1)^(r+s) * X[s,r] is the triangle walked from X's signed column 0."""
+
+    def test_rows_are_the_signed_transpose_for_any_seed(self):
+        for n in range(31):
+            rng = random.Random(n)
+            seed = [rng.randint(-(2**40), 2**40) for _ in range(n + 1)]
+            table = list(_triangle_rows(seed))
+            mirror = list(_mirror_rows(seed))
+            assert mirror == [[(-1) ** (r + s) * table[s][r] for s in range(n + 1 - r)] for r in range(n + 1)], n
+            assert list(_mirror_rows(mirror[0])) == table, n  # the mirror of the mirror is X
+
+    def test_the_scaled_bernoulli_seed_is_its_own_mirror(self, cache):
+        # B[k,0] = (-1)^k B_k: the seed is its own signed column 0, so reciprocity holds on the triangle
+        for n in range(31):
+            _, seed = _scaled_bernoulli(cache, n)
+            assert list(_mirror_rows(seed)) == list(_triangle_rows(seed)), n
 
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(tuple)

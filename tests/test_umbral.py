@@ -17,7 +17,15 @@ from bernshift.umbral import (
     bs_via_difference,
     reduced_rows,
 )
-from oracles import bernoulli_polynomial, evaluate, reflect
+from oracles import (
+    bernoulli_polynomial,
+    derivative,
+    derivative_identity,
+    difference_identity,
+    evaluate,
+    reflect,
+    translate,
+)
 from reference_grid import REFERENCE_GRID
 
 
@@ -284,6 +292,38 @@ class TestBsPolynomial:
                 sign = -1 if (r + s) % 2 else 1
                 rhs = tuple(sign * c for c in reflect(bs_polynomial(cache, s, r)))
                 assert bs_polynomial(cache, r, s) == rhs
+
+
+def _polynomial_identity_failures(cache, scaled_polynomial, bound=20):
+    """The keys r, s <= bound where D * B[r,s](x) breaks the derivative and the difference identity."""
+    d, seed = _scaled_bernoulli(cache, 2 * bound)
+    rows = list(_triangle_rows(seed))  # one table: every polynomial is over the same D
+    polys = {(r, s): scaled_polynomial(rows[: r + 1], r, s, d) for r in range(bound + 1) for s in range(bound + 1)}
+    keys = sorted(polys)
+    derivative_failures = [key for key in keys if derivative(polys[key]) != derivative_identity(polys.get, *key)]
+    difference_failures = []
+    for key in keys:
+        step = [a - b for a, b in zip(translate(polys[key]), polys[key])]  # the leading terms cancel
+        if step != [d * c for c in difference_identity(*key)] + [0]:
+            difference_failures.append(key)
+    return derivative_failures, difference_failures
+
+
+def test_polynomials_obey_the_derivative_and_difference_identities(cache):
+    assert _polynomial_identity_failures(cache, _scaled_polynomial) == ([], [])
+
+
+def test_one_wrong_polynomial_coefficient_breaks_both_identities(cache):
+    def mutated(rows, r, s, d):  # [x^2] of D * B[3,5](x) plus 1
+        coeffs = _scaled_polynomial(rows, r, s, d)
+        if (r, s) == (3, 5):
+            coeffs[2] += 1
+        return coeffs
+
+    derivative_failures, difference_failures = _polynomial_identity_failures(cache, mutated)
+    # its own derivative, and the keys whose derivative reads it
+    assert derivative_failures == [(3, 5), (3, 6), (4, 5)]
+    assert difference_failures == [(3, 5)]
 
 
 def test_difference_disagreement_raises(cache, monkeypatch):

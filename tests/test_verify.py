@@ -274,12 +274,15 @@ def test_failures_are_reported_with_witnesses(monkeypatch):
     def fake_rows(seed):  # every D * B[r,s] read as r + 1
         return ([r + 1] * (len(seed) - r) for r in range(len(seed)))
 
+    # the key order's own walk; the transposed keys come from exact_arith's mirror walk, left right
     monkeypatch.setattr(umbral, "_triangle_rows", fake_rows)
     report = verify._sweep_reciprocity(3, 3, range(4))
     instances, failures, _notes = report
     assert instances == 16
     assert failures
     assert any("(r=0, s=1)" in f for f in failures)
+    # D * B[1,0] rebuilt from the mirror walk's (-1)^(0+1) * D * B[1,0], over D = 2 * 3 * 5 * 7
+    assert "(r=0, s=1): 1/210 vs 1/2" in failures
 
 
 def test_poly_reciprocity_failure_names_a_witness(monkeypatch):
@@ -368,21 +371,6 @@ def test_both_key_orders_come_from_one_seed(monkeypatch, name):
         assert seeds == [max_r + max_s]
 
 
-@pytest.mark.parametrize("max_r, max_s", [(3, 7), (7, 3), (5, 5)])
-def test_both_orders_rows_match_the_table(cache, max_r, max_s):
-    d, rows = verify._both_orders(max_r, max_s)
-    table = umbral.bs_table_recursive(cache, max_r, max_s)
-    swapped = umbral.bs_table_recursive(cache, max_s, max_r)
-    assert d == table.denominator == swapped.denominator
-    for r in range(max_r + 1):
-        for s in range(max_s + 1):
-            assert rows[r][s] == table.scaled[r][s]
-            assert rows[s][r] == swapped.scaled[s][r]
-    # rows up to the shorter side serve both orders; no row is wider than its keys
-    lo, hi = sorted((max_r, max_s))
-    assert [len(row) for row in rows] == [hi + 1] * (lo + 1) + [lo + 1] * (hi - lo)
-
-
 @pytest.mark.parametrize("name", sorted(PROPERTIES))
 def test_a_sweep_builds_at_most_one_bernoulli_cache(name, monkeypatch):
     # a non-square range: reciprocity and poly-reciprocity read both key orders from one cache
@@ -398,9 +386,10 @@ def test_a_sweep_builds_at_most_one_bernoulli_cache(name, monkeypatch):
     assert len(built) <= 1, built
 
 
-@pytest.mark.parametrize("name", ["denominators", "integrality"])
-def test_psi_sweeps_hold_no_whole_rectangle(name):
-    # the table rows and every prime's psi come from walks held one row at a time
+@pytest.mark.parametrize("name", ["denominators", "integrality", "reciprocity", "psi-congruences", "denom-divisibility"])
+def test_streamed_sweeps_hold_no_whole_rectangle(name):
+    # the table rows, every prime's psi and the transposed keys' mirror rows all come from
+    # walks held one row at a time (psi-congruences keeps p rows for its rank periodicity)
     runner = PROPERTIES[name].runner
     runner(4, 4, range(5))  # imports outside the trace
     tracemalloc.start()
@@ -409,16 +398,9 @@ def test_psi_sweeps_hold_no_whole_rectangle(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000, peak  # per-prime psi tables over this rectangle take about 3 MB
-
-
-@pytest.mark.parametrize("name", ["denominators", "integrality"])
-def test_psi_sweeps_build_no_psi_table(monkeypatch, name):
-    def refuse(*args):
-        raise AssertionError("a sweep built a per-prime psi table")
-
-    monkeypatch.setattr(denom, "_psi_table", refuse)
-    assert run_verify(name, 12, 9).ok
+    # about 0.2-0.35 MB; held whole, per-prime psi tables take about 3 MB, both key orders of
+    # D * B[r,s] 1.9 MB and psi-congruences' tables 1.3 MB, every denominator 0.75 MB
+    assert peak < 600_000, peak
 
 
 def test_a_denominators_chunk_reduces_only_its_own_ranks(monkeypatch):
@@ -607,25 +589,25 @@ def test_paths_builds_one_cache_and_one_seed_at_the_size_it_checks(monkeypatch):
 
 
 def test_denom_divisibility_names_a_square_factor_and_a_large_prime(monkeypatch):
-    # 25 puts a square factor in denom(B[5,4]); 11 is a prime above r + s + 1 = 6 at (2, 3)
-    real = umbral.reduced_rows
-    factors = {(5, 4): 25, (2, 3): 11}
+    # 25 puts a square factor in denom(B[5,6]); 11 is a prime above r + s + 1 = 8 at (2, 5)
+    table = umbral.bs_table_recursive(bernoulli.BernoulliCache(22), 10, 10)
+    factors = {table.scaled[5][6]: 25, table.scaled[2][5]: 11}  # keyed by D * B[r,s], so by value:
+    values = [x for row in table.scaled for x in row]
+    assert all(values.count(x) == 1 for x in factors)  # these two occur once in the rectangle
+    real = umbral._lowest_terms
 
-    def edited(cache, max_r, max_s):
-        rows = [list(row) for row in real(cache, max_r, max_s)]
-        for (r, s), factor in factors.items():
-            x, d = rows[r][s]
-            rows[r][s] = (x, d * factor)
-        return iter(rows)
+    def edited(x, d):  # at (r, s) the mirror walk gives (-1)^(r+s) * D * B[s,r], which is D * B[r,s] again
+        numerator, denominator = real(x, d)
+        return numerator, denominator * factors.get(x, 1)
 
-    exact = [[d for _, d in row] for row in real(bernoulli.BernoulliCache(22), 10, 10)]
-    monkeypatch.setattr(umbral, "reduced_rows", edited)
+    monkeypatch.setattr(umbral, "_lowest_terms", edited)
     report = run_verify("denom-divisibility", 10, 10)
     assert report.instances == PINNED["denom-divisibility"][0]
     assert [f for f in report.failures if f.startswith("squarefree-bounded")] == [
-        f"squarefree-bounded at (r=2, s=3): {11 * exact[2][3]} has a square factor or a prime factor > 6",
-        f"squarefree-bounded at (r=5, s=4): {25 * exact[5][4]} has a square factor or a prime factor > 10",
+        f"squarefree-bounded at (r=2, s=5): {11 * table[2, 5].denominator} has a square factor or a prime factor > 8",
+        f"squarefree-bounded at (r=5, s=6): {25 * table[5, 6].denominator} has a square factor or a prime factor > 12",
     ]
+    assert not [f for f in report.failures if f.startswith("symmetry")]  # both orders read the edit
 
 
 def test_a_one_prime_slip_in_the_residue_test_is_named(monkeypatch):
