@@ -429,6 +429,21 @@ def test_table_sweeps_without_psi_leave_denom_unloaded(prop):
     assert "bernshift.denom" not in loaded
 
 
+SWEEP_MODULE_OF = {
+    **dict.fromkeys(["reciprocity", "antidiagonal", "paths", "poly-reciprocity", "nonvanishing"], "table_sweeps"),
+    **dict.fromkeys(["denominators", "integrality", "denom-divisibility"], "denom_sweeps"),
+    **dict.fromkeys(["psi-matrix", "psi-congruences", "hermite-stern", "staudt-clausen"], "psi_sweeps"),
+}
+
+
+@pytest.mark.parametrize("prop", sorted(verify.PROPERTIES))
+def test_a_verify_request_loads_only_its_own_sweep_module(prop):
+    # each request compiles the one module that holds its runner, not the other two
+    loaded = _newly_loaded(f"from bernshift.cli import main\nassert main(['verify', {prop!r}]) == 0")
+    sweep_modules = {f"bernshift.{module}" for module in SWEEP_MODULE_OF.values()}
+    assert loaded & sweep_modules == {f"bernshift.{SWEEP_MODULE_OF[prop]}"}
+
+
 def test_package_import_loads_no_submodule():
     assert {m for m in _newly_loaded("import bernshift") if m.startswith("bernshift.")} == set()
 

@@ -18,7 +18,6 @@ import bernshift.bernoulli as bernoulli
 import bernshift.denom as denom
 import bernshift.exact_arith as exact_arith
 import bernshift.umbral as umbral
-import bernshift.verify as verify
 from bernshift.errors import InvariantViolation
 from bernshift.verify import (
     PROPERTIES,
@@ -276,7 +275,7 @@ def test_failures_are_reported_with_witnesses(monkeypatch):
 
     # the key order's own walk; the transposed keys come from exact_arith's mirror walk, left right
     monkeypatch.setattr(umbral, "_triangle_rows", fake_rows)
-    report = verify._sweep_reciprocity(3, 3, range(4))
+    report = PROPERTIES["reciprocity"].runner(3, 3, range(4))
     instances, failures, _notes = report
     assert instances == 16
     assert failures
@@ -305,7 +304,7 @@ def test_denominators_evaluate_each_ordered_key_twice(monkeypatch):
         return SimpleNamespace(value=3 * value if (r, s) == (2, 7) else value)
 
     monkeypatch.setattr(denom, "_denom_formula", counted)
-    instances, failures, _notes = verify._sweep_denominators(10, 10, range(11))
+    instances, failures, _notes = PROPERTIES["denominators"].runner(10, 10, range(11))
     assert instances == 121
     # no memo: F(r, s) at its own key and again as the mirror of the key (s, r)
     assert len(calls) == 242 and len(set(calls)) == 121
@@ -412,7 +411,7 @@ def test_a_denominators_chunk_reduces_only_its_own_ranks(monkeypatch):
 
     monkeypatch.setattr(umbral, "_lowest_terms", counted)
     even = plan_chunks(10, 2, cpus=2)[0]
-    assert verify._sweep_denominators(10, 10, even) == (66, [], [])
+    assert PROPERTIES["denominators"].runner(10, 10, even) == (66, [], [])
     assert len(calls) == 66  # ranks 0, 2, .., 10: not one gcd for the 5 rows the chunk skips
 
 
