@@ -19,8 +19,7 @@ prime it is _psi_rows, and psi-congruences walks it beside its transpose
 prime and is the triangles' oracle.  The recurrence is
 exact_arith._triangle_rows, shared with umbral's B[r,s] table, so this
 module loads neither umbral nor bernoulli, and a psi or denom request builds
-no Bernoulli number and loads no fractions.  _psi_reciprocal states psi's
-reciprocity mod p on values the caller holds.
+no Bernoulli number and loads no fractions.
 """
 
 from __future__ import annotations
@@ -138,16 +137,17 @@ def _integral(r: int, s: int, numerator: int, d: int) -> int:
 def integrality_witness(table: BsTable, r: int, s: int) -> int:
     """The integer B[r,s] + sum(psi(r, s, p) / p over primes p <= r + s + 1).
 
-    B[r,s] is read from the table.  The sum over all primes is finite because
-    psi vanishes for p > r + s + 1; the p = 2 term is itself an integer for
-    r >= 2 and is included.  Everything is summed over the table's
-    denominator, which every such p divides.  A non-integral total raises
-    InvariantViolation and must never happen.
+    B[r,s] is read from the table, which raises ValueError for a key outside
+    it.  The sum over all primes is finite because psi vanishes for
+    p > r + s + 1; the p = 2 term is itself an integer for r >= 2 and is
+    included.  Everything is summed over the table's denominator, which every
+    such p divides.  A non-integral total raises InvariantViolation and must
+    never happen.
     """
     if r < 2 or s < 2:
         raise ValueError("integrality_witness: requires r >= 2 and s >= 2")
-    d = table.denominator
-    numerator = table.scaled[r][s] + sum(
+    b, d = table[r, s], table.denominator
+    numerator = b.numerator * (d // b.denominator) + sum(  # the first term is table.scaled[r][s]
         _psi_value(r, s, p) * (d // p) for p in primes_up_to(r + s + 1)
     )
     return _integral(r, s, numerator, d)
@@ -221,13 +221,6 @@ def _denom_formula(r: int, s: int, primes: list[int]) -> DenomFactorization:
     beyond = bisect_right(primes, r + s + 1)
     odd = [p for p in islice(primes, 2, beyond) if (r - 1) % (p - 1) + (s - 1) % (p - 1) >= p - 3]
     return DenomFactorization._from_sieve(eps2, (3, *odd))
-
-
-def _psi_reciprocal(r: int, s: int, psi_rs: int, psi_sr: int, p: int) -> bool:
-    """(-1)^r psi(r,s,p) == (-1)^s psi(s,r,p) mod p, given both values."""
-    lhs = psi_rs if r % 2 == 0 else -psi_rs
-    rhs = psi_sr if s % 2 == 0 else -psi_sr
-    return (lhs - rhs) % p == 0
 
 
 def psi_matrix(p: int) -> tuple[tuple[int, ...], ...]:

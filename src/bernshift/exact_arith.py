@@ -6,9 +6,10 @@ is the one statement of von Staudt-Clausen: the primes dividing denom(B_n),
 which bernoulli and denom both read.  The triangle recurrence
 X[r+1,s] = X[r,s] + X[r,s+1] fills both D * B[r,s] (umbral) and psi
 (denom); it is stated here once, so that denom need not load umbral.
-The sums weighted by a whole row C(n, 0..n) -- the defining sum and the
-forward differences (umbral), the polynomial coefficients, and Hermite-Stern
--- read it from _binomial_row(n), which keeps rows to order 400 and the newest.
+The sums weighted by a whole row C(n, 0..n) -- the defining sum, the forward
+differences and the polynomial coefficients (umbral) -- read it from
+_binomial_row(n), which keeps rows to order 400; the hermite-stern sweep,
+which walks every order, makes its rows by Pascal's rule itself.
 """
 
 from __future__ import annotations
@@ -50,30 +51,18 @@ def clausen_primes(n: int) -> list[int]:
 
 
 # Rows up to this order are kept once built: all 401 of them take 5.1 MB.
-# Past it only the newest row is held, so that a sweep walking ever larger
-# orders holds one row at a time, not all of them.
+# A higher order is made afresh at each call and never kept.
 _KEPT_ROWS = 400
 _ROWS: dict[int, tuple[int, ...]] = {}
 
 
 def _binomial_row(n: int) -> tuple[int, ...]:
-    """(C(n, 0), C(n, 1), ..., C(n, n)), kept up to order _KEPT_ROWS; past it, only the newest.
-
-    A row whose predecessor is held is made from it by Pascal's rule, a
-    pass of additions, so a rising walk is additions all the way; any other
-    row is made by math.comb, entry by entry.
-    """
+    """(C(n, 0), C(n, 1), ..., C(n, n)) by math.comb, kept when n <= _KEPT_ROWS."""
     row = _ROWS.get(n)
     if row is None:
-        before = _ROWS.get(n - 1)
-        if before is None:
-            row = tuple(map(comb, repeat(n), range(n + 1)))
-        else:
-            row = tuple(map(add, (0, *before), (*before, 0)))
-        if n > _KEPT_ROWS:
-            for held in [k for k in _ROWS if k > _KEPT_ROWS]:
-                del _ROWS[held]
-        _ROWS[n] = row
+        row = tuple(map(comb, repeat(n), range(n + 1)))
+        if n <= _KEPT_ROWS:
+            _ROWS[n] = row
     return row
 
 

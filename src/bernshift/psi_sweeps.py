@@ -29,7 +29,7 @@ def _sweep_psi_matrix(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResul
 
 
 def _sweep_psi_congruences(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    from .denom import _psi_reciprocal, _psi_seed
+    from .denom import _psi_seed
     from .exact_arith import _mirror_rows, _triangle_rows, primes_up_to
 
     bound = max(max_r, max_s)
@@ -53,18 +53,24 @@ def _sweep_psi_congruences(max_r: int, max_s: int, rows: Sequence[int]) -> Sweep
                         failures.append(f"p={p}: rank periodicity fails at (r={r}, s={s})")
                 if r <= s:
                     instances += 1
-                    if not _psi_reciprocal(r, s, row[s], -mirror[s] if (r + s) % 2 else mirror[s], p):
+                    if (row[s] - mirror[s]) % p:  # (-1)^r psi(r,s) against (-1)^s psi(s,r), times (-1)^r
                         failures.append(f"p={p}: reciprocity fails at (r={r}, s={s})")
     return instances, failures, []
 
 
 def _sweep_hermite_stern(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    from .exact_arith import _binomial_row, _hermite_stern_residue, primes_up_to
+    """Walks the rows C(m, 0..m) for m = 1..max_r by Pascal's rule, one held at a time; checks the m in rows."""
+    from operator import add
+
+    from .exact_arith import _hermite_stern_residue, primes_up_to
 
     primes = primes_up_to(max_s)
     instances, failures = 0, []
-    for m in [m for m in rows if m >= 1]:
-        row = _binomial_row(m)
+    row = (1,)
+    for m in range(1, max_r + 1):
+        row = tuple(map(add, (0, *row), (*row, 0)))
+        if m not in rows:
+            continue
         for p in primes:
             instances += 1
             residue = _hermite_stern_residue(row, p)

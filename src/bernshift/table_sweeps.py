@@ -44,11 +44,10 @@ def _sweep_paths(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     """Defining sum, table and both difference forms, each computed apart in integers over D."""
     from fractions import Fraction
 
-    from .bernoulli import BernoulliCache
-    from .umbral import _defining_sum, _difference_forms, _scaled_bernoulli, _triangle_rows
+    from .umbral import _defining_sum, _difference_forms, _triangle_rows
 
     bound = max(max_r, max_s)  # the keys checked are those with r + s <= bound
-    d, seed = _scaled_bernoulli(BernoulliCache(bound + 2), bound)
+    d, seed = _seed(bound, 0)
     signed = [-x if n % 2 else x for n, x in enumerate(seed)]  # D * (-1)^n B_n
     instances, failures = 0, []
     for r, row in zip(range(max_r + 1), _triangle_rows(seed)):

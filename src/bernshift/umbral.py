@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, islice, repeat
 from math import gcd
 from operator import mul
@@ -101,15 +100,10 @@ class BsTable(namedtuple("BsTable", "max_r max_s denominator scaled")):
 
     scaled[r][s] = denominator * B[r,s].  The denominator is a multiple of
     every prime p <= max_r + max_s + 1; bs_table_recursive makes it their
-    product.  Fractions are made only on demand.  No __slots__: the cached
-    entries live in the instance dict.
+    product.  A Fraction is made only when an entry is read.
     """
 
-    @cached_property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rows of B[r,s] as reduced Fractions, built on first use."""
-        d = self.denominator
-        return tuple(tuple(Fraction(x, d) for x in row) for row in self.scaled)
+    __slots__ = ()
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         """B[r,s]; ValueError for a key outside the rectangle, negative ones included."""

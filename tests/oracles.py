@@ -3,10 +3,11 @@
 The library gives a polynomial as a tuple of its coefficients, lowest power
 first.  Evaluation, x -> -x, the derivative, x -> x + 1 and the classical
 B_n(x) are needed only to check such tuples, so they live here, with the two
-identities B[r,s](x) obeys under d/dx and under the forward difference.  psi's reciprocity is stated once in
-bernshift.denom on values the caller already holds, and the psi-congruences
-sweep states its two periodicities inline; the wrappers below state both
-congruences from psi's checked entry point, one (rank, shift) pair at a time.
+identities B[r,s](x) obeys under d/dx and under the forward difference.  The
+psi-congruences sweep states psi's reciprocity and two periodicities inline,
+on its walk and the mirror walk; here reciprocity is stated on two values
+the caller holds, and the wrappers below state the congruences from psi's
+checked entry point, one (rank, shift) pair at a time.
 
 The slow forms are the library's sums as they read on paper: one math.comb
 per term, and the denominator formula in least positive residues.  The
@@ -17,7 +18,7 @@ slow form is the oracle of its fast one.
 from fractions import Fraction
 from math import comb
 
-from bernshift.denom import _psi_reciprocal, psi
+from bernshift.denom import psi
 from bernshift.exact_arith import primes_up_to
 
 
@@ -64,6 +65,13 @@ def difference_identity(r, s):
     for v in range(r + 1) if s else ():
         coeffs[s - 1 + v] += s * comb(r, v)
     return tuple(coeffs)
+
+
+def _psi_reciprocal(r, s, psi_rs, psi_sr, p):
+    """(-1)^r psi(r,s,p) == (-1)^s psi(s,r,p) mod p, given both values."""
+    lhs = psi_rs if r % 2 == 0 else -psi_rs
+    rhs = psi_sr if s % 2 == 0 else -psi_sr
+    return (lhs - rhs) % p == 0
 
 
 def psi_reciprocal(r, s, p):

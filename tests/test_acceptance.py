@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from bernshift.bernoulli import bernoulli_denominator, von_staudt_clausen_witness
-from bernshift.denom import _psi_reciprocal, denom_formula, denom_via_psi, psi, psi_matrix
+from bernshift.denom import denom_formula, denom_via_psi, psi, psi_matrix
 from bernshift.exact_arith import _binomial_row, _hermite_stern_residue, primes_up_to
 from bernshift.umbral import (
     _scaled_polynomial,
@@ -19,7 +19,7 @@ from bernshift.umbral import (
     bs_table_recursive,
     bs_via_difference,
 )
-from oracles import bernoulli_polynomial, evaluate, psi_periodic, reflect
+from oracles import _psi_reciprocal, bernoulli_polynomial, evaluate, psi_periodic, reflect
 from reference_grid import REFERENCE_GRID
 
 

@@ -203,6 +203,14 @@ class TestIntegralityWitness:
         with pytest.raises(ValueError):
             integrality_witness(table20, 5, 1)
 
+    def test_rejects_keys_outside_the_table_as_the_table_does(self, cache):
+        table = bs_table_recursive(cache, 3, 3)
+        for r, s in ((5, 2), (2, 5)):
+            with pytest.raises(ValueError, match=rf"^B\[{r},{s}\] lies outside the 3x3 table$"):
+                table[r, s]
+            with pytest.raises(ValueError, match=rf"^B\[{r},{s}\] lies outside the 3x3 table$"):
+                integrality_witness(table, r, s)
+
 
 class TestDenominators:
     def test_exact_examples(self, cache):

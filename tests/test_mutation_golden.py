@@ -5,8 +5,8 @@ the library computes, runs a sweep that must fail, and pins the sha256 of its
 JSON report without ``timing``, in the form of ``VERIFY_GOLDEN``.  The value
 mutations change what every route reads -- a D * B_n of the seed, a von
 Staudt-Clausen indicator chi_p, one factor of the closed denominator formula,
-one polynomial coefficient -- so a change of route that keeps the mathematics
-keeps their digests.  The parallel sweeps are pinned at --jobs 1 and as a
+one polynomial coefficient, one binomial coefficient -- so a change of route
+that keeps the mathematics keeps their digests.  The parallel sweeps are pinned at --jobs 1 and as a
 3-way split whose chunk results are merged.
 """
 
@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 import bernshift.denom as denom
+import bernshift.exact_arith as exact_arith
 import bernshift.umbral as umbral
 from bernshift.verify import PROPERTIES, VerifyReport, merge_results, plan_chunks, report_payload, run_verify
 
@@ -71,6 +72,18 @@ def coefficient(monkeypatch):
     monkeypatch.setattr(umbral, "_scaled_polynomial", mutated)
 
 
+def binomial_12_6(monkeypatch):
+    """C(12, 6) + 1 in the order-12 row that every Hermite-Stern residue is taken from."""
+    real = exact_arith._hermite_stern_residue
+
+    def mutated(row, p):
+        if len(row) == 13:
+            row = [*row[:6], row[6] + 1, *row[7:]]
+        return real(row, p)
+
+    monkeypatch.setattr(exact_arith, "_hermite_stern_residue", mutated)
+
+
 def triangle_entry(monkeypatch):
     """D * B[5,4] + 1 in the triangle walked from umbral, the rows after it left right.
 
@@ -104,6 +117,7 @@ MUTATION_GOLDEN = (
     (formula_factor, "denominators", 10, 10, 3, "7b432985f89544299fda2d09538a6ca7f2e26e73f88f3698d7db749a2043bba9"),
     (coefficient, "poly-reciprocity", 8, 8, 1, "de5f3ae7158be5cc6e83ea07efd87a83cc26530a88f0640ec82c739437e46c71"),
     (coefficient, "poly-reciprocity", 8, 8, 3, "de5f3ae7158be5cc6e83ea07efd87a83cc26530a88f0640ec82c739437e46c71"),
+    (binomial_12_6, "hermite-stern", 30, 13, 1, "4afabe6e050e736054c15a78e9ff3a37ac3b5d43005a77f1ac421c2222b37f39"),
     (triangle_entry, "reciprocity", 10, 10, 1, "7a7ff416b73c12e6dfe34a5d73d0824d80e53c531152e39d786677844d5f577d"),
 )
 

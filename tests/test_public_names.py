@@ -46,7 +46,7 @@ def test_names_resolve_to_their_defining_modules():
 
 DELETED = {  # defining module -> the names it no longer has
     bernoulli: ("Poly", "bernoulli_polynomial", "hermite_stern_check"),
-    denom: ("psi_periodicity_check", "psi_reciprocity_check", "_psi_periodic"),
+    denom: ("psi_periodicity_check", "psi_reciprocity_check", "_psi_periodic", "_psi_reciprocal"),
     exact_arith: ("least_positive_residue",),
 }
 
@@ -68,8 +68,16 @@ def test_deleted_names_are_gone_from_their_modules():
                 getattr(module, name)
     # a polynomial is a coefficient tuple from bs_polynomial or umbral._scaled_polynomial,
     # and denominators come from reduced_rows: a BsTable only holds and reads values
-    for name in ("polynomial", "scaled_polynomial", "denominators", "_check_inside"):
+    for name in ("polynomial", "scaled_polynomial", "denominators", "_check_inside", "entries"):
         assert not hasattr(umbral.BsTable, name), name
     # README's "What is checked" table states each claim; denom(B_n)'s primes take no sieve
     assert "description" not in verify.PropertySpec._fields
     assert list(inspect.signature(exact_arith.clausen_primes).parameters) == ["n"]
+
+
+def test_no_record_has_an_instance_dict():
+    # every record is a tuple with empty __slots__: it carries no per-instance cache
+    table = umbral.bs_table_recursive(bernoulli.BernoulliCache(4), 2, 2)
+    records = (table, denom.psi(4, 2, 3), denom.denom_formula(4, 4), verify.run_verify("psi-matrix", 5, 5))
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__

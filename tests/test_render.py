@@ -35,7 +35,8 @@ def csv_oracle(rows):
 @pytest.fixture(scope="module")
 def values():
     cache = BernoulliCache(24)
-    return bs_table_recursive(cache, 11, 11).entries
+    table = bs_table_recursive(cache, 11, 11)
+    return [[table[r, s] for s in range(12)] for r in range(12)]
 
 
 @pytest.fixture(scope="module")

@@ -69,7 +69,7 @@ class TestBsTable:
         table = bs_table_recursive(cache, 8, 8)
         assert table[1, 1] == Fraction(-1, 3)
         assert table[4, 6] == Fraction(-116, 1155)
-        assert table.entries == REFERENCE_GRID
+        assert tuple(tuple(table[r, s] for s in range(9)) for r in range(9)) == REFERENCE_GRID
 
     def test_matches_direct_on_rectangle(self, cache):
         table = bs_table_recursive(cache, 12, 7)
@@ -132,8 +132,9 @@ class TestIntegerTriangle:
         table = bs_table_recursive(cache, 9, 5)
         assert table.denominator == prod(primes_up_to(15))
         oracle = list(fraction_triangle_rows(cache, 14))[:10]
-        assert table.entries == tuple(tuple(row[:6]) for row in oracle)
-        pairs = [[(q.numerator, q.denominator) for q in row] for row in table.entries]
+        values = [[table[r, s] for s in range(6)] for r in range(10)]
+        assert values == [row[:6] for row in oracle]
+        pairs = [[(q.numerator, q.denominator) for q in row] for row in values]
         assert [list(row) for row in reduced_rows(cache, 9, 5)] == pairs
 
 

@@ -526,8 +526,7 @@ def _one_wrong_binomial(monkeypatch, order, index):
         row = real(n)
         return row[:index] + (row[index] + 1,) + row[index + 1 :] if n == order else row
 
-    for module in (exact_arith, umbral):
-        monkeypatch.setattr(module, "_binomial_row", wrong)
+    monkeypatch.setattr(umbral, "_binomial_row", wrong)
 
 
 def test_one_wrong_binomial_row_fails_paths_at_its_rank(monkeypatch):
@@ -540,14 +539,20 @@ def test_one_wrong_binomial_row_fails_paths_at_its_rank(monkeypatch):
 
 
 def test_one_wrong_binomial_row_fails_hermite_stern_at_its_m(monkeypatch):
-    # C(12, 6) + 1: the sums over multiples of 1, 2 and 6 move, so p = 2, 3 and 7 fail
-    _one_wrong_binomial(monkeypatch, 12, 6)
+    # C(12, 6) + 1 in the row the residues read: the sums over multiples of 1, 2 and 6 move,
+    # so p = 2, 3 and 7 fail
+    real = exact_arith._hermite_stern_residue
+
+    def wrong(row, p):
+        return real([*row[:6], row[6] + 1, *row[7:]] if len(row) == 13 else row, p)
+
+    monkeypatch.setattr(exact_arith, "_hermite_stern_residue", wrong)
     solo = _solo_and_split("hermite-stern", *SMALL["hermite-stern"])
     assert [f.split(":")[0] for f in solo.failures] == ["(m=12, p=2)", "(m=12, p=3)", "(m=12, p=7)"]
 
 
 def test_hermite_stern_walks_pascals_rule_past_the_kept_rows(monkeypatch):
-    # one rising walk: order 1 by math.comb, every later order from the one before
+    # the sweep makes its own rows by additions: no math.comb, and no row kept in _binomial_row's store
     calls = []
 
     def counted(n, k):
@@ -558,7 +563,7 @@ def test_hermite_stern_walks_pascals_rule_past_the_kept_rows(monkeypatch):
     monkeypatch.setattr(exact_arith, "comb", counted)
     report = run_verify("hermite-stern", 450, 31)
     assert (report.ok, report.instances) == (True, 450 * 11)  # 11 primes <= 31
-    assert len(calls) <= 2, len(calls)
+    assert calls == [] and exact_arith._ROWS == {}
 
 
 def test_paths_builds_one_cache_and_one_seed_at_the_size_it_checks(monkeypatch):
