@@ -117,16 +117,39 @@ class TestBinomialRow:
         for n in orders:
             assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
 
-    def test_orders_up_to_the_bound_are_kept_and_no_higher(self, monkeypatch):
-        # one rule, in any order: a row up to _KEPT_ROWS is kept and reread; a higher one is made afresh
+    def test_only_low_orders_are_kept(self, monkeypatch):
+        # every order up to the bound is kept and reread; past it, a row is made afresh and not held
         monkeypatch.setattr(exact_arith, "_ROWS", {})
+        top = exact_arith._KEPT_ROWS
+        for n in (top, top + 1, top + 50, 7):
+            assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
+        assert _binomial_row(top) is _binomial_row(top)
+        assert _binomial_row(top + 50) is not _binomial_row(top + 50)
+        assert sorted(exact_arith._ROWS) == [7, top]
+        assert _binomial_row(top + 51) == tuple(comb(top + 51, v) for v in range(top + 52))
+        assert sorted(exact_arith._ROWS) == [7, top]
+
+    def test_at_most_one_row_past_the_bound_is_held(self, monkeypatch):
+        # one rule, in any order: a row up to the bound is made once by math.comb; none past it is held
+        calls = []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return comb(n, k)
+
+        monkeypatch.setattr(exact_arith, "_ROWS", {})
+        monkeypatch.setattr(exact_arith, "comb", counted)
         top = exact_arith._KEPT_ROWS
         orders = list(range(top - 20, top + 60)) * 2
         random.Random(5).shuffle(orders)
         for n in orders:
             assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
             assert (_binomial_row(n) is _binomial_row(n)) == (n <= top), n
+            assert not any(k > top for k in exact_arith._ROWS), n
         assert sorted(exact_arith._ROWS) == list(range(top - 20, top + 1))
+        made = sorted({n for n, _ in calls})
+        assert made == list(range(top - 20, top + 60))
+        assert all(sum(n == m for n, _ in calls) == m + 1 for m in range(top - 20, top + 1))
 
 
 class TestProductTree:
