@@ -2,8 +2,11 @@
 
 The cache holds B_0..B_capacity under the convention B_1 = -1/2 and is sealed
 after construction, so concurrent reads never race a resize.  It is filled
-from tangent numbers in integer arithmetic (Brent and Harvey, 2011); the
-defining recurrence sum(C(n+1, k) * B_k) = 0 is kept only as a test oracle.
+from tangent numbers in integer arithmetic (Brent and Harvey, 2011) and
+holds each B_n as its reduced numerator and denominator: cache.pair(n) reads
+them, and only cache[n] makes a Fraction, importing fractions when it is
+first called, so a CLI request never loads it.  The defining recurrence
+sum(C(n+1, k) * B_k) = 0 is kept only as a test oracle.
 The closed denominator formula (the product of exact_arith.clausen_primes)
 and the von Staudt-Clausen witness give two independent handles on the
 fractional part of B_n that the test suite plays against the cached values.
@@ -13,10 +16,14 @@ coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InvariantViolation
 from .exact_arith import _product_tree, clausen_primes
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class BernoulliCache:
@@ -25,11 +32,11 @@ class BernoulliCache:
     Built once from the tangent numbers T_k = tan^(2k-1)(0) by Brent and
     Harvey's in-place algorithm ("Fast computation of Bernoulli, tangent and
     secant numbers", 2011): O(capacity^2) small-integer multiply-adds, then
-    B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)), one Fraction per even
+    B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)), reduced by one gcd per even
     index.  Odd indices >= 3 are 0.  Immutable afterwards.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_pairs",)
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
@@ -43,24 +50,34 @@ class BernoulliCache:
         for k in range(2, n + 1):
             for j in range(k, n + 1):
                 tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
-        values = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (capacity - 1)
+        pairs = [(1, 1), (-1, 2)] + [(0, 1)] * (capacity - 1)
         for k in range(1, n + 1):
             four_k = 4**k
-            b = Fraction(2 * k * tangent[k], four_k * (four_k - 1))
-            values[2 * k] = b if k % 2 else -b
-        self._values = tuple(values[: capacity + 1])
+            num, den = 2 * k * tangent[k], four_k * (four_k - 1)
+            g = gcd(num, den)
+            pairs[2 * k] = (num // g if k % 2 else -(num // g), den // g)
+        self._pairs = tuple(pairs[: capacity + 1])
 
     @property
     def capacity(self) -> int:
-        return len(self._values) - 1
+        return len(self._pairs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
-        """B_n; CapacityError past the sealed capacity."""
+    def pair(self, n: int) -> tuple[int, int]:
+        """B_n as (numerator, denominator) in lowest terms, denominator positive; no Fraction is made.
+
+        CapacityError past the sealed capacity.
+        """
         if n < 0:
             raise ValueError(f"B_{n}: index must be non-negative")
-        if n >= len(self._values):
+        if n >= len(self._pairs):
             raise CapacityError(f"B_{n} requested but cache is sealed at capacity {self.capacity}")
-        return self._values[n]
+        return self._pairs[n]
+
+    def __getitem__(self, n: int) -> Fraction:
+        """B_n as a Fraction, for library callers; errors as pair."""
+        from fractions import Fraction
+
+        return Fraction(*self.pair(n))
 
     def __repr__(self) -> str:
         return f"BernoulliCache(capacity={self.capacity})"
@@ -80,8 +97,14 @@ def von_staudt_clausen_witness(cache: BernoulliCache, n: int) -> int:
     """
     if n < 2 or n % 2:
         raise ValueError("von_staudt_clausen_witness: n must be even and >= 2")
-    total = cache[n] + sum(Fraction(1, p) for p in clausen_primes(n))
-    if total.denominator != 1:
-        raise InvariantViolation(f"B_{n} + sum(1/p) = {total} is not an integer")
-    return int(total)
+    num, den = cache.pair(n)
+    primes = clausen_primes(n)
+    big = _product_tree(primes)
+    # over den * big: B_n is num * big, and sum(1/p) is sum(big // p) * den
+    total = num * big + sum(big // p for p in primes) * den
+    whole, rest = divmod(total, den * big)
+    if rest:
+        from fractions import Fraction  # only for the message
 
+        raise InvariantViolation(f"B_{n} + sum(1/p) = {Fraction(total, den * big)} is not an integer")
+    return whole

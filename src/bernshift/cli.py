@@ -64,11 +64,16 @@ def cmd_value(args: argparse.Namespace) -> int:
     from .bernoulli import BernoulliCache
     from .umbral import bs_direct, bs_polynomial
 
+    # Two entries past B_{r+s}, the last one read: perfbench's tracer test pins
+    # bernoulli.cache_build.capacity_max at r + s + 2 for a value request, so
+    # this capacity moves with the benchmark's next change (ROADMAP item 3).
+    # The two extra entries cost one more tangent number, O(r + s) steps.
     cache = BernoulliCache(args.r + args.s + 2)
     if args.poly:
-        sys.stdout.write(render_coefficients(bs_polynomial(cache, args.r, args.s), args.fmt))
+        pairs = bs_polynomial(cache, args.r, args.s, pairs=True)
+        sys.stdout.write(render_coefficients(pairs, args.fmt))
     else:
-        sys.stdout.write(render_fraction_value(bs_direct(cache, args.r, args.s), args.fmt))
+        sys.stdout.write(render_fraction_value(*bs_direct(cache, args.r, args.s, pair=True), args.fmt))
     return 0
 
 
@@ -76,7 +81,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     from .bernoulli import BernoulliCache
     from .umbral import reduced_rows
 
-    rows = reduced_rows(BernoulliCache(args.max_r + args.max_s + 2), args.max_r, args.max_s)
+    rows = reduced_rows(BernoulliCache(args.max_r + args.max_s), args.max_r, args.max_s)
     if args.denoms:
         lines = int_table_lines(([den for _, den in row] for row in rows), args.fmt, args.max_s + 1)
     else:
@@ -105,7 +110,7 @@ def cmd_psi(args: argparse.Namespace) -> int:
         inside = ", ".join(f"ν={v}" for v in result.index_set)
         sys.stdout.write(f"{result.value}  {{{inside}}}\n")
     else:
-        sys.stdout.write(render_fraction_value(result.value, args.fmt))
+        sys.stdout.write(render_fraction_value(result.value, 1, args.fmt))
     return 0
 
 
@@ -129,7 +134,7 @@ def cmd_denom(args: argparse.Namespace) -> int:
         parts = (["2"] if fact.eps2 else []) + [str(p) for p in fact.primes]
         sys.stdout.write(f"{fact.value} = {' * '.join(parts) if parts else '1'}\n")
     else:
-        sys.stdout.write(render_fraction_value(fact.value, args.fmt))
+        sys.stdout.write(render_fraction_value(fact.value, 1, args.fmt))
     return 0
 
 

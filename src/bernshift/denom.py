@@ -157,7 +157,7 @@ def denom_exact(cache: BernoulliCache, r: int, s: int) -> int:
     """denom(B[r,s]) read off the exact value."""
     from .umbral import bs_direct
 
-    return bs_direct(cache, r, s).denominator
+    return bs_direct(cache, r, s, pair=True)[1]
 
 
 def denom_via_psi(r: int, s: int) -> int:

@@ -22,7 +22,7 @@ def _sweep_denominators(max_r: int, max_s: int, rows: Sequence[int]) -> SweepRes
     sieve = primes_up_to(max_r + max_s + 1)
     # p divides the sum exactly when p divides psi(r, s, p); 2 never divides the denominator
     odd, psi_sums = _psi_sum_rows(sieve[1:], max_r, max_s)
-    table = reduced_rows(BernoulliCache(max_r + max_s + 2), max_r, max_s)
+    table = reduced_rows(BernoulliCache(max_r + max_s), max_r, max_s)
     instances, failures = 0, []
     for r, (row, sums) in enumerate(zip(table, psi_sums)):
         if r not in rows:

@@ -1,5 +1,6 @@
 """The psi and classical sweeps: psi and hermite-stern read integers only,
-loading neither umbral, bernoulli nor fractions; staudt-clausen reads the B_n cache.
+loading neither umbral nor bernoulli; staudt-clausen reads the B_n cache's
+integer pairs.  None loads fractions unless a check fails.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _sweep_staudt_clausen(max_r: int, max_s: int, rows: Sequence[int]) -> SweepR
     from .bernoulli import BernoulliCache, bernoulli_denominator, von_staudt_clausen_witness
 
     bound = max(max_r, max_s)
-    cache = BernoulliCache(bound + 2)
+    cache = BernoulliCache(bound)
     instances, failures = 0, []
     for n in range(2, bound + 1, 2):
         instances += 1
@@ -94,7 +95,7 @@ def _sweep_staudt_clausen(max_r: int, max_s: int, rows: Sequence[int]) -> SweepR
     for n in range(bound + 1):
         instances += 1
         closed = bernoulli_denominator(n)
-        exact = cache[n].denominator
+        exact = cache.pair(n)[1]
         if closed != exact:
             failures.append(f"n={n}: closed form {closed} != exact {exact}")
     return instances, failures, []

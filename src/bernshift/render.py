@@ -6,16 +6,15 @@ report text in verify.  A fraction renders as "num/den", "/1" suppressed and
 the sign on the numerator, so a CSV cell is only digits, "-" and "/" and needs
 no quoting.  JSON carries no floats: integers beyond 2**53 are decimal
 strings, so consumers that parse into doubles cannot lose precision.  All
-output is byte-stable across runs.
+output is byte-stable across runs.  Every value arrives as integers -- an int,
+or a (numerator, denominator) pair in lowest terms -- so rendering needs no
+Fraction and never loads fractions.
 """
 
 from __future__ import annotations
 
 from itertools import starmap
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Iterable, Iterator, Sequence, Union
 
 PLAIN, CSV, JSON, LATEX = "plain", "csv", "json", "latex"
 FORMATS = (PLAIN, CSV, JSON, LATEX)
@@ -23,7 +22,6 @@ FORMATS = (PLAIN, CSV, JSON, LATEX)
 _JSON_SAFE = 2**53
 
 JsonInt = Union[int, str]
-Number = Union[int, "Fraction"]
 
 
 def json_int(n: int) -> JsonInt:
@@ -110,9 +108,9 @@ def int_table_lines(rows: Iterable[Sequence[int]], fmt: str, width: int) -> Iter
     return _table_lines((list(map(cell, row)) for row in rows), fmt, width)
 
 
-def render_fraction_value(q: Number, fmt: str) -> str:
-    """One value; an int renders as its own numerator."""
-    cell = _FRACTION_CELL[fmt](q.numerator, q.denominator)
+def render_fraction_value(num: int, den: int, fmt: str) -> str:
+    """One value from its numerator and denominator in lowest terms; an int n is (n, 1)."""
+    cell = _FRACTION_CELL[fmt](num, den)
     if fmt == JSON:
         return render_json(cell)
     if fmt == LATEX:
@@ -120,10 +118,9 @@ def render_fraction_value(q: Number, fmt: str) -> str:
     return _record((cell,), fmt)
 
 
-def render_coefficients(coeffs: Sequence[Fraction], fmt: str) -> str:
-    """Coefficient list, lowest power first."""
-    cell = _FRACTION_CELL[fmt]
-    cells = [cell(c.numerator, c.denominator) for c in coeffs]
+def render_coefficients(coeffs: Iterable[tuple[int, int]], fmt: str) -> str:
+    """Coefficient list, lowest power first, from (numerator, denominator) pairs in lowest terms."""
+    cells = list(starmap(_FRACTION_CELL[fmt], coeffs))
     if fmt == JSON:
         return render_json(cells)
     if fmt == LATEX:

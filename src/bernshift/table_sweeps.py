@@ -1,5 +1,6 @@
 """The table sweeps: each walks the rows of D * B[r,s] from one seed, and a
 transposed key from the mirror walk beside them; none uses psi, so none loads denom.
+Each compares integers over D and makes a Fraction only to name a failure.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from .verify import SweepResult, _exceptional_zero, _seed
 
 
 def _sweep_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    from fractions import Fraction
-
     from .exact_arith import _mirror_rows
     from .umbral import _triangle_rows
 
@@ -21,29 +20,30 @@ def _sweep_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResu
     for r, row, mirror in zip(range(max_r + 1), _triangle_rows(seed), _mirror_rows(seed)):
         for s in range(max_s + 1):
             if row[s] != mirror[s]:  # (-1)^r B[r,s] against (-1)^s B[s,r], times (-1)^r D
+                from fractions import Fraction
+
                 swapped = -mirror[s] if (r + s) % 2 else mirror[s]  # D * B[s,r]
                 failures.append(f"(r={r}, s={s}): {Fraction(row[s], d)} vs {Fraction(swapped, d)}")
     return (max_r + 1) * (max_s + 1), failures, []
 
 
 def _sweep_antidiagonal(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    from .bernoulli import BernoulliCache
-    from .umbral import antidiagonal_sums
+    from .umbral import _antidiagonal_totals
 
-    cache = BernoulliCache(max_r + max_s + 2)
+    d, seed = _seed(max_r, max_s)
     instances, failures = 0, []
-    for n, total in enumerate(antidiagonal_sums(cache, max_r + max_s)):
+    for n, total in enumerate(_antidiagonal_totals(seed)):  # D times each sum
         instances += 1
         expected = 1 if n == 0 else 0
-        if total != expected:
-            failures.append(f"n={n}: sum is {total}, expected {expected}")
+        if total != expected * d:
+            from fractions import Fraction
+
+            failures.append(f"n={n}: sum is {Fraction(total, d)}, expected {expected}")
     return instances, failures, []
 
 
 def _sweep_paths(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     """Defining sum, table and both difference forms, each computed apart in integers over D."""
-    from fractions import Fraction
-
     from .umbral import _defining_sum, _difference_forms, _triangle_rows
 
     bound = max(max_r, max_s)  # the keys checked are those with r + s <= bound
@@ -58,11 +58,15 @@ def _sweep_paths(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
             direct = _defining_sum(seed, r, s)
             rank_form, shift_form = _difference_forms(signed.__getitem__, r, s)
             if rank_form != shift_form:
+                from fractions import Fraction
+
                 failures.append(
                     f"difference forms disagree at (r={r}, s={s}): "
                     f"{Fraction(rank_form, d)} != {Fraction(shift_form, d)}"
                 )
             elif not (direct == row[s] == rank_form):
+                from fractions import Fraction
+
                 failures.append(
                     f"(r={r}, s={s}): direct={Fraction(direct, d)}, table={Fraction(row[s], d)}, "
                     f"difference={Fraction(rank_form, d)}"
@@ -72,8 +76,6 @@ def _sweep_paths(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
 
 def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     """[x^k]: (-1)^r c_k(r,s) = (-1)^(s+k) c_k(s,r), compared as integers over the shared D."""
-    from fractions import Fraction
-
     from .umbral import _scaled_polynomial, _triangle_rows
 
     d, seed = _seed(max_r, max_s)
@@ -89,6 +91,8 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> Swee
             pairs = enumerate(zip(lhs, rhs))
             k = next((k for k, (a, b) in pairs if a != (-b if (r + s + k) % 2 else b)), None)
             if k is not None:  # the first power of x where the sides differ, as for the key (s, r)
+                from fractions import Fraction
+
                 for i, j, a, b in [(r, s, lhs, rhs), (s, r, rhs, lhs)][: 2 if mirrored and r != s else 1]:
                     failures.append(
                         f"(r={i}, s={j}): [x^{k}] {Fraction(a[k], d)} in B[{i},{j}](x) "
@@ -98,8 +102,6 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> Swee
 
 
 def _sweep_nonvanishing(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    from fractions import Fraction
-
     from .umbral import _triangle_rows
 
     d, seed = _seed(max_r, max_s)
@@ -109,6 +111,8 @@ def _sweep_nonvanishing(max_r: int, max_s: int, rows: Sequence[int]) -> SweepRes
             instances += 1
             if _exceptional_zero(r, s):
                 if value != 0:
+                    from fractions import Fraction
+
                     failures.append(f"(r={r}, s={s}): expected 0, got {Fraction(value, d)}")
                 else:
                     notes.append(f"zero at (r={r}, s={s})")

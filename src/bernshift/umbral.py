@@ -6,27 +6,38 @@ arise three independent ways -- the defining binomial sum, a Pascal-style
 recurrence filling the table row by row (exact_arith._triangle_rows, which
 denom's psi triangles share), and iterated forward differences of
 (-1)^n B_n (forward_difference, here) -- and every path is exposed so the
-suite can play them against each other.  The table runs in integers: by von Staudt-Clausen every
-denominator of B_0..B_n divides D = product(primes <= n + 1), so D * B[r,s]
-is an integer for r + s <= n.  The polynomial extension B[r,s](x) sums
-Bernoulli polynomials the same way, is a coefficient tuple accumulated from
-the table one row at a time, and obeys an asymmetric reciprocity in x and -x.
+suite can play them against each other.  Every route runs in integers.  The
+defining sum scales B_s..B_{s+r} to their least common denominator.  The
+table scales the seed: by von Staudt-Clausen every denominator of B_0..B_n
+divides D = product(primes <= n + 1), so D * B[r,s] is an integer for
+r + s <= n, and the table routes read D * B_0..D * B_n from
+_scaled_bernoulli.  The polynomial extension B[r,s](x) sums Bernoulli
+polynomials the same way, is a coefficient tuple accumulated from the table
+one row at a time, and obeys an asymmetric reciprocity in x and -x.
+
+A value is reduced once, by one gcd, to its (numerator, denominator) pair.
+A Fraction is made only where the library hands a value out -- bs_direct,
+bs_polynomial, a BsTable key read, antidiagonal_sums -- and in the message of
+a failed invariant, each importing fractions when it runs; the CLI asks
+bs_direct and bs_polynomial for the pairs, so no request loads fractions.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import compress, islice, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
 from .bernoulli import BernoulliCache
 from .errors import CapacityError, InvariantViolation
 from .exact_arith import _binomial_row, _product_tree, _triangle_rows, primes_up_to
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 
 def _check_key(cache: BernoulliCache, r: int, s: int) -> None:
@@ -44,10 +55,25 @@ def _defining_sum(b: Sequence[Scalar], r: int, s: int) -> Scalar:
     return sum(map(mul, compress(_binomial_row(r), terms), filter(None, terms)))
 
 
-def bs_direct(cache: BernoulliCache, r: int, s: int) -> Fraction:
-    """B[r,s] by the defining sum over C(r, v) * B_{s+v}."""
+def bs_direct(cache: BernoulliCache, r: int, s: int, *, pair: bool = False) -> Fraction | tuple[int, int]:
+    """B[r,s] by the defining sum over C(r, v) * B_{s+v}, in integers over a common denominator.
+
+    B_s..B_{s+r} are scaled to L, the lcm of their denominators, summed, and
+    reduced once.  L is read off the cache, not taken from von Staudt-Clausen,
+    so this route does not share the table's seed.  With pair=True the value
+    is returned as (numerator, denominator) in lowest terms, as the CLI
+    prints it, and no Fraction is made.
+    """
     _check_key(cache, r, s)
-    return Fraction(_defining_sum(cache, r, s))
+    window = list(map(cache.pair, range(s, s + r + 1)))
+    common = lcm(*(den for _, den in window))
+    scaled = [num * (common // den) for num, den in window]  # L * B_{s+v} for v = 0..r
+    num, den = _lowest_terms(_defining_sum(scaled, r, 0), common)
+    if pair:
+        return num, den
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
 def _scaled_bernoulli(cache: BernoulliCache, n: int) -> tuple[int, list[int]]:
@@ -59,11 +85,11 @@ def _scaled_bernoulli(cache: BernoulliCache, n: int) -> tuple[int, list[int]]:
     d = _product_tree(primes_up_to(n + 1))
     seed = []
     for k in range(n + 1):
-        b = cache[k]
-        share, rest = divmod(d, b.denominator)
+        num, den = cache.pair(k)
+        share, rest = divmod(d, den)
         if rest:
-            raise InvariantViolation(f"denom(B_{k}) = {b.denominator} does not divide {d}")
-        seed.append(b.numerator * share)
+            raise InvariantViolation(f"denom(B_{k}) = {den} does not divide {d}")
+        seed.append(num * share)
     return d, seed
 
 
@@ -88,6 +114,8 @@ def _scaled_polynomial(rows: Iterable[Sequence[int]], r: int, s: int, d: int) ->
         for k, c, x in zip(range(r - i, r - i + s + 1), comb_s, row[s::-1]):
             coeffs[k] += weight * c * x
     if coeffs[-1] != d:
+        from fractions import Fraction  # only for the message
+
         raise InvariantViolation(
             f"B[{r},{s}](x) should be monic of degree {r + s}, "
             f"got leading coefficient {Fraction(coeffs[-1], d)}"
@@ -110,6 +138,8 @@ class BsTable(namedtuple("BsTable", "max_r max_s denominator scaled")):
         r, s = key
         if not (0 <= r <= self.max_r and 0 <= s <= self.max_s):
             raise ValueError(f"B[{r},{s}] lies outside the {self.max_r}x{self.max_s} table")
+        from fractions import Fraction
+
         return Fraction(self.scaled[r][s], self.denominator)
 
 
@@ -188,25 +218,41 @@ def bs_via_difference(cache: BernoulliCache, r: int, s: int) -> Fraction:
     return rank_form
 
 
-def antidiagonal_sums(cache: BernoulliCache, n_max: int) -> list[Fraction]:
-    """Sums of B[r,s] over r + s = n for n = 0..n_max: 1 at n = 0, then 0.
+def _antidiagonal_totals(seed: Sequence[int]) -> list[int]:
+    """D times the sums of B[r,s] over r + s = n, n = 0..len(seed) - 1, from the seed D * B_0..D * B_n.
 
-    Streams the triangle r + s <= n_max, so one row is held at a time.
+    Streams the triangle, so one row is held at a time.
     """
-    if n_max < 0:
-        raise ValueError("n must be non-negative")
-    d, seed = _scaled_bernoulli(cache, n_max)
-    sums = [0] * (n_max + 1)
+    sums = [0] * len(seed)
     for r, row in enumerate(_triangle_rows(seed)):
         for s, value in enumerate(row):
             sums[r + s] += value
-    return [Fraction(total, d) for total in sums]
+    return sums
 
 
-def bs_polynomial(cache: BernoulliCache, r: int, s: int) -> tuple[Fraction, ...]:
+def antidiagonal_sums(cache: BernoulliCache, n_max: int) -> list[Fraction]:
+    """Sums of B[r,s] over r + s = n for n = 0..n_max: 1 at n = 0, then 0."""
+    if n_max < 0:
+        raise ValueError("n must be non-negative")
+    d, seed = _scaled_bernoulli(cache, n_max)
+    from fractions import Fraction
+
+    return [Fraction(total, d) for total in _antidiagonal_totals(seed)]
+
+
+def bs_polynomial(
+    cache: BernoulliCache, r: int, s: int, *, pairs: bool = False
+) -> tuple[Fraction, ...] | tuple[tuple[int, int], ...]:
     """The coefficients of B[r,s](x) = sum(C(r, v) * B_{s+v}(x)), lowest power first.
 
-    Only one row of the table up to (r, s) is held at a time.
+    Only one row of the table up to (r, s) is held at a time.  With
+    pairs=True each is returned as (numerator, denominator) in lowest terms,
+    as the CLI prints them, and no Fraction is made.
     """
     d, rows = _table_rows(cache, r, s)
-    return tuple(Fraction(c, d) for c in _scaled_polynomial(rows, r, s, d))
+    reduced = tuple(map(_lowest_terms, _scaled_polynomial(rows, r, s, d), repeat(d)))
+    if pairs:
+        return reduced
+    from fractions import Fraction
+
+    return tuple(Fraction(num, den) for num, den in reduced)

@@ -10,8 +10,9 @@ runners live in three modules, by the layer they read: table_sweeps,
 denom_sweeps and psi_sweeps.  A runner in PROPERTIES imports its module at
 its first call, so a request compiles only its own sweep's module; the
 runner then imports the layers it reads when it runs, so the psi sweeps
-load no Bernoulli number and no fractions, and the table sweeps that use no
-psi do not load denom.
+load no Bernoulli number, and the table sweeps that use no psi do not load
+denom.  Every sweep compares integers: fractions is imported only in the
+branch that formats a failure.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _seed(max_r: int, max_s: int) -> tuple[int, list[int]]:
     from .bernoulli import BernoulliCache
     from .umbral import _scaled_bernoulli
 
-    return _scaled_bernoulli(BernoulliCache(max_r + max_s + 2), max_r + max_s)
+    return _scaled_bernoulli(BernoulliCache(max_r + max_s), max_r + max_s)
 
 
 def _exceptional_zero(r: int, s: int) -> bool:

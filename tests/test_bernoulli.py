@@ -68,10 +68,22 @@ class TestBernoulliNumbers:
         small = BernoulliCache(5)
         assert small.capacity == 5
         assert small[5] == 0
-        with pytest.raises(CapacityError):
-            small[6]
+        assert small.pair(5) == (0, 1)
+        for read in (small.__getitem__, small.pair):
+            with pytest.raises(CapacityError):
+                read(6)
+            with pytest.raises(ValueError):
+                read(-1)
+        with pytest.raises(AttributeError):  # no instance dict: nothing can be added to it
+            small.extra = 1
         with pytest.raises(ValueError):
-            small[-1]
+            BernoulliCache(-1)
+
+    def test_pairs_are_the_fractions_in_lowest_terms(self, cache):
+        # what the integer routes read is what cache[n] hands out: sign on the numerator
+        for n in range(cache.capacity + 1):
+            q = cache[n]
+            assert cache.pair(n) == (q.numerator, q.denominator), n
 
     def test_zero_capacity(self):
         assert BernoulliCache(0)[0] == 1

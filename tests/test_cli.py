@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -154,11 +153,11 @@ class TestTableStream:
         assert (code, out) == (2, "")  # not even the header, which needs no row
         assert "capacity" in err
 
-        class WrongCache(real):
+        class WrongCache(real):  # B_4 read as 1/49 where the seed reads it, the integer pair
             __slots__ = ()
 
-            def __getitem__(self, n):
-                return Fraction(1, 49) if n == 4 else super().__getitem__(n)
+            def pair(self, n):
+                return (1, 49) if n == 4 else super().pair(n)
 
         monkeypatch.setattr(bernoulli, "BernoulliCache", WrongCache)
         code, out, err = run_cli(capsys, "table", "30", "30", "--format", "json")
@@ -419,7 +418,7 @@ def test_default_verify_with_two_jobs_starts_no_pool():
 def test_integer_sweeps_load_no_bernoulli_number(prop, layer):
     loaded = _newly_loaded(f"from bernshift.cli import main\nassert main(['verify', {prop!r}]) == 0")
     assert {"bernshift.verify", layer} <= loaded
-    assert loaded & {"bernshift.umbral", "bernshift.bernoulli", "fractions"} == set()
+    assert loaded & {"bernshift.umbral", "bernshift.bernoulli"} == set()
 
 
 @pytest.mark.parametrize("prop", ["reciprocity", "paths"])
@@ -457,9 +456,27 @@ def test_small_requests_leave_sweeps_and_json_unloaded(argv):
     loaded = _newly_loaded(f"from bernshift.cli import main\nassert main({argv!r}) == 0")
     assert "bernshift.render" in loaded
     assert loaded & {"bernshift.verify", "json", "dataclasses", "inspect", "logging"} == set()
-    if argv[0] != "value":  # psi and denom need no Bernoulli number, and no Fraction
+    if argv[0] != "value":  # psi and denom need no Bernoulli number
         assert loaded & {"bernshift.umbral", "bernshift.bernoulli"} == set()
-        assert loaded & {"fractions", "decimal", "numbers"} == set()
+
+
+FRACTION_FREE_REQUESTS = [
+    ["value", "7", "5"],
+    ["value", "7", "5", "--poly"],
+    *(["table", "6", "4", "--format", fmt] for fmt in ("plain", "csv", "json", "latex")),
+    ["table", "6", "4", "--denoms"],
+    ["psi", "3", "3", "5"],
+    ["denom", "30", "30", "--factor"],
+    *(["verify", prop, "--max-r", "10", "--max-s", "10"] for prop in sorted(verify.PROPERTIES)),
+]
+
+
+@pytest.mark.parametrize("argv", FRACTION_FREE_REQUESTS, ids=" ".join)
+def test_no_request_loads_fractions(argv):
+    # every answer is computed and printed as integers; fractions (and the decimal and
+    # numbers modules it pulls in) is loaded only to name a failed check
+    loaded = _newly_loaded(f"from bernshift.cli import main\nassert main({argv!r}) == 0")
+    assert loaded & {"fractions", "decimal", "numbers"} == set()
 
 
 class TestEntry:

@@ -13,7 +13,7 @@ import oracles
 from bernshift.bernoulli import BernoulliCache
 from bernshift.denom import _denom_formula
 from bernshift.exact_arith import _binomial_row, _hermite_stern_residue, primes_up_to
-from bernshift.umbral import _defining_sum, _scaled_bernoulli, forward_difference
+from bernshift.umbral import _defining_sum, _scaled_bernoulli, bs_direct, bs_polynomial, forward_difference
 
 BOUND = 60
 
@@ -37,6 +37,21 @@ def test_defining_sum_over_fractions():
             fast = _defining_sum(cache, r, s)
             assert fast == oracles.defining_sum(cache, r, s), (r, s)
     assert _defining_sum(cache, 0, 3) == 0  # only zero terms: nothing is summed
+
+
+def test_value_pairs_match_the_fraction_defining_sum(cache):
+    # the integer route the CLI prints, against the slow sum of Fractions over cache[n]
+    for n in range(2 * BOUND + 1):
+        for r in range(n + 1):
+            q = Fraction(oracles.defining_sum(cache, r, n - r))
+            assert bs_direct(cache, r, n - r, pair=True) == (q.numerator, q.denominator), (r, n - r)
+
+
+def test_polynomial_pairs_are_the_library_coefficients(cache):
+    for r in range(13):
+        for s in range(13):
+            coeffs = bs_polynomial(cache, r, s)
+            assert bs_polynomial(cache, r, s, pairs=True) == tuple((c.numerator, c.denominator) for c in coeffs)
 
 
 def test_forward_difference(seed):

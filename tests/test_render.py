@@ -10,9 +10,10 @@ import io
 
 import pytest
 
-from bernshift import BernoulliCache, bs_polynomial, bs_table_recursive
+from bernshift import BernoulliCache, bs_direct, bs_polynomial, bs_table_recursive
 from bernshift.render import (
     CSV,
+    FORMATS,
     JSON,
     LATEX,
     PLAIN,
@@ -64,14 +65,30 @@ def test_int_table_csv_matches_csv_writer(denoms):
 def test_coefficients_csv_match_csv_writer():
     coeffs = bs_polynomial(BernoulliCache(14), 7, 5)
     assert len(coeffs) == 13
-    assert render_coefficients(coeffs, CSV) == csv_oracle([coeffs])
+    assert render_coefficients(((c.numerator, c.denominator) for c in coeffs), CSV) == csv_oracle([coeffs])
 
 
 def test_scalar_csv_matches_csv_writer(values, denoms):
     for row_q, row_n in zip(values, denoms):
         for q, n in zip(row_q, row_n):
-            assert render_fraction_value(q, CSV) == csv_oracle([[q]])
-            assert render_fraction_value(n, CSV) == csv_oracle([[n]])
+            assert render_fraction_value(q.numerator, q.denominator, CSV) == csv_oracle([[q]])
+            assert render_fraction_value(n, 1, CSV) == csv_oracle([[n]])
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_integer_pairs_render_as_the_fractions_do(fmt):
+    # the CLI renders the pairs of bs_direct; byte for byte they render as the numerator and
+    # denominator of the Fractions the library returns, over keys with negative values,
+    # zeros ((3, 0), (0, 5)) and denominator 1 ((0, 0))
+    cache = BernoulliCache(24)
+    seen = set()
+    for r in range(13):
+        for s in range(13):
+            q = bs_direct(cache, r, s)
+            seen.add((q < 0, q == 0, q.denominator == 1))
+            expected = render_fraction_value(q.numerator, q.denominator, fmt)
+            assert render_fraction_value(*bs_direct(cache, r, s, pair=True), fmt) == expected
+    assert {(True, False, False), (False, True, True), (False, False, True)} <= seen
 
 
 def test_int_table_cells_keep_their_plain_and_latex_forms(denoms):
