@@ -16,11 +16,10 @@ coefficients.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InvariantViolation
-from .exact_arith import _product_tree, clausen_primes
+from .exact_arith import _lowest_terms, _product_tree, _quotient_text, clausen_primes
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -32,8 +31,8 @@ class BernoulliCache:
     Built once from the tangent numbers T_k = tan^(2k-1)(0) by Brent and
     Harvey's in-place algorithm ("Fast computation of Bernoulli, tangent and
     secant numbers", 2011): O(capacity^2) small-integer multiply-adds, then
-    B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)), reduced by one gcd per even
-    index.  Odd indices >= 3 are 0.  Immutable afterwards.
+    B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)), reduced by _lowest_terms per
+    even index.  Odd indices >= 3 are 0.  Immutable afterwards.
     """
 
     __slots__ = ("_pairs",)
@@ -53,9 +52,7 @@ class BernoulliCache:
         pairs = [(1, 1), (-1, 2)] + [(0, 1)] * (capacity - 1)
         for k in range(1, n + 1):
             four_k = 4**k
-            num, den = 2 * k * tangent[k], four_k * (four_k - 1)
-            g = gcd(num, den)
-            pairs[2 * k] = (num // g if k % 2 else -(num // g), den // g)
+            pairs[2 * k] = _lowest_terms((2 * k if k % 2 else -2 * k) * tangent[k], four_k * (four_k - 1))
         self._pairs = tuple(pairs[: capacity + 1])
 
     @property
@@ -104,7 +101,5 @@ def von_staudt_clausen_witness(cache: BernoulliCache, n: int) -> int:
     total = num * big + sum(big // p for p in primes) * den
     whole, rest = divmod(total, den * big)
     if rest:
-        from fractions import Fraction  # only for the message
-
-        raise InvariantViolation(f"B_{n} + sum(1/p) = {Fraction(total, den * big)} is not an integer")
+        raise InvariantViolation(f"B_{n} + sum(1/p) = {_quotient_text(total, den * big)} is not an integer")
     return whole

@@ -19,7 +19,7 @@ prime it is _psi_rows, and psi-congruences walks it beside its transpose
 prime and is the triangles' oracle.  The recurrence is
 exact_arith._triangle_rows, shared with umbral's B[r,s] table, so this
 module loads neither umbral nor bernoulli, and a psi or denom request builds
-no Bernoulli number and loads no fractions.
+no Bernoulli number and loads no fractions, not even to word a failure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from math import comb, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation
-from .exact_arith import _product_tree, _triangle_rows, clausen_primes, is_prime, primes_up_to
+from .exact_arith import _product_tree, _quotient_text, _triangle_rows, clausen_primes, is_prime, primes_up_to
 
 if TYPE_CHECKING:
     from .bernoulli import BernoulliCache
@@ -126,11 +126,7 @@ def _integral(r: int, s: int, numerator: int, d: int) -> int:
     """numerator / d, the value of B[r,s] + sum(psi/p); InvariantViolation if not an integer."""
     whole, rest = divmod(numerator, d)
     if rest:
-        from fractions import Fraction  # only for the message: psi and denom requests never load it
-
-        raise InvariantViolation(
-            f"B[{r},{s}] + sum(psi/p) = {Fraction(numerator, d)} is not an integer"
-        )
+        raise InvariantViolation(f"B[{r},{s}] + sum(psi/p) = {_quotient_text(numerator, d)} is not an integer")
     return whole
 
 

@@ -1,5 +1,5 @@
-"""The denominator sweeps: denominators and integrality read every prime's psi
-from one streamed triangle, denom-divisibility the table beside its mirror walk.
+"""The denominator sweeps walk D * B[r,s] from verify._seed: denominators and integrality
+beside every prime's psi in one streamed triangle, denom-divisibility beside its mirror.
 """
 
 from __future__ import annotations
@@ -14,21 +14,21 @@ from .verify import SweepResult, _exceptional_zero, _seed
 def _sweep_denominators(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from math import gcd
 
-    from .bernoulli import BernoulliCache
     from .denom import _denom_formula, _psi_sum_rows
-    from .exact_arith import primes_up_to
-    from .umbral import reduced_rows
+    from .exact_arith import _lowest_terms, primes_up_to
+    from .umbral import _triangle_rows
 
+    scale, seed = _seed(max_r, max_s)
     sieve = primes_up_to(max_r + max_s + 1)
     # p divides the sum exactly when p divides psi(r, s, p); 2 never divides the denominator
     odd, psi_sums = _psi_sum_rows(sieve[1:], max_r, max_s)
-    table = reduced_rows(BernoulliCache(max_r + max_s), max_r, max_s)
     instances, failures = 0, []
-    for r, (row, sums) in enumerate(zip(table, psi_sums)):
+    for r, row, sums in zip(range(max_r + 1), _triangle_rows(seed), psi_sums):
         if r not in rows:
             continue
-        for s, (_, d) in enumerate(row):
+        for s in range(max_s + 1):
             instances += 1
+            d = _lowest_terms(row[s], scale)[1]
             formula = _denom_formula(r, s, sieve).value
             if formula != d:
                 failures.append(f"(r={r}, s={s}): formula {formula} != exact {d}")
@@ -85,8 +85,8 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Sequence[int]) -> Sw
     from operator import mul
 
     from .bernoulli import bernoulli_denominator
-    from .exact_arith import _mirror_rows, clausen_primes, primes_up_to
-    from .umbral import _lowest_terms, _triangle_rows
+    from .exact_arith import _lowest_terms, _mirror_rows, clausen_primes, primes_up_to
+    from .umbral import _triangle_rows
 
     scale, seed = _seed(max_r, max_s)
     sieve = primes_up_to(max_r + max_s + 1)

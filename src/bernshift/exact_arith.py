@@ -3,7 +3,9 @@
 Everything here takes and returns plain Python ints; no floats, and no
 rationals either -- those live in bernoulli and umbral.  clausen_primes(n)
 is the one statement of von Staudt-Clausen: the primes dividing denom(B_n),
-which bernoulli and denom both read.  The triangle recurrence
+which bernoulli and denom both read.  _lowest_terms(x, d) is the one
+reduction of a quotient to lowest terms, and _quotient_text(x, d) its one
+wording in a failure message.  The triangle recurrence
 X[r+1,s] = X[r,s] + X[r,s+1] fills both D * B[r,s] (umbral) and psi
 (denom); it is stated here once, so that denom need not load umbral.
 The sums weighted by a whole row C(n, 0..n) -- the defining sum, the forward
@@ -15,9 +17,11 @@ which walks every order, makes its rows by Pascal's rule itself.
 from __future__ import annotations
 
 from itertools import repeat
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import add
 from typing import Iterator, Sequence
+
+from .render import fraction_text
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -70,6 +74,17 @@ def _hermite_stern_residue(row: Sequence[int], p: int) -> int:
     """sum(C(m, v) for 0 < v < m with p - 1 | v) mod p, from row = C(m, 0..m), for a prime p."""
     m = len(row) - 1
     return sum(row[p - 1 : m : p - 1]) % p
+
+
+def _lowest_terms(x: int, d: int) -> tuple[int, int]:
+    """x / d in lowest terms as (numerator, denominator), for d > 0, by one gcd; no Fraction is built."""
+    g = gcd(x, d)
+    return x // g, d // g
+
+
+def _quotient_text(x: int, d: int) -> str:
+    """x / d as a failure message words it, for d > 0: "num/den" in lowest terms, as str(Fraction(x, d))."""
+    return fraction_text(*_lowest_terms(x, d))
 
 
 _PRODUCT_LEAF = 32  # below this many factors, math.prod's own loop is faster

@@ -1,6 +1,6 @@
 """The psi and classical sweeps: psi and hermite-stern read integers only,
 loading neither umbral nor bernoulli; staudt-clausen reads the B_n cache's
-integer pairs.  None loads fractions unless a check fails.
+integer pairs.  None loads fractions, not even to word a failure.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The table sweeps: each walks the rows of D * B[r,s] from one seed, and a
 transposed key from the mirror walk beside them; none uses psi, so none loads denom.
-Each compares integers over D and makes a Fraction only to name a failure.
+Each compares integers over D and names a failure by exact_arith._quotient_text.
 """
 
 from __future__ import annotations
@@ -8,6 +8,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Sequence
 
+from .exact_arith import _quotient_text
 from .verify import SweepResult, _exceptional_zero, _seed
 
 
@@ -20,10 +21,8 @@ def _sweep_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResu
     for r, row, mirror in zip(range(max_r + 1), _triangle_rows(seed), _mirror_rows(seed)):
         for s in range(max_s + 1):
             if row[s] != mirror[s]:  # (-1)^r B[r,s] against (-1)^s B[s,r], times (-1)^r D
-                from fractions import Fraction
-
                 swapped = -mirror[s] if (r + s) % 2 else mirror[s]  # D * B[s,r]
-                failures.append(f"(r={r}, s={s}): {Fraction(row[s], d)} vs {Fraction(swapped, d)}")
+                failures.append(f"(r={r}, s={s}): {_quotient_text(row[s], d)} vs {_quotient_text(swapped, d)}")
     return (max_r + 1) * (max_s + 1), failures, []
 
 
@@ -36,9 +35,7 @@ def _sweep_antidiagonal(max_r: int, max_s: int, rows: Sequence[int]) -> SweepRes
         instances += 1
         expected = 1 if n == 0 else 0
         if total != expected * d:
-            from fractions import Fraction
-
-            failures.append(f"n={n}: sum is {Fraction(total, d)}, expected {expected}")
+            failures.append(f"n={n}: sum is {_quotient_text(total, d)}, expected {expected}")
     return instances, failures, []
 
 
@@ -58,18 +55,14 @@ def _sweep_paths(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
             direct = _defining_sum(seed, r, s)
             rank_form, shift_form = _difference_forms(signed.__getitem__, r, s)
             if rank_form != shift_form:
-                from fractions import Fraction
-
                 failures.append(
                     f"difference forms disagree at (r={r}, s={s}): "
-                    f"{Fraction(rank_form, d)} != {Fraction(shift_form, d)}"
+                    f"{_quotient_text(rank_form, d)} != {_quotient_text(shift_form, d)}"
                 )
             elif not (direct == row[s] == rank_form):
-                from fractions import Fraction
-
                 failures.append(
-                    f"(r={r}, s={s}): direct={Fraction(direct, d)}, table={Fraction(row[s], d)}, "
-                    f"difference={Fraction(rank_form, d)}"
+                    f"(r={r}, s={s}): direct={_quotient_text(direct, d)}, table={_quotient_text(row[s], d)}, "
+                    f"difference={_quotient_text(rank_form, d)}"
                 )
     return instances, failures, []
 
@@ -91,12 +84,10 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> Swee
             pairs = enumerate(zip(lhs, rhs))
             k = next((k for k, (a, b) in pairs if a != (-b if (r + s + k) % 2 else b)), None)
             if k is not None:  # the first power of x where the sides differ, as for the key (s, r)
-                from fractions import Fraction
-
                 for i, j, a, b in [(r, s, lhs, rhs), (s, r, rhs, lhs)][: 2 if mirrored and r != s else 1]:
                     failures.append(
-                        f"(r={i}, s={j}): [x^{k}] {Fraction(a[k], d)} in B[{i},{j}](x) "
-                        f"vs {Fraction(b[k], d)} in B[{j},{i}](x)"
+                        f"(r={i}, s={j}): [x^{k}] {_quotient_text(a[k], d)} in B[{i},{j}](x) "
+                        f"vs {_quotient_text(b[k], d)} in B[{j},{i}](x)"
                     )
     return len(rows) * (max_s + 1), failures, []
 
@@ -111,9 +102,7 @@ def _sweep_nonvanishing(max_r: int, max_s: int, rows: Sequence[int]) -> SweepRes
             instances += 1
             if _exceptional_zero(r, s):
                 if value != 0:
-                    from fractions import Fraction
-
-                    failures.append(f"(r={r}, s={s}): expected 0, got {Fraction(value, d)}")
+                    failures.append(f"(r={r}, s={s}): expected 0, got {_quotient_text(value, d)}")
                 else:
                     notes.append(f"zero at (r={r}, s={s})")
             elif value == 0:

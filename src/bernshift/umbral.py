@@ -15,24 +15,24 @@ _scaled_bernoulli.  The polynomial extension B[r,s](x) sums Bernoulli
 polynomials the same way, is a coefficient tuple accumulated from the table
 one row at a time, and obeys an asymmetric reciprocity in x and -x.
 
-A value is reduced once, by one gcd, to its (numerator, denominator) pair.
-A Fraction is made only where the library hands a value out -- bs_direct,
-bs_polynomial, a BsTable key read, antidiagonal_sums -- and in the message of
-a failed invariant, each importing fractions when it runs; the CLI asks
-bs_direct and bs_polynomial for the pairs, so no request loads fractions.
+A value is reduced once, by exact_arith._lowest_terms, to its (numerator,
+denominator) pair, and worded in a failure message by _quotient_text.  A
+Fraction is made only where the library hands a value out -- bs_direct,
+bs_polynomial, a BsTable key read, antidiagonal_sums -- each importing
+fractions when it runs; the CLI asks for the pairs, so no request loads it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress, islice, repeat
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
 from .bernoulli import BernoulliCache
 from .errors import CapacityError, InvariantViolation
-from .exact_arith import _binomial_row, _product_tree, _triangle_rows, primes_up_to
+from .exact_arith import _binomial_row, _lowest_terms, _product_tree, _quotient_text, _triangle_rows, primes_up_to
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -93,12 +93,6 @@ def _scaled_bernoulli(cache: BernoulliCache, n: int) -> tuple[int, list[int]]:
     return d, seed
 
 
-def _lowest_terms(x: int, d: int) -> tuple[int, int]:
-    """x / d in lowest terms as (numerator, denominator), by one gcd; no Fraction is built."""
-    g = gcd(x, d)
-    return x // g, d // g
-
-
 def _scaled_polynomial(rows: Iterable[Sequence[int]], r: int, s: int, d: int) -> list[int]:
     """D times the coefficients of B[r,s](x), lowest power first, from the rows D * B[i, 0..s], i <= r.
 
@@ -114,11 +108,9 @@ def _scaled_polynomial(rows: Iterable[Sequence[int]], r: int, s: int, d: int) ->
         for k, c, x in zip(range(r - i, r - i + s + 1), comb_s, row[s::-1]):
             coeffs[k] += weight * c * x
     if coeffs[-1] != d:
-        from fractions import Fraction  # only for the message
-
         raise InvariantViolation(
             f"B[{r},{s}](x) should be monic of degree {r + s}, "
-            f"got leading coefficient {Fraction(coeffs[-1], d)}"
+            f"got leading coefficient {_quotient_text(coeffs[-1], d)}"
         )
     return coeffs
 

@@ -11,8 +11,8 @@ denom_sweeps and psi_sweeps.  A runner in PROPERTIES imports its module at
 its first call, so a request compiles only its own sweep's module; the
 runner then imports the layers it reads when it runs, so the psi sweeps
 load no Bernoulli number, and the table sweeps that use no psi do not load
-denom.  Every sweep compares integers: fractions is imported only in the
-branch that formats a failure.
+denom.  Every sweep compares integers, and words a failure from integers
+by exact_arith._quotient_text, so no sweep loads fractions.
 """
 
 from __future__ import annotations

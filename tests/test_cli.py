@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -377,16 +378,16 @@ def test_import_leaves_process_pool_unloaded():
 
 
 def test_closed_pipe_exits_three_without_traceback():
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "bernshift", "table", "200", "200", "--format", "csv"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_env(),
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()  # the reader goes, like `head -n 1`
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 3
+    ) as proc:  # closes stderr too on the way out
+        first = proc.stdout.readline()
+        proc.stdout.close()  # the reader goes, like `head -n 1`
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 3
     assert first.startswith(b"1,-1/2,1/6,0,")
     assert err == b""
 
@@ -476,6 +477,30 @@ def test_no_request_loads_fractions(argv):
     # every answer is computed and printed as integers; fractions (and the decimal and
     # numbers modules it pulls in) is loaded only to name a failed check
     loaded = _newly_loaded(f"from bernshift.cli import main\nassert main({argv!r}) == 0")
+    assert loaded & {"fractions", "decimal", "numbers"} == set()
+
+
+def test_a_failing_request_loads_no_fractions():
+    # D * B_11 + 1 in the seed, as test_mutation_golden's seed_b11: each failure is
+    # worded from integers too
+    code = textwrap.dedent(
+        """
+        import bernshift.umbral as umbral
+        from bernshift.cli import main
+
+        real = umbral._scaled_bernoulli
+
+        def mutated(cache, n):
+            d, seed = real(cache, n)
+            seed[11] += 1
+            return d, seed
+
+        umbral._scaled_bernoulli = mutated
+        assert main(["verify", "nonvanishing"]) == 1
+        """
+    )
+    loaded = _newly_loaded(code)
+    assert "bernshift.table_sweeps" in loaded
     assert loaded & {"fractions", "decimal", "numbers"} == set()
 
 

@@ -13,7 +13,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bernshift.exact_arith as exact_arith
-from bernshift.exact_arith import _binomial_row, _mirror_rows, _product_tree, _triangle_rows, is_prime, primes_up_to
+from bernshift.exact_arith import (
+    _binomial_row,
+    _lowest_terms,
+    _mirror_rows,
+    _product_tree,
+    _quotient_text,
+    _triangle_rows,
+    is_prime,
+    primes_up_to,
+)
 from bernshift.umbral import _scaled_bernoulli, forward_difference
 from oracles import evaluate, least_positive_residue, reflect
 
@@ -167,6 +176,19 @@ class TestProductTree:
 
     def test_empty_product_is_one(self):
         assert _product_tree([]) == _product_tree(()) == 1
+
+
+class TestQuotient:
+    """x / d reduced by one gcd, and worded as str(Fraction(x, d)), for d > 0."""
+
+    def test_matches_fraction_for_random_pairs(self):
+        rng = random.Random(25)
+        for _ in range(20_000):
+            bits = rng.choice((4, 20, 90))  # 4 bits: zeros, negatives and whole quotients are frequent
+            x, d = rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits)
+            q = Fraction(x, d)
+            assert _lowest_terms(x, d) == (q.numerator, q.denominator), (x, d)
+            assert _quotient_text(x, d) == str(q), (x, d)
 
 
 class TestMirrorRows:

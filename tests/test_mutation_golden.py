@@ -3,8 +3,8 @@
 test_cli_golden pins only passing output.  Here each case patches one value
 the library computes, runs a sweep that must fail, and pins the sha256 of its
 JSON report without ``timing``, in the form of ``VERIFY_GOLDEN``.  The value
-mutations change what every route reads -- a D * B_n of the seed, a von
-Staudt-Clausen indicator chi_p, one factor of the closed denominator formula,
+mutations change what every route reads -- a D * B_n of the seed, a B_n of
+the cache, a von Staudt-Clausen indicator chi_p, one factor of the closed denominator formula,
 one polynomial coefficient, one binomial coefficient -- so a change of route
 that keeps the mathematics keeps their digests.  The parallel sweeps are pinned at --jobs 1 and as a
 3-way split whose chunk results are merged.
@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import bernshift.bernoulli as bernoulli
 import bernshift.denom as denom
 import bernshift.exact_arith as exact_arith
 import bernshift.umbral as umbral
@@ -100,6 +101,18 @@ def triangle_entry(monkeypatch):
     monkeypatch.setattr(umbral, "_triangle_rows", edited)
 
 
+def b12_plus_seventh(monkeypatch):
+    """B_12 read as B_12 + 1/7 = -43/390 from the cache's pairs, which the seed and the witness both read."""
+    real = bernoulli.BernoulliCache.pair
+
+    def mutated(self, n):
+        if n == 12:
+            return -43, 390  # -691/2730 + 390/2730 in lowest terms
+        return real(self, n)
+
+    monkeypatch.setattr(bernoulli.BernoulliCache, "pair", mutated)
+
+
 # (mutation, property, max_r, max_s, jobs, sha256 of the JSON report without "timing");
 # jobs 3 is the chunks of plan_chunks(max_r, 3, cpus=3) run one by one and merged
 MUTATION_GOLDEN = (
@@ -119,6 +132,11 @@ MUTATION_GOLDEN = (
     (coefficient, "poly-reciprocity", 8, 8, 3, "de5f3ae7158be5cc6e83ea07efd87a83cc26530a88f0640ec82c739437e46c71"),
     (binomial_12_6, "hermite-stern", 30, 13, 1, "4afabe6e050e736054c15a78e9ff3a37ac3b5d43005a77f1ac421c2222b37f39"),
     (triangle_entry, "reciprocity", 10, 10, 1, "7a7ff416b73c12e6dfe34a5d73d0824d80e53c531152e39d786677844d5f577d"),
+    (seed_b11, "paths", 12, 12, 1, "4f008b96e6621e1e036b11b9fe98a2ade28bb88e0cb06be607fa3182894d5269"),
+    (seed_b11, "paths", 12, 12, 3, "4f008b96e6621e1e036b11b9fe98a2ade28bb88e0cb06be607fa3182894d5269"),
+    (triangle_entry, "paths", 10, 10, 1, "5bea737e2968600bfb1b3161728e4aadaa07379cfa6d52f2515818cde75f4c60"),
+    (seed_b11, "antidiagonal", 12, 12, 1, "d8e6796a663f5dabf95df88f61a4fe5795b79ee30002a716266cea628e95bdbc"),
+    (b12_plus_seventh, "staudt-clausen", 20, 20, 1, "10c1c79298e83f65387037fdd8790da4497f5d5a8830be6f377e138bf75711d2"),
 )
 
 

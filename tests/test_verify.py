@@ -403,13 +403,13 @@ def test_streamed_sweeps_hold_no_whole_rectangle(name):
 
 
 def test_a_denominators_chunk_reduces_only_its_own_ranks(monkeypatch):
-    real, calls = umbral._lowest_terms, []
+    real, calls = exact_arith._lowest_terms, []
 
     def counted(x, d):
         calls.append(x)
         return real(x, d)
 
-    monkeypatch.setattr(umbral, "_lowest_terms", counted)
+    monkeypatch.setattr(exact_arith, "_lowest_terms", counted)
     even = plan_chunks(10, 2, cpus=2)[0]
     assert PROPERTIES["denominators"].runner(10, 10, even) == (66, [], [])
     assert len(calls) == 66  # ranks 0, 2, .., 10: not one gcd for the 5 rows the chunk skips
@@ -598,13 +598,13 @@ def test_denom_divisibility_names_a_square_factor_and_a_large_prime(monkeypatch)
     factors = {table.scaled[5][6]: 25, table.scaled[2][5]: 11}  # keyed by D * B[r,s], so by value:
     values = [x for row in table.scaled for x in row]
     assert all(values.count(x) == 1 for x in factors)  # these two occur once in the rectangle
-    real = umbral._lowest_terms
+    real = exact_arith._lowest_terms
 
     def edited(x, d):  # at (r, s) the mirror walk gives (-1)^(r+s) * D * B[s,r], which is D * B[r,s] again
         numerator, denominator = real(x, d)
         return numerator, denominator * factors.get(x, 1)
 
-    monkeypatch.setattr(umbral, "_lowest_terms", edited)
+    monkeypatch.setattr(exact_arith, "_lowest_terms", edited)
     report = run_verify("denom-divisibility", 10, 10)
     assert report.instances == PINNED["denom-divisibility"][0]
     assert [f for f in report.failures if f.startswith("squarefree-bounded")] == [
