@@ -1,4 +1,4 @@
-"""The denominator sweeps walk D * B[r,s] from verify._seed: denominators and integrality
+"""The denominator sweeps walk D * B[r,s] through verify._walk: denominators and integrality
 beside every prime's psi in one streamed triangle, denom-divisibility beside its mirror.
 """
 
@@ -8,7 +8,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .verify import SweepResult, _exceptional_zero, _seed
+from .verify import SweepResult, _exceptional_zero, _walk
 
 
 def _sweep_denominators(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
@@ -16,16 +16,13 @@ def _sweep_denominators(max_r: int, max_s: int, rows: Sequence[int]) -> SweepRes
 
     from .denom import _denom_formula, _psi_sum_rows
     from .exact_arith import _lowest_terms, primes_up_to
-    from .umbral import _triangle_rows
 
-    scale, seed = _seed(max_r, max_s)
     sieve = primes_up_to(max_r + max_s + 1)
     # p divides the sum exactly when p divides psi(r, s, p); 2 never divides the denominator
     odd, psi_sums = _psi_sum_rows(sieve[1:], max_r, max_s)
+    scale, _, steps = _walk(max_r + max_s, rows, psi_sums)
     instances, failures = 0, []
-    for r, row, sums in zip(range(max_r + 1), _triangle_rows(seed), psi_sums):
-        if r not in rows:
-            continue
+    for r, row, sums in steps:
         for s in range(max_s + 1):
             instances += 1
             d = _lowest_terms(row[s], scale)[1]
@@ -45,15 +42,13 @@ def _sweep_integrality(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResu
     """B[r,s] + sum(psi/p) over D, and psi divisibility, read from one walk of the psi sums."""
     from .denom import _integral, _psi_rows, _psi_sum_rows
     from .exact_arith import primes_up_to
-    from .umbral import _triangle_rows
 
-    d, seed = _seed(max_r, max_s)
     primes = primes_up_to(max_r + max_s + 1)
     _, psi_sums = _psi_sum_rows(primes, max_r, max_s)  # over P = D: D * sum(psi/p)
-    walks = zip(_triangle_rows(seed), psi_sums, _psi_rows(2, max_r, max_s), _psi_rows(3, max_r, max_s))
+    d, _, steps = _walk(max_r + max_s, rows, psi_sums, _psi_rows(2, max_r, max_s), _psi_rows(3, max_r, max_s))
     failures = []
-    for r, (row, sums, psi2, psi3) in enumerate(walks):
-        if r < 2 or r not in rows:
+    for r, row, sums, psi2, psi3 in steps:
+        if r < 2:
             continue
         for s in range(2, max_s + 1):
             try:
@@ -85,10 +80,9 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Sequence[int]) -> Sw
     from operator import mul
 
     from .bernoulli import bernoulli_denominator
-    from .exact_arith import _lowest_terms, _mirror_rows, clausen_primes, primes_up_to
-    from .umbral import _triangle_rows
+    from .exact_arith import _lowest_terms, clausen_primes, primes_up_to
 
-    scale, seed = _seed(max_r, max_s)
+    scale, _, steps = _walk(max_r + max_s, rows, mirror=True)
     sieve = primes_up_to(max_r + max_s + 1)
     primorials = list(accumulate(sieve, mul, initial=1))  # [k]: the product of the first k primes
     counts = dict.fromkeys(
@@ -112,7 +106,7 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Sequence[int]) -> Sw
             failures.append(f"{part} at {witness}")
 
     bound = min(max_r, max_s)
-    for r, row, mirror in zip(range(max_r + 1), _triangle_rows(seed), _mirror_rows(seed)):
+    for r, row, mirror in steps:
         if r >= 2 and r % 2 == 0:
             forced = clausen_primes(r)[1:]  # the odd ones
         for s in range(max_s + 1):

@@ -1,4 +1,4 @@
-"""The table sweeps: each walks the rows of D * B[r,s] from one seed, and a
+"""The table sweeps: each walks the rows of D * B[r,s] through verify._walk, and a
 transposed key from the mirror walk beside them; none uses psi, so none loads denom.
 Each compares integers over D and names a failure by exact_arith._quotient_text.
 """
@@ -9,27 +9,24 @@ from itertools import islice
 from typing import Sequence
 
 from .exact_arith import _quotient_text
-from .verify import SweepResult, _exceptional_zero, _seed
+from .verify import SweepResult, _exceptional_zero, _seed, _walk
 
 
 def _sweep_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    from .exact_arith import _mirror_rows
-    from .umbral import _triangle_rows
-
-    d, seed = _seed(max_r, max_s)
+    d, _, steps = _walk(max_r + max_s, rows, mirror=True)
     failures = []
-    for r, row, mirror in zip(range(max_r + 1), _triangle_rows(seed), _mirror_rows(seed)):
+    for r, row, mirror in steps:
         for s in range(max_s + 1):
             if row[s] != mirror[s]:  # (-1)^r B[r,s] against (-1)^s B[s,r], times (-1)^r D
                 swapped = -mirror[s] if (r + s) % 2 else mirror[s]  # D * B[s,r]
                 failures.append(f"(r={r}, s={s}): {_quotient_text(row[s], d)} vs {_quotient_text(swapped, d)}")
-    return (max_r + 1) * (max_s + 1), failures, []
+    return len(rows) * (max_s + 1), failures, []
 
 
 def _sweep_antidiagonal(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from .umbral import _antidiagonal_totals
 
-    d, seed = _seed(max_r, max_s)
+    d, seed = _seed(max_r + max_s)
     instances, failures = 0, []
     for n, total in enumerate(_antidiagonal_totals(seed)):  # D times each sum
         instances += 1
@@ -41,15 +38,13 @@ def _sweep_antidiagonal(max_r: int, max_s: int, rows: Sequence[int]) -> SweepRes
 
 def _sweep_paths(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     """Defining sum, table and both difference forms, each computed apart in integers over D."""
-    from .umbral import _defining_sum, _difference_forms, _triangle_rows
+    from .umbral import _defining_sum, _difference_forms
 
     bound = max(max_r, max_s)  # the keys checked are those with r + s <= bound
-    d, seed = _seed(bound, 0)
+    d, seed, steps = _walk(bound, rows)
     signed = [-x if n % 2 else x for n, x in enumerate(seed)]  # D * (-1)^n B_n
     instances, failures = 0, []
-    for r, row in zip(range(max_r + 1), _triangle_rows(seed)):
-        if r not in rows:
-            continue
+    for r, row in steps:
         for s in range(min(max_s, bound - r) + 1):
             instances += 1
             direct = _defining_sum(seed, r, s)
@@ -71,7 +66,7 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> Swee
     """[x^k]: (-1)^r c_k(r,s) = (-1)^(s+k) c_k(s,r), compared as integers over the shared D."""
     from .umbral import _scaled_polynomial, _triangle_rows
 
-    d, seed = _seed(max_r, max_s)
+    d, seed = _seed(max_r + max_s)
     table = list(islice(_triangle_rows(seed), max(max_r, max_s) + 1))  # held: the sums reread both key orders
     failures = []
     for r in rows:
@@ -93,11 +88,9 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> Swee
 
 
 def _sweep_nonvanishing(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    from .umbral import _triangle_rows
-
-    d, seed = _seed(max_r, max_s)
+    d, _, steps = _walk(max_r + max_s, rows)
     instances, failures, notes = 0, [], []
-    for r, row in zip(range(max_r + 1), _triangle_rows(seed)):
+    for r, row in steps:
         for s, value in enumerate(row[: max_s + 1]):
             instances += 1
             if _exceptional_zero(r, s):

@@ -16,8 +16,12 @@ import pytest
 
 import bernshift.bernoulli as bernoulli
 import bernshift.denom as denom
+import bernshift.denom_sweeps as denom_sweeps
 import bernshift.exact_arith as exact_arith
+import bernshift.psi_sweeps as psi_sweeps
+import bernshift.table_sweeps as table_sweeps
 import bernshift.umbral as umbral
+import bernshift.verify as verify
 from bernshift.errors import InvariantViolation
 from bernshift.verify import (
     PROPERTIES,
@@ -100,7 +104,7 @@ def test_each_property_passes_at_small_scale(name):
 
 @pytest.mark.parametrize("name", sorted(PROPERTIES))
 def test_sweeps_build_no_whole_table(name, monkeypatch):
-    # every sweep streams umbral._table_rows; bs_table_recursive is the library's record only
+    # the table sweeps stream umbral._triangle_rows; bs_table_recursive is the library's record only
     def refuse(*args):
         raise AssertionError("a sweep built a whole BsTable")
 
@@ -447,11 +451,82 @@ def _solo_and_split(name, max_r, max_s):
     return solo
 
 
+def _psi_walks(count, max_r, max_s):
+    """Fresh walks of psi(r, 0..max_s, p) for the first `count` of the primes 2, 3, 5."""
+    return [denom._psi_rows(p, max_r, max_s) for p in (2, 3, 5)[:count]]
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize(("max_r", "max_s"), [(6, 6), (4, 9), (9, 4)])
+def test_walk_matches_the_explicit_frame(max_r, max_s, count, mirror):
+    for n in (max_r + max_s, max(max_r, max_s)):  # the five sums' triangle, and paths' r + s <= bound
+        d, seed = verify._seed(n)
+        for rows in [range(max_r + 1), *plan_chunks(max_r, 3, cpus=3)]:
+            mirrored = [exact_arith._mirror_rows(seed)] if mirror else []
+            frame = zip(range(max_r + 1), umbral._triangle_rows(seed), *mirrored, *_psi_walks(count, max_r, max_s))
+            expected = [step for step in frame if step[0] in rows]
+            got_d, got_seed, steps = verify._walk(n, rows, *_psi_walks(count, max_r, max_s), mirror=mirror)
+            assert (got_d, got_seed, list(steps)) == (d, seed, expected), (n, list(rows))
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_walk_makes_no_row_past_its_last_rank(monkeypatch, mirror):
+    real, made, pulled = umbral._triangle_rows, [], []
+
+    def counted(seed):
+        for r, row in enumerate(real(seed)):
+            made.append(r)
+            yield row
+
+    def beside(tag):
+        for r in range(11):
+            pulled.append((tag, r))
+            yield [tag, r]
+
+    monkeypatch.setattr(umbral, "_triangle_rows", counted)
+    for rows in plan_chunks(10, 3, cpus=3):  # [0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8]: each skips ranks
+        made.clear()
+        pulled.clear()
+        steps = list(verify._walk(20, rows, *map(beside, "abc"), mirror=mirror)[2])
+        assert [step[0] for step in steps] == rows
+        assert all(list(step[-3:]) == [[tag, step[0]] for tag in "abc"] for step in steps)  # in step
+        assert made == list(range(max(rows) + 1))
+        assert sorted(pulled) == [(tag, r) for tag in "abc" for r in range(max(rows) + 1)]
+
+
+# the runners that read D * B[r,s] through verify._walk; the others keep their own walks
+WALKED = {"reciprocity", "nonvanishing", "paths", "denominators", "integrality", "denom-divisibility"}
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTIES))
+def test_the_table_sweeps_walk_once_per_call(monkeypatch, name):
+    real, calls = verify._walk, []
+
+    def spy(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    for module in (verify, table_sweeps, denom_sweeps, psi_sweeps):
+        if getattr(module, "_walk", None) is real:
+            monkeypatch.setattr(module, "_walk", spy)
+    max_r, max_s = SMALL[name]
+    chunks = plan_chunks(max_r, 3, cpus=3)
+    if PROPERTIES[name].parallel:
+        _solo_and_split(name, max_r, max_s)
+    else:  # run_verify never splits it, but its runner walks once whatever ranks it is given
+        assert run_verify(name, max_r, max_s, jobs=1).ok
+        for rows in chunks:
+            PROPERTIES[name].runner(max_r, max_s, rows)
+    n = max(max_r, max_s) if name == "paths" else max_r + max_s
+    assert calls == ([n] * (1 + len(chunks)) if name in WALKED else [])
+
+
 def _edit_triangle(monkeypatch, r, s, value):
     """Every triangle umbral streams has D * B[r,s] replaced by value(D * B[r,s]).
 
-    That is the triangle `paths` reads and the one `umbral._table_rows` trims
-    for the other table sweeps.  The edited row is a copy, so the rows made
+    That is the triangle verify._walk streams to six table sweeps, poly-reciprocity
+    holds and antidiagonal sums.  The edited row is a copy, so the rows made
     after it are right.
     """
     real = umbral._triangle_rows
