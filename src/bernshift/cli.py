@@ -28,8 +28,8 @@ from .render import (
     render_json,
 )
 
-# sorted(verify.PROPERTIES), spelled out so that building the parser does not
-# import the sweeps; each command imports only the layer it runs.
+# sorted(verify.PROPERTIES), spelled out so that a value, table, psi or denom
+# request loads no bernshift.verify; each command imports only its own layer.
 PROPERTY_NAMES = (
     "antidiagonal",
     "denom-divisibility",
@@ -61,8 +61,8 @@ def _positive(text: str) -> int:
 
 
 def cmd_value(args: argparse.Namespace) -> int:
+    from .umbral import bs_direct, bs_polynomial  # before bernoulli: see main
     from .bernoulli import BernoulliCache
-    from .umbral import bs_direct, bs_polynomial
 
     # Two entries past B_{r+s}, the last one read: perfbench's tracer test pins
     # bernoulli.cache_build.capacity_max at r + s + 2 for a value request, so
@@ -78,8 +78,8 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .umbral import reduced_rows  # before bernoulli: see main
     from .bernoulli import BernoulliCache
-    from .umbral import reduced_rows
 
     rows = reduced_rows(BernoulliCache(args.max_r + args.max_s), args.max_r, args.max_s)
     if args.denoms:
@@ -219,8 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # With no bytecode cache, a request's peak memory is compiling its largest
+    # module, umbral for value and table, which they import first.  The parser
+    # is garbage by then, held only by its own reference cycles: free it first.
+    gc.collect(0)
     # Python caps int <-> str conversion at 4300 digits (3.10.7+).  The cap
     # stays on while arguments are parsed, where it stops quadratic parsing of
     # huge numbers, and is lifted for the answer, which may be any size.

@@ -12,14 +12,15 @@ cross-checked.
 
 psi(r, s, p) is B[r,s] with B_n replaced by its von Staudt-Clausen indicator
 chi_p(n), so it obeys the same recurrence psi[r+1,s] = psi[r,s] + psi[r,s+1].
-_psi_sum_rows walks it for many primes at once, as sum((P // p) * psi) with P
-their product, and p divides that sum exactly when it divides psi; with one
-prime it is _psi_rows, and psi-congruences walks it beside its transpose
-(exact_arith._mirror_rows).  psi walks the binomial sum, which serves any
-prime and is the triangles' oracle.  The recurrence is
-exact_arith._triangle_rows, shared with umbral's B[r,s] table, so this
-module loads neither umbral nor bernoulli, and a psi or denom request builds
-no Bernoulli number and loads no fractions, not even to word a failure.
+This module states the seeds only: _psi_seed for one prime, and
+_psi_sum_seed for many at once, as sum((P // p) * psi) with P their
+product, where p divides that sum exactly when it divides psi.
+umbral._walk walks them beside D * B[r,s], and psi-congruences walks
+_psi_seed's triangle beside its transpose (exact_arith._mirror_rows).  psi
+walks the binomial sum, which serves any prime and is the triangles'
+oracle.  The recurrence is exact_arith._triangle_rows, so this module
+loads neither umbral nor bernoulli, and a psi or denom request builds no
+Bernoulli number and loads no fractions, not even to word a failure.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from bisect import bisect_right
 from collections import namedtuple
 from itertools import compress, islice
 from math import comb, lcm
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvariantViolation
-from .exact_arith import _product_tree, _quotient_text, _triangle_rows, clausen_primes, is_prime, primes_up_to
+from .exact_arith import _product_tree, _quotient_text, clausen_primes, is_prime, primes_up_to
 
 if TYPE_CHECKING:
     from .bernoulli import BernoulliCache
@@ -83,28 +84,23 @@ def _psi_seed(p: int, n: int) -> list[int]:
     return seed
 
 
-def _psi_sum_rows(primes: Sequence[int], max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:
-    """(P, the rows S[r, 0..max_s] for r = 0..max_r), S = sum((P // p) * psi(r, s, p)) over the primes.
+def _psi_sum_seed(primes: Sequence[int], n: int) -> tuple[int, list[int]]:
+    """(P, sum((P // p) * chi_p(0..n)) over the primes), P = product(primes).
 
-    P = product(primes).  The recurrence is linear, so one triangle seeded
-    with sum((P // p) * chi_p) walks every prime's psi at once, each row made
-    as it is read.  Each other prime's term is a multiple of p and P // p is
-    prime to p, so p divides S[r][s] exactly when p divides psi(r, s, p): one
-    walk reads every prime's residue by divisibility (Harvey's multimodular
-    idea).  With one prime, S is that prime's psi.
+    The recurrence is linear, so the triangle of this seed is S[r,s] =
+    sum((P // p) * psi(r, s, p)): one walk gives every prime's psi at once.
+    Each other prime's term is a multiple of p and P // p is prime to p, so
+    p divides S[r][s] exactly when p divides psi(r, s, p): one walk reads
+    every prime's residue by divisibility (Harvey's multimodular idea).
+    With one prime, S is that prime's psi.
     """
-    big, n = _product_tree(primes), max_r + max_s
+    big = _product_tree(primes)
     seed = [0] * (n + 1)
     for p in primes:
         share = big // p
         for t in compress(range(n + 1), _psi_seed(p, n)):
             seed[t] += share
-    return big, (row[: max_s + 1] for row in islice(_triangle_rows(seed), max_r + 1))
-
-
-def _psi_rows(p: int, max_r: int, max_s: int) -> Iterator[list[int]]:
-    """psi(r, 0..max_s, p) for r = 0..max_r, by the B[r,s] recurrence seeded with chi_p, row by row."""
-    return _psi_sum_rows([p], max_r, max_s)[1]
+    return big, seed
 
 
 def psi(r: int, s: int, p: int) -> PsiValue:

@@ -1,4 +1,4 @@
-"""The denominator sweeps walk D * B[r,s] through verify._walk: denominators and integrality
+"""The denominator sweeps walk D * B[r,s] through umbral._walk: denominators and integrality
 beside every prime's psi in one streamed triangle, denom-divisibility beside its mirror.
 """
 
@@ -7,20 +7,22 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Sequence
 
+from . import bernoulli
 from .errors import InvariantViolation
-from .verify import SweepResult, _exceptional_zero, _walk
+from .umbral import _walk
+from .verify import SweepResult, _exceptional_zero
 
 
 def _sweep_denominators(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from math import gcd
 
-    from .denom import _denom_formula, _psi_sum_rows
+    from .denom import _denom_formula, _psi_sum_seed
     from .exact_arith import _lowest_terms, primes_up_to
 
     sieve = primes_up_to(max_r + max_s + 1)
     # p divides the sum exactly when p divides psi(r, s, p); 2 never divides the denominator
-    odd, psi_sums = _psi_sum_rows(sieve[1:], max_r, max_s)
-    scale, _, steps = _walk(max_r + max_s, rows, psi_sums)
+    odd, psi_sums = _psi_sum_seed(sieve[1:], max_r + max_s)
+    scale, _, steps = _walk(bernoulli.BernoulliCache(max_r + max_s), max_r + max_s, rows, psi_sums)
     instances, failures = 0, []
     for r, row, sums in steps:
         for s in range(max_s + 1):
@@ -40,12 +42,13 @@ def _sweep_denominators(max_r: int, max_s: int, rows: Sequence[int]) -> SweepRes
 
 def _sweep_integrality(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     """B[r,s] + sum(psi/p) over D, and psi divisibility, read from one walk of the psi sums."""
-    from .denom import _integral, _psi_rows, _psi_sum_rows
+    from .denom import _integral, _psi_seed, _psi_sum_seed
     from .exact_arith import primes_up_to
 
-    primes = primes_up_to(max_r + max_s + 1)
-    _, psi_sums = _psi_sum_rows(primes, max_r, max_s)  # over P = D: D * sum(psi/p)
-    d, _, steps = _walk(max_r + max_s, rows, psi_sums, _psi_rows(2, max_r, max_s), _psi_rows(3, max_r, max_s))
+    n = max_r + max_s
+    primes = primes_up_to(n + 1)
+    _, psi_sums = _psi_sum_seed(primes, n)  # over P = D: D * sum(psi/p)
+    d, _, steps = _walk(bernoulli.BernoulliCache(n), n, rows, psi_sums, _psi_seed(2, n), _psi_seed(3, n))
     failures = []
     for r, row, sums, psi2, psi3 in steps:
         if r < 2:
@@ -82,7 +85,7 @@ def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Sequence[int]) -> Sw
     from .bernoulli import bernoulli_denominator
     from .exact_arith import _lowest_terms, clausen_primes, primes_up_to
 
-    scale, _, steps = _walk(max_r + max_s, rows, mirror=True)
+    scale, _, steps = _walk(bernoulli.BernoulliCache(max_r + max_s), max_r + max_s, rows, mirror=True)
     sieve = primes_up_to(max_r + max_s + 1)
     primorials = list(accumulate(sieve, mul, initial=1))  # [k]: the product of the first k primes
     counts = dict.fromkeys(

@@ -7,7 +7,7 @@ which bernoulli and denom both read.  _lowest_terms(x, d) is the one
 reduction of a quotient to lowest terms, and _quotient_text(x, d) its one
 wording in a failure message.  The triangle recurrence
 X[r+1,s] = X[r,s] + X[r,s+1] fills both D * B[r,s] (umbral) and psi
-(denom); it is stated here once, so that denom need not load umbral.
+(denom); it is stated here once, so that the psi sweeps need not load umbral.
 The sums weighted by a whole row C(n, 0..n) -- the defining sum, the forward
 differences and the polynomial coefficients (umbral) -- read it from
 _binomial_row(n), which keeps rows to order 400; the hermite-stern sweep,
@@ -145,10 +145,10 @@ def _triangle_rows(seed: Sequence[int]) -> Iterator[list[int]]:
     """Rows r = 0..n of X[r,s] over r + s <= n, given the seed row X[0, 0..n].
 
     Row r + 1 is X[r+1,s] = X[r,s] + X[r,s+1], one entry shorter than row r.
-    Seeded with D * B_0..D * B_n it gives D * B[r,s] (umbral._table_rows);
-    seeded with von Staudt-Clausen indicators weighted over several primes
-    it gives the same weighted sum of their psi (denom._psi_sum_rows).  A
-    sweep reading transposed keys walks _mirror_rows beside it.
+    Seeded with D * B_0..D * B_n it gives D * B[r,s]; seeded with von
+    Staudt-Clausen indicators weighted over several primes (denom._psi_sum_seed)
+    it gives the same weighted sum of their psi.  umbral._walk walks both in
+    step, with _mirror_rows beside them for a sweep reading transposed keys.
     """
     row = list(seed)
     yield row

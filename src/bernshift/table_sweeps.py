@@ -1,19 +1,20 @@
-"""The table sweeps: each walks the rows of D * B[r,s] through verify._walk, and a
+"""The table sweeps: each walks the rows of D * B[r,s] through umbral._walk, and a
 transposed key from the mirror walk beside them; none uses psi, so none loads denom.
 Each compares integers over D and names a failure by exact_arith._quotient_text.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Sequence
 
+from . import bernoulli
 from .exact_arith import _quotient_text
-from .verify import SweepResult, _exceptional_zero, _seed, _walk
+from .umbral import _walk
+from .verify import SweepResult, _exceptional_zero
 
 
 def _sweep_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    d, _, steps = _walk(max_r + max_s, rows, mirror=True)
+    d, _, steps = _walk(bernoulli.BernoulliCache(max_r + max_s), max_r + max_s, rows, mirror=True)
     failures = []
     for r, row, mirror in steps:
         for s in range(max_s + 1):
@@ -26,9 +27,9 @@ def _sweep_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResu
 def _sweep_antidiagonal(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from .umbral import _antidiagonal_totals
 
-    d, seed = _seed(max_r + max_s)
+    d, sums = _antidiagonal_totals(bernoulli.BernoulliCache(max_r + max_s), max_r + max_s)
     instances, failures = 0, []
-    for n, total in enumerate(_antidiagonal_totals(seed)):  # D times each sum
+    for n, total in enumerate(sums):  # D times each sum
         instances += 1
         expected = 1 if n == 0 else 0
         if total != expected * d:
@@ -41,7 +42,7 @@ def _sweep_paths(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from .umbral import _defining_sum, _difference_forms
 
     bound = max(max_r, max_s)  # the keys checked are those with r + s <= bound
-    d, seed, steps = _walk(bound, rows)
+    d, seed, steps = _walk(bernoulli.BernoulliCache(bound), bound, rows)
     signed = [-x if n % 2 else x for n, x in enumerate(seed)]  # D * (-1)^n B_n
     instances, failures = 0, []
     for r, row in steps:
@@ -64,10 +65,10 @@ def _sweep_paths(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
 
 def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     """[x^k]: (-1)^r c_k(r,s) = (-1)^(s+k) c_k(s,r), compared as integers over the shared D."""
-    from .umbral import _scaled_polynomial, _triangle_rows
+    from .umbral import _scaled_polynomial
 
-    d, seed = _seed(max_r + max_s)
-    table = list(islice(_triangle_rows(seed), max(max_r, max_s) + 1))  # held: the sums reread both key orders
+    d, _, steps = _walk(bernoulli.BernoulliCache(max_r + max_s), max_r + max_s, range(max(max_r, max_s) + 1))
+    table = [row for _, row in steps]  # held: the sums reread both key orders
     failures = []
     for r in rows:
         for s in range(max_s + 1):
@@ -88,7 +89,7 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> Swee
 
 
 def _sweep_nonvanishing(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    d, _, steps = _walk(max_r + max_s, rows)
+    d, _, steps = _walk(bernoulli.BernoulliCache(max_r + max_s), max_r + max_s, rows)
     instances, failures, notes = 0, [], []
     for r, row in steps:
         for s, value in enumerate(row[: max_s + 1]):

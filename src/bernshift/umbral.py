@@ -3,14 +3,14 @@
 B[r,s] = sum(C(r, v) * B_{s+v} for v in 0..r), indexed by rank r >= 0 and
 shift s >= 0; row r = 0 is the Bernoulli sequence itself.  The same numbers
 arise three independent ways -- the defining binomial sum, a Pascal-style
-recurrence filling the table row by row (exact_arith._triangle_rows, which
-denom's psi triangles share), and iterated forward differences of
+recurrence filling the table row by row (_walk, the package's one walk of
+it, with denom's psi seeds beside), and iterated forward differences of
 (-1)^n B_n (forward_difference, here) -- and every path is exposed so the
 suite can play them against each other.  Every route runs in integers.  The
 defining sum scales B_s..B_{s+r} to their least common denominator.  The
 table scales the seed: by von Staudt-Clausen every denominator of B_0..B_n
 divides D = product(primes <= n + 1), so D * B[r,s] is an integer for
-r + s <= n, and the table routes read D * B_0..D * B_n from
+r + s <= n, and _walk seeds the table with D * B_0..D * B_n from
 _scaled_bernoulli.  The polynomial extension B[r,s](x) sums Bernoulli
 polynomials the same way, is a coefficient tuple accumulated from the table
 one row at a time, and obeys an asymmetric reciprocity in x and -x.
@@ -25,11 +25,12 @@ fractions when it runs; the CLI asks for the pairs, so no request loads it.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
+from . import exact_arith
 from .bernoulli import BernoulliCache
 from .errors import CapacityError, InvariantViolation
 from .exact_arith import _binomial_row, _lowest_terms, _product_tree, _quotient_text, _triangle_rows, primes_up_to
@@ -135,12 +136,26 @@ class BsTable(namedtuple("BsTable", "max_r max_s denominator scaled")):
         return Fraction(self.scaled[r][s], self.denominator)
 
 
+def _walk(
+    cache: BernoulliCache, n: int, ranks: Sequence[int], *beside: Sequence[int], mirror: bool = False
+) -> tuple[int, list[int], Iterator]:
+    """(D, the seed D * B_0..D * B_n, the steps (r, row, [mirror row,] *beside rows) for r in ranks): the one walk.
+
+    Each beside seed's triangle is walked in step by exact_arith._triangle_rows, so a patched
+    umbral._triangle_rows edits the D * B walk alone; all walks stop at the last rank in ranks.
+    """
+    d, seed = _scaled_bernoulli(cache, n)
+    walks = [_triangle_rows(seed), *([exact_arith._mirror_rows(seed)] if mirror else [])]
+    walks += map(exact_arith._triangle_rows, beside)
+    return d, seed, (step for step in zip(range(max(ranks, default=-1) + 1), *walks) if step[0] in ranks)
+
+
 def _table_rows(cache: BernoulliCache, max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:
     """(D, the rows D * B[r, 0..max_s] for r = 0..max_r), n = max_r + max_s.
 
     The bounds and D are checked before this returns; each row is then made
-    as it is read, by _triangle_rows out to column n - r, as the next row
-    needs, and trimmed to the requested width.
+    as it is read, by _walk out to column n - r, as the next row needs, and
+    trimmed to the requested width.
     """
     if max_r < 0 or max_s < 0:
         raise ValueError("table bounds must be non-negative")
@@ -148,8 +163,8 @@ def _table_rows(cache: BernoulliCache, max_r: int, max_s: int) -> tuple[int, Ite
         raise CapacityError(
             f"{max_r}x{max_s} table needs B_{max_r + max_s} but cache capacity is {cache.capacity}"
         )
-    d, seed = _scaled_bernoulli(cache, max_r + max_s)
-    return d, (row[: max_s + 1] for row in islice(_triangle_rows(seed), max_r + 1))
+    d, _, steps = _walk(cache, max_r + max_s, range(max_r + 1))
+    return d, (row[: max_s + 1] for _, row in steps)
 
 
 def bs_table_recursive(cache: BernoulliCache, max_r: int, max_s: int) -> BsTable:
@@ -210,26 +225,24 @@ def bs_via_difference(cache: BernoulliCache, r: int, s: int) -> Fraction:
     return rank_form
 
 
-def _antidiagonal_totals(seed: Sequence[int]) -> list[int]:
-    """D times the sums of B[r,s] over r + s = n, n = 0..len(seed) - 1, from the seed D * B_0..D * B_n.
-
-    Streams the triangle, so one row is held at a time.
-    """
-    sums = [0] * len(seed)
-    for r, row in enumerate(_triangle_rows(seed)):
+def _antidiagonal_totals(cache: BernoulliCache, n: int) -> tuple[int, list[int]]:
+    """(D, D times the sums of B[r,s] over r + s = k for k = 0..n), streamed: one row is held at a time."""
+    d, _, steps = _walk(cache, n, range(n + 1))
+    sums = [0] * (n + 1)
+    for r, row in steps:
         for s, value in enumerate(row):
             sums[r + s] += value
-    return sums
+    return d, sums
 
 
 def antidiagonal_sums(cache: BernoulliCache, n_max: int) -> list[Fraction]:
     """Sums of B[r,s] over r + s = n for n = 0..n_max: 1 at n = 0, then 0."""
     if n_max < 0:
         raise ValueError("n must be non-negative")
-    d, seed = _scaled_bernoulli(cache, n_max)
+    d, sums = _antidiagonal_totals(cache, n_max)
     from fractions import Fraction
 
-    return [Fraction(total, d) for total in _antidiagonal_totals(seed)]
+    return [Fraction(total, d) for total in sums]
 
 
 def bs_polynomial(

@@ -5,7 +5,7 @@ recorded with its witness key, so a report either certifies the range or
 names a counterexample.  Sweeps are pure; the parallel path partitions rows
 across worker processes and merges, with results independent of the split.
 
-This module holds the registry, the table sweeps' one walk (_walk), the split and merge, and the reports.  The
+This module holds the registry, the split and merge, and the reports.  The
 runners live in three modules, by the layer they read: table_sweeps,
 denom_sweeps and psi_sweeps.  A runner in PROPERTIES imports its module at
 its first call, so a request compiles only its own sweep's module; the
@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from importlib import import_module
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import WorkerDied
 
@@ -40,27 +40,6 @@ class VerifyReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _seed(n: int) -> tuple[int, list[int]]:
-    """(D, D * B_0..D * B_n): row 0 of the triangle of D * B[r,s] over r + s <= n."""
-    from .bernoulli import BernoulliCache
-    from .umbral import _scaled_bernoulli
-
-    return _scaled_bernoulli(BernoulliCache(n), n)
-
-
-def _walk(n: int, rows: Sequence[int], *beside: Iterable, mirror: bool = False) -> tuple[int, list[int], Iterator]:
-    """(D, the seed, the steps (r, row, [mirror row,] *beside rows) for r in rows): the table sweeps' one walk.
-
-    Read at call time, a patched umbral._triangle_rows reaches every sweep; all walks stop at the last rank in rows.
-    """
-    from .exact_arith import _mirror_rows
-    from .umbral import _triangle_rows
-
-    d, seed = _seed(n)
-    walks = [_triangle_rows(seed), *([_mirror_rows(seed)] if mirror else []), *beside]
-    return d, seed, (step for step in zip(range(max(rows, default=-1) + 1), *walks) if step[0] in rows)
 
 
 def _exceptional_zero(r: int, s: int) -> bool:

@@ -504,6 +504,53 @@ def test_a_failing_request_loads_no_fractions():
     assert loaded & {"fractions", "decimal", "numbers"} == set()
 
 
+@pytest.mark.parametrize("argv", [["value", "2", "2"], ["table", "2", "2"]])
+def test_value_and_table_compile_umbral_before_bernoulli(argv):
+    # with no bytecode cache, compiling umbral is the request's peak memory, lower before
+    # bernoulli and exact_arith load; the "import" audit event marks where each import begins
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from bernshift.cli import main
+
+        order = []
+        sys.addaudithook(lambda event, args: event == "import" and order.append(args[0]))
+        main({argv!r})
+        print(*order)
+        """
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    order = proc.stdout.splitlines()[-1].split()
+    assert order.index("bernshift.umbral") < min(order.index("bernshift.bernoulli"), order.index("bernshift.exact_arith"))
+
+
+def test_the_parser_is_freed_before_the_command_runs():
+    # held only by its own reference cycles once the arguments are read, so main collects it
+    code = textwrap.dedent(
+        """
+        import weakref
+        from bernshift import cli
+
+        built, alive = [], []
+        real = cli.build_parser
+
+        def build():
+            parser = real()
+            built.append(weakref.ref(parser))
+            return parser
+
+        cli.build_parser = build
+        cli.cmd_denom = lambda args: alive.append(built[0]() is not None) or 0
+        assert cli.main(["denom", "4", "4"]) == 0
+        print(alive)
+        """
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[False]"]
+
+
 class TestEntry:
     """entry freezes the heap after main returns, so that shutdown skips the collector's walk."""
 

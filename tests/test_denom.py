@@ -10,8 +10,8 @@ from bernshift.bernoulli import bernoulli_denominator
 from bernshift.denom import (
     DenomFactorization,
     _psi_indices,
-    _psi_rows,
-    _psi_sum_rows,
+    _psi_seed,
+    _psi_sum_seed,
     _psi_value,
     denom_exact,
     denom_formula,
@@ -21,9 +21,20 @@ from bernshift.denom import (
     psi_matrix,
 )
 from bernshift.errors import InvariantViolation
-from bernshift.exact_arith import primes_up_to
+from bernshift.exact_arith import _triangle_rows, primes_up_to
 from bernshift.umbral import BsTable, _scaled_bernoulli, bs_table_recursive
 from oracles import least_positive_residue, psi_periodic, psi_reciprocal
+
+
+def psi_sum_rows(primes, max_r, max_s):
+    """(P, the rows S[r, 0..max_s] for r <= max_r): _psi_sum_seed's triangle, walked as umbral._walk walks it."""
+    big, seed = _psi_sum_seed(primes, max_r + max_s)
+    return big, [row[: max_s + 1] for row in islice(_triangle_rows(seed), max_r + 1)]
+
+
+def psi_rows(p, max_r, max_s):
+    """psi(r, 0..max_s, p) for r <= max_r: _psi_seed(p, n)'s triangle, n = max_r + max_s."""
+    return [row[: max_s + 1] for row in islice(_triangle_rows(_psi_seed(p, max_r + max_s)), max_r + 1)]
 
 
 @pytest.fixture(scope="module")
@@ -100,11 +111,11 @@ class TestPsi:
     def test_tables_match_binomial_sum(self):
         # psi by the recurrence seeded with chi_p, for every prime that can be nonzero
         for p in primes_up_to(61):
-            table = list(_psi_rows(p, 60, 60))
+            table = psi_rows(p, 60, 60)
             for r in range(61):
                 for s in range(61 - r):
                     assert table[r][s] == _psi_value(r, s, p), (p, r, s)
-        assert list(_psi_rows(5, 3, 2)) == [[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 3]]
+        assert psi_rows(5, 3, 2) == [[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 3]]
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -144,19 +155,18 @@ class TestPsiSumRows:
     @pytest.mark.parametrize("first", [0, 1], ids=["all-primes", "odd-primes"])
     def test_rows_are_the_weighted_psi_tables(self, max_r, max_s, first):
         primes = primes_up_to(max_r + max_s + 1)[first:]
-        big, rows = _psi_sum_rows(primes, max_r, max_s)
-        rows = list(rows)
+        big, rows = psi_sum_rows(primes, max_r, max_s)
         assert big == prod(primes)
         expected = [[0] * (max_s + 1) for _ in range(max_r + 1)]
         for p in primes:
-            for r, row in enumerate(_psi_rows(p, max_r, max_s)):
+            for r, row in enumerate(psi_rows(p, max_r, max_s)):
                 for s, value in enumerate(row):
                     expected[r][s] += big // p * value
         assert rows == expected
 
     def test_product_of_the_primes_not_dividing_the_sum_is_denom_via_psi(self):
         odd = primes_up_to(61)[1:]
-        big, rows = _psi_sum_rows(odd, 30, 30)
+        big, rows = psi_sum_rows(odd, 30, 30)
         for r, row in enumerate(islice(rows, 2, None), start=2):
             for s in range(2, 31):
                 # past r + s + 1 psi is 0, so the prime divides the sum and stays out
@@ -164,7 +174,7 @@ class TestPsiSumRows:
 
     def test_sum_over_d_completes_the_integrality_witness(self, table20):
         d = table20.denominator
-        big, rows = _psi_sum_rows(primes_up_to(41), 20, 20)
+        big, rows = psi_sum_rows(primes_up_to(41), 20, 20)
         assert big == d
         for r, row in enumerate(islice(rows, 2, None), start=2):
             for s in range(2, 21):
@@ -174,7 +184,12 @@ class TestPsiSumRows:
     @pytest.mark.parametrize("max_r, max_s", [(0, 0), (1, 6), (6, 1), (20, 20)])
     def test_all_primes_give_the_table_denominator(self, cache, max_r, max_s):
         n = max_r + max_s
-        assert _psi_sum_rows(primes_up_to(n + 1), max_r, max_s)[0] == _scaled_bernoulli(cache, n)[0]
+        assert _psi_sum_seed(primes_up_to(n + 1), n)[0] == _scaled_bernoulli(cache, n)[0]
+
+    @pytest.mark.parametrize("n", [0, 1, 12, 40])
+    def test_one_prime_seeds_its_own_psi(self, n):
+        for p in primes_up_to(n + 1):
+            assert _psi_sum_seed([p], n) == (p, _psi_seed(p, n)), (p, n)
 
 
 class TestIntegralityWitness:

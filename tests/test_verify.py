@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import bernshift.bernoulli as bernoulli
+import bernshift.cli as cli
 import bernshift.denom as denom
 import bernshift.denom_sweeps as denom_sweeps
 import bernshift.exact_arith as exact_arith
@@ -23,6 +24,7 @@ import bernshift.table_sweeps as table_sweeps
 import bernshift.umbral as umbral
 import bernshift.verify as verify
 from bernshift.errors import InvariantViolation
+from bernshift.render import FORMATS
 from bernshift.verify import (
     PROPERTIES,
     VerifyReport,
@@ -451,9 +453,9 @@ def _solo_and_split(name, max_r, max_s):
     return solo
 
 
-def _psi_walks(count, max_r, max_s):
-    """Fresh walks of psi(r, 0..max_s, p) for the first `count` of the primes 2, 3, 5."""
-    return [denom._psi_rows(p, max_r, max_s) for p in (2, 3, 5)[:count]]
+def _psi_seeds(count, n):
+    """The seeds chi_p(0..n) of the first `count` of the primes 2, 3, 5."""
+    return [denom._psi_seed(p, n) for p in (2, 3, 5)[:count]]
 
 
 @pytest.mark.parametrize("mirror", [False, True])
@@ -461,53 +463,64 @@ def _psi_walks(count, max_r, max_s):
 @pytest.mark.parametrize(("max_r", "max_s"), [(6, 6), (4, 9), (9, 4)])
 def test_walk_matches_the_explicit_frame(max_r, max_s, count, mirror):
     for n in (max_r + max_s, max(max_r, max_s)):  # the five sums' triangle, and paths' r + s <= bound
-        d, seed = verify._seed(n)
+        cache = bernoulli.BernoulliCache(n)
+        d, seed = umbral._scaled_bernoulli(cache, n)
         for rows in [range(max_r + 1), *plan_chunks(max_r, 3, cpus=3)]:
             mirrored = [exact_arith._mirror_rows(seed)] if mirror else []
-            frame = zip(range(max_r + 1), umbral._triangle_rows(seed), *mirrored, *_psi_walks(count, max_r, max_s))
+            beside = map(exact_arith._triangle_rows, _psi_seeds(count, n))
+            frame = zip(range(max_r + 1), umbral._triangle_rows(seed), *mirrored, *beside)
             expected = [step for step in frame if step[0] in rows]
-            got_d, got_seed, steps = verify._walk(n, rows, *_psi_walks(count, max_r, max_s), mirror=mirror)
+            got_d, got_seed, steps = umbral._walk(cache, n, rows, *_psi_seeds(count, n), mirror=mirror)
             assert (got_d, got_seed, list(steps)) == (d, seed, expected), (n, list(rows))
 
 
 @pytest.mark.parametrize("mirror", [False, True])
 def test_walk_makes_no_row_past_its_last_rank(monkeypatch, mirror):
     real, made, pulled = umbral._triangle_rows, [], []
+    seeds = {tag: [tag] * 21 for tag in (1, 2, 3)}  # row r of a seed's triangle is [tag * 2^r] * (21 - r)
 
     def counted(seed):
         for r, row in enumerate(real(seed)):
             made.append(r)
             yield row
 
-    def beside(tag):
-        for r in range(11):
-            pulled.append((tag, r))
-            yield [tag, r]
+    def beside(seed):  # exact_arith's walk, which the mirror also reads: only the beside seeds are logged
+        tag = next((tag for tag, own in seeds.items() if own is seed), None)
+        for r, row in enumerate(real(seed)):
+            if tag:
+                pulled.append((tag, r))
+            yield row
 
     monkeypatch.setattr(umbral, "_triangle_rows", counted)
+    monkeypatch.setattr(exact_arith, "_triangle_rows", beside)
+    cache = bernoulli.BernoulliCache(20)
     for rows in plan_chunks(10, 3, cpus=3):  # [0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8]: each skips ranks
         made.clear()
         pulled.clear()
-        steps = list(verify._walk(20, rows, *map(beside, "abc"), mirror=mirror)[2])
+        steps = list(umbral._walk(cache, 20, rows, *seeds.values(), mirror=mirror)[2])
         assert [step[0] for step in steps] == rows
-        assert all(list(step[-3:]) == [[tag, step[0]] for tag in "abc"] for step in steps)  # in step
+        in_step = ([[tag * 2 ** step[0]] * (21 - step[0]) for tag in seeds] for step in steps)
+        assert all(list(step[-3:]) == rows_made for step, rows_made in zip(steps, in_step))
         assert made == list(range(max(rows) + 1))
-        assert sorted(pulled) == [(tag, r) for tag in "abc" for r in range(max(rows) + 1)]
+        assert sorted(pulled) == [(tag, r) for tag in seeds for r in range(max(rows) + 1)]
 
 
-# the runners that read D * B[r,s] through verify._walk; the others keep their own walks
-WALKED = {"reciprocity", "nonvanishing", "paths", "denominators", "integrality", "denom-divisibility"}
+# the runners that read D * B[r,s] through umbral._walk; the psi and classical sweeps keep their own walks
+WALKED = {
+    "reciprocity", "antidiagonal", "paths", "poly-reciprocity", "nonvanishing",
+    "denominators", "integrality", "denom-divisibility",
+}
 
 
 @pytest.mark.parametrize("name", sorted(PROPERTIES))
 def test_the_table_sweeps_walk_once_per_call(monkeypatch, name):
-    real, calls = verify._walk, []
+    real, calls = umbral._walk, []
 
-    def spy(n, *args, **kwargs):
-        calls.append(n)
-        return real(n, *args, **kwargs)
+    def spy(cache, n, *args, **kwargs):
+        calls.append((cache.capacity, n))
+        return real(cache, n, *args, **kwargs)
 
-    for module in (verify, table_sweeps, denom_sweeps, psi_sweeps):
+    for module in (umbral, table_sweeps, denom_sweeps, psi_sweeps):
         if getattr(module, "_walk", None) is real:
             monkeypatch.setattr(module, "_walk", spy)
     max_r, max_s = SMALL[name]
@@ -519,14 +532,56 @@ def test_the_table_sweeps_walk_once_per_call(monkeypatch, name):
         for rows in chunks:
             PROPERTIES[name].runner(max_r, max_s, rows)
     n = max(max_r, max_s) if name == "paths" else max_r + max_s
-    assert calls == ([n] * (1 + len(chunks)) if name in WALKED else [])
+    assert calls == ([(n, n)] * (1 + len(chunks)) if name in WALKED else [])  # a cache sized to the walk
+
+
+# the library's readers of the table, each with the walk (n, ranks) it should make
+LIBRARY_READERS = {
+    **{
+        f"table-{fmt}": (lambda fmt=fmt: cli.main(["table", "12", "9", "--format", fmt]), 21, range(13))
+        for fmt in FORMATS
+    },
+    "table-denoms": (lambda: cli.main(["table", "12", "9", "--denoms"]), 21, range(13)),
+    "value-poly": (lambda: cli.main(["value", "7", "5", "--poly"]), 12, range(8)),
+    "bs_table_recursive": (lambda: umbral.bs_table_recursive(bernoulli.BernoulliCache(21), 12, 9), 21, range(13)),
+    "antidiagonal_sums": (lambda: umbral.antidiagonal_sums(bernoulli.BernoulliCache(21), 21), 21, range(22)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(LIBRARY_READERS))
+def test_the_library_readers_walk_once(monkeypatch, capsys, reader):
+    real, calls = umbral._walk, []
+
+    def spy(cache, n, ranks, *beside, **kwargs):
+        calls.append((n, ranks, beside, kwargs))
+        return real(cache, n, ranks, *beside, **kwargs)
+
+    monkeypatch.setattr(umbral, "_walk", spy)
+    read, n, ranks = LIBRARY_READERS[reader]
+    read()
+    assert calls == [(n, ranks, (), {})]
+
+
+def test_every_walk_of_the_table_is_umbral_walk(monkeypatch, capsys):
+    real, callers = umbral._triangle_rows, []
+
+    def spy(seed):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(seed)
+
+    monkeypatch.setattr(umbral, "_triangle_rows", spy)
+    for read, _, _ in LIBRARY_READERS.values():
+        read()
+    for name in sorted(WALKED):
+        assert run_verify(name, *SMALL[name]).ok, name
+    assert callers == ["_walk"] * (len(LIBRARY_READERS) + len(WALKED))  # one walk of D * B[r,s] each
 
 
 def _edit_triangle(monkeypatch, r, s, value):
     """Every triangle umbral streams has D * B[r,s] replaced by value(D * B[r,s]).
 
-    That is the triangle verify._walk streams to six table sweeps, poly-reciprocity
-    holds and antidiagonal sums.  The edited row is a copy, so the rows made
+    That is the triangle umbral._walk streams to the table, the library routes
+    and the eight table sweeps.  The edited row is a copy, so the rows made
     after it are right.
     """
     real = umbral._triangle_rows
