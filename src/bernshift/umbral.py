@@ -32,22 +32,13 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
 from . import exact_arith
 from .bernoulli import BernoulliCache
-from .errors import CapacityError, InvariantViolation
+from .errors import InvariantViolation
 from .exact_arith import _binomial_row, _lowest_terms, _product_tree, _quotient_text, _triangle_rows, primes_up_to
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 Scalar = Union[int, "Fraction"]
-
-
-def _check_key(cache: BernoulliCache, r: int, s: int) -> None:
-    if r < 0 or s < 0:
-        raise ValueError("rank and shift must be non-negative")
-    if r + s > cache.capacity:
-        raise CapacityError(
-            f"B[{r},{s}] needs B_{r + s} but cache is sealed at capacity {cache.capacity}"
-        )
 
 
 def _defining_sum(b: Sequence[Scalar], r: int, s: int) -> Scalar:
@@ -63,9 +54,11 @@ def bs_direct(cache: BernoulliCache, r: int, s: int, *, pair: bool = False) -> F
     reduced once.  L is read off the cache, not taken from von Staudt-Clausen,
     so this route does not share the table's seed.  With pair=True the value
     is returned as (numerator, denominator) in lowest terms, as the CLI
-    prints it, and no Fraction is made.
+    prints it, and no Fraction is made.  cache.pair refuses a key past the
+    capacity; a negative rank, whose window is empty, is refused here.
     """
-    _check_key(cache, r, s)
+    if r < 0 or s < 0:
+        raise ValueError("rank and shift must be non-negative")
     window = list(map(cache.pair, range(s, s + r + 1)))
     common = lcm(*(den for _, den in window))
     scaled = [num * (common // den) for num, den in window]  # L * B_{s+v} for v = 0..r
@@ -80,13 +73,14 @@ def bs_direct(cache: BernoulliCache, r: int, s: int, *, pair: bool = False) -> F
 def _scaled_bernoulli(cache: BernoulliCache, n: int) -> tuple[int, list[int]]:
     """(D, [D * B_0, ..., D * B_n]) with D = product(primes <= n + 1).
 
-    By von Staudt-Clausen the denominator of each B_k with k <= n divides D;
-    a B_k that breaks this raises InvariantViolation.
+    B_0..B_n are read before D is sieved, so cache.pair refuses an n past the
+    capacity before any other work.  By von Staudt-Clausen the denominator of
+    each B_k with k <= n divides D; a B_k that breaks this raises InvariantViolation.
     """
+    pairs = list(map(cache.pair, range(n + 1)))
     d = _product_tree(primes_up_to(n + 1))
     seed = []
-    for k in range(n + 1):
-        num, den = cache.pair(k)
+    for k, (num, den) in enumerate(pairs):
         share, rest = divmod(d, den)
         if rest:
             raise InvariantViolation(f"denom(B_{k}) = {den} does not divide {d}")
@@ -153,16 +147,12 @@ def _walk(
 def _table_rows(cache: BernoulliCache, max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:
     """(D, the rows D * B[r, 0..max_s] for r = 0..max_r), n = max_r + max_s.
 
-    The bounds and D are checked before this returns; each row is then made
-    as it is read, by _walk out to column n - r, as the next row needs, and
-    trimmed to the requested width.
+    The bounds, the cache's B_0..B_n (by _scaled_bernoulli) and D are checked
+    before this returns; each row is then made as it is read, by _walk out to
+    column n - r, as the next row needs, and trimmed to the requested width.
     """
     if max_r < 0 or max_s < 0:
         raise ValueError("table bounds must be non-negative")
-    if max_r + max_s > cache.capacity:
-        raise CapacityError(
-            f"{max_r}x{max_s} table needs B_{max_r + max_s} but cache capacity is {cache.capacity}"
-        )
     d, _, steps = _walk(cache, max_r + max_s, range(max_r + 1))
     return d, (row[: max_s + 1] for _, row in steps)
 
@@ -191,8 +181,8 @@ def forward_difference(f: Callable[[int], Scalar], order: int, start: int = 0) -
     """
     if order < 0:
         raise ValueError("forward_difference: order must be non-negative")
+    values = list(map(f, range(start, start + order + 1)))  # f's errors before any binomial
     row = _binomial_row(order)
-    values = list(map(f, range(start, start + order + 1)))
     # the terms at even v and at odd v, each summed without its sign
     even = sum(map(mul, row[::2], values[::2]))
     odd = sum(map(mul, row[1::2], values[1::2]))
@@ -210,8 +200,8 @@ def bs_via_difference(cache: BernoulliCache, r: int, s: int) -> Fraction:
 
     Both stated forms -- (-1)^(r+s) * delta^r f at s, and delta^s f at r --
     are evaluated and must agree; disagreement raises InvariantViolation.
+    forward_difference's order check and cache.pair refuse a bad key first.
     """
-    _check_key(cache, r, s)
 
     def f(n: int) -> Fraction:
         b = cache[n]

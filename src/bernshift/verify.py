@@ -122,8 +122,11 @@ def run_verify(name: str, max_r: int, max_s: int, jobs: int = 1) -> VerifyReport
     """Run one property sweep, in one process or, from its pool_from keys up, in up to jobs.
 
     jobs is an upper bound: the pool also has at most os.cpu_count() workers.
+    A negative bound raises ValueError before any sweep runs.
     """
     spec = PROPERTIES[name]
+    if max_r < 0 or max_s < 0:
+        raise ValueError("verify bounds must be non-negative")
     start = perf_counter()
     pays = spec.parallel and (max_r + 1) * (max_s + 1) >= spec.pool_from
     chunks = plan_chunks(max_r, jobs, os.cpu_count() or 1) if pays else []

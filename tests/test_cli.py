@@ -183,6 +183,9 @@ class TestPsi:
         assert out == "3  {ν=1}\n"
         code, out, _ = run_cli(capsys, "psi", "2", "2", "11", "--show-indices")
         assert out == "0  {}\n"
+        # only plain output changes
+        assert run_cli(capsys, "psi", "3", "3", "5", "--show-indices", "--format", "csv") == (0, "3\r\n", "")
+        assert run_cli(capsys, "psi", "3", "3", "5", "--show-indices", "--format", "latex") == (0, "$3$\n", "")
 
     def test_json_with_big_value(self, capsys):
         code, out, _ = run_cli(capsys, "psi", "200", "200", "2", "--format", "json")
@@ -207,6 +210,9 @@ class TestDenom:
         assert out == "6 = 2 * 3\n"
         _, out, _ = run_cli(capsys, "denom", "0", "7", "--factor")
         assert out == "1 = 1\n"
+        # only plain output changes
+        assert run_cli(capsys, "denom", "8", "8", "--factor", "--format", "csv") == (0, "36465\r\n", "")
+        assert run_cli(capsys, "denom", "8", "8", "--factor", "--format", "latex") == (0, "$36465$\n", "")
 
     def test_json(self, capsys):
         _, out, _ = run_cli(capsys, "denom", "8", "8", "--format", "json")

@@ -5,6 +5,7 @@ import pytest
 
 from bernshift import CapacityError, InvariantViolation
 from bernshift.bernoulli import BernoulliCache
+from bernshift.denom import denom_exact
 from bernshift.exact_arith import primes_up_to
 from bernshift.umbral import (
     _scaled_bernoulli,
@@ -334,3 +335,51 @@ def test_difference_disagreement_raises(cache, monkeypatch):
     monkeypatch.setattr(umbral, "forward_difference", lambda *a, **k: next(calls))
     with pytest.raises(InvariantViolation):
         bs_via_difference(cache, 1, 1)
+
+
+FAR = 10**7  # a sieve or binomial row this large would take seconds, and more past it
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda cache: bs_direct(cache, FAR, 0),
+        lambda cache: bs_direct(cache, 0, FAR),
+        lambda cache: bs_via_difference(cache, FAR, 0),
+        lambda cache: bs_via_difference(cache, 0, FAR),
+        lambda cache: bs_table_recursive(cache, FAR, 3),
+        lambda cache: reduced_rows(cache, 3, FAR),
+        lambda cache: bs_polynomial(cache, FAR, FAR),
+        lambda cache: antidiagonal_sums(cache, FAR),
+        lambda cache: denom_exact(cache, FAR, FAR),
+    ],
+    ids=[
+        "bs_direct-rank",
+        "bs_direct-shift",
+        "bs_via_difference-rank",
+        "bs_via_difference-shift",
+        "bs_table_recursive",
+        "reduced_rows",
+        "bs_polynomial",
+        "antidiagonal_sums",
+        "denom_exact",
+    ],
+)
+def test_every_route_reads_its_bernoulli_numbers_before_any_work(route, monkeypatch):
+    import bernshift.umbral as umbral
+
+    def refuse(n):
+        raise AssertionError(f"worked to order {n} before reading the cache")
+
+    monkeypatch.setattr(umbral, "primes_up_to", refuse)
+    monkeypatch.setattr(umbral, "_binomial_row", refuse)
+    # the cache's own check, naming the first B_n it lacks, not the key
+    with pytest.raises(CapacityError, match=r"^B_\d+ requested"):
+        route(BernoulliCache(5))
+
+
+def test_difference_refuses_negative_keys():
+    small = BernoulliCache(5)
+    for r, s in ((-1, 2), (2, -1), (-1, -1)):
+        with pytest.raises(ValueError):
+            bs_via_difference(small, r, s)

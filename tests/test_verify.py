@@ -275,6 +275,18 @@ def test_unknown_property_raises():
         run_verify("bogus", 5, 5)
 
 
+@pytest.mark.parametrize("name", sorted(PROPERTIES))
+@pytest.mark.parametrize("max_r, max_s", [(-1, 5), (5, -1), (-1, -1)])
+def test_negative_bounds_raise_before_any_sweep(monkeypatch, name, max_r, max_s):
+    def refuse(*args):
+        raise AssertionError("a runner started")
+
+    monkeypatch.setitem(PROPERTIES, name, PROPERTIES[name]._replace(runner=refuse, pool_from=0))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_verify(name, max_r, max_s, jobs=2)
+
+
 def test_failures_are_reported_with_witnesses(monkeypatch):
     def fake_rows(seed):  # every D * B[r,s] read as r + 1
         return ([r + 1] * (len(seed) - r) for r in range(len(seed)))
