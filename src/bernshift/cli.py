@@ -241,7 +241,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 3
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a size too large to be an index
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
@@ -250,7 +250,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except WorkerDied as exc:
         print(f"error: a sweep worker process died: {exc}", file=sys.stderr)
         return 3
-    except (MemoryError, OverflowError):  # OverflowError: a size too large to index
+    except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 3
     finally:

@@ -23,10 +23,9 @@ def _sweep_denominators(max_r: int, max_s: int, rows: Sequence[int]) -> SweepRes
     # p divides the sum exactly when p divides psi(r, s, p); 2 never divides the denominator
     odd, psi_sums = _psi_sum_seed(sieve[1:], max_r + max_s)
     scale, _, steps = _walk(bernoulli.BernoulliCache(max_r + max_s), max_r + max_s, rows, psi_sums)
-    instances, failures = 0, []
+    failures = []
     for r, row, sums in steps:
         for s in range(max_s + 1):
-            instances += 1
             d = _lowest_terms(row[s], scale)[1]
             formula = _denom_formula(r, s, sieve).value
             if formula != d:
@@ -37,7 +36,7 @@ def _sweep_denominators(max_r: int, max_s: int, rows: Sequence[int]) -> SweepRes
                 via_psi = odd // gcd(sums[s], odd)  # the odd primes that do not divide psi
                 if via_psi != d:
                     failures.append(f"(r={r}, s={s}): psi product {via_psi} != exact {d}")
-    return instances, failures, []
+    return len(rows) * (max_s + 1), failures, []
 
 
 def _sweep_integrality(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
@@ -48,11 +47,10 @@ def _sweep_integrality(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResu
     n = max_r + max_s
     primes = primes_up_to(n + 1)
     _, psi_sums = _psi_sum_seed(primes, n)  # over P = D: D * sum(psi/p)
-    d, _, steps = _walk(bernoulli.BernoulliCache(n), n, rows, psi_sums, _psi_seed(2, n), _psi_seed(3, n))
+    ranks = [r for r in rows if r >= 2]
+    d, _, steps = _walk(bernoulli.BernoulliCache(n), n, ranks, psi_sums, _psi_seed(2, n), _psi_seed(3, n))
     failures = []
     for r, row, sums, psi2, psi3 in steps:
-        if r < 2:
-            continue
         for s in range(2, max_s + 1):
             try:
                 _integral(r, s, row[s] + sums[s], d)
@@ -67,7 +65,7 @@ def _sweep_integrality(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResu
                 for s in range(max(2, step), max_s + 1, step)
                 if sums[s] % p == 0
             )
-    return sum(r >= 2 for r in rows) * max(0, max_s - 1), failures, []
+    return len(ranks) * max(0, max_s - 1), failures, []
 
 
 def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import repeat
 from math import comb, gcd, prod
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .render import fraction_text
 
@@ -147,7 +147,7 @@ def _triangle_rows(seed: Sequence[int]) -> Iterator[list[int]]:
     Row r + 1 is X[r+1,s] = X[r,s] + X[r,s+1], one entry shorter than row r.
     Seeded with D * B_0..D * B_n it gives D * B[r,s]; seeded with von
     Staudt-Clausen indicators weighted over several primes (denom._psi_sum_seed)
-    it gives the same weighted sum of their psi.  umbral._walk walks both in
+    it gives the same weighted sum of their psi.  _lockstep walks them in
     step, with _mirror_rows beside them for a sweep reading transposed keys.
     """
     row = list(seed)
@@ -167,3 +167,8 @@ def _mirror_rows(seed: Sequence[int]) -> Iterator[list[int]]:
     """
     column = [row[0] for row in _triangle_rows(seed)]
     return _triangle_rows([-x if k % 2 else x for k, x in enumerate(column)])
+
+
+def _lockstep(ranks: Sequence[int], *walks: Iterable) -> Iterator[tuple]:
+    """The steps (r, *rows) for r in ranks, the walks' rows in step; no walk makes a row past the last rank."""
+    return (step for step in zip(range(max(ranks, default=-1) + 1), *walks) if step[0] in ranks)

@@ -6,7 +6,6 @@ integer pairs.  None loads fractions, not even to word a failure.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Sequence
 
 from .errors import InvariantViolation
@@ -18,9 +17,7 @@ def _sweep_psi_matrix(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResul
     from .exact_arith import primes_up_to
 
     instances, failures = 0, []
-    for p in primes_up_to(max(max_r, max_s)):
-        if p < 5:
-            continue
+    for p in primes_up_to(max(max_r, max_s))[2:]:  # p >= 5
         instances += (p - 2) ** 2
         try:
             psi_matrix(p)
@@ -31,17 +28,15 @@ def _sweep_psi_matrix(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResul
 
 def _sweep_psi_congruences(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     from .denom import _psi_seed
-    from .exact_arith import _mirror_rows, _triangle_rows, primes_up_to
+    from .exact_arith import _lockstep, _mirror_rows, _triangle_rows, primes_up_to
 
     bound = max(max_r, max_s)
     instances, failures = 0, []
-    for p in primes_up_to(min(37, bound + 1)):
-        if p < 3:
-            continue
+    for p in primes_up_to(min(37, bound + 1))[1:]:  # p >= 3
         step = p - 1
         seed = _psi_seed(p, 2 * bound)
         held = deque(maxlen=p)  # rows r - step..r: the only rows kept
-        for r, row, mirror in islice(zip(range(bound + 1), _triangle_rows(seed), _mirror_rows(seed)), 1, None):
+        for r, row, mirror in _lockstep(range(1, bound + 1), _triangle_rows(seed), _mirror_rows(seed)):
             held.append(row)
             for s in range(bound + 1):
                 if s > step:

@@ -135,13 +135,13 @@ def _walk(
 ) -> tuple[int, list[int], Iterator]:
     """(D, the seed D * B_0..D * B_n, the steps (r, row, [mirror row,] *beside rows) for r in ranks): the one walk.
 
-    Each beside seed's triangle is walked in step by exact_arith._triangle_rows, so a patched
-    umbral._triangle_rows edits the D * B walk alone; all walks stop at the last rank in ranks.
+    Each beside seed's triangle is walked by exact_arith._triangle_rows, so a patched umbral._triangle_rows
+    edits the D * B walk alone; exact_arith._lockstep takes all in step and stops them at the last rank in ranks.
     """
     d, seed = _scaled_bernoulli(cache, n)
     walks = [_triangle_rows(seed), *([exact_arith._mirror_rows(seed)] if mirror else [])]
     walks += map(exact_arith._triangle_rows, beside)
-    return d, seed, (step for step in zip(range(max(ranks, default=-1) + 1), *walks) if step[0] in ranks)
+    return d, seed, exact_arith._lockstep(ranks, *walks)
 
 
 def _table_rows(cache: BernoulliCache, max_r: int, max_s: int) -> tuple[int, Iterator[list[int]]]:

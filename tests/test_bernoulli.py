@@ -88,6 +88,9 @@ class TestBernoulliNumbers:
     def test_zero_capacity(self):
         assert BernoulliCache(0)[0] == 1
 
+    def test_repr_names_the_capacity(self):
+        assert repr(BernoulliCache(4)) == "BernoulliCache(capacity=4)"
+
 
 class TestBernoulliPolynomials:
     def test_examples(self, cache):

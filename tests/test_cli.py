@@ -332,6 +332,14 @@ class TestParser:
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_jobs_must_be_positive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "paths", "--jobs", "0"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a positive integer" in captured.err
+
     def test_parser_builds(self):
         parser = build_parser()
         args = parser.parse_args(["value", "2", "3", "--format", "json"])
@@ -398,12 +406,22 @@ def test_closed_pipe_exits_three_without_traceback():
     assert err == b""
 
 
-@pytest.mark.parametrize("command, r", [("denom", "0"), ("value", "0"), ("table", "1")])
-def test_a_request_too_large_to_index_exits_three(capsys, command, r):
-    # the sieve's bytearray or the cache's list is refused at once, before anything is made
-    code, out, err = run_cli(capsys, command, r, str(10**20))
-    assert (code, out) == (3, "")
-    assert err == "error: out of memory\n"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["denom", "0", str(10**20)],
+        ["value", "0", str(10**20)],
+        ["table", "1", str(10**20)],
+        ["verify", "paths", "--max-r", str(10**20)],
+    ],
+    ids=["denom", "value", "table", "verify"],
+)
+def test_a_request_too_large_to_index_exits_two(capsys, argv):
+    # a size that cannot be an index is refused before anything is allocated: a usage error, not a lack of memory
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "out of memory" not in err
 
 
 def test_default_verify_with_two_jobs_starts_no_pool():

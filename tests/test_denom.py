@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import islice
 from math import comb, gcd, prod
@@ -255,6 +257,11 @@ class TestDenominators:
         assert denom_formula(1, 3).value == 30 == bernoulli_denominator(4)
         assert denom_formula(0, 12).value == 2730
 
+    @pytest.mark.parametrize("r, s", [(-1, 0), (0, -1)])
+    def test_formula_rejects_a_negative_key(self, r, s):
+        with pytest.raises(ValueError, match="non-negative"):
+            denom_formula(r, s)
+
     @pytest.mark.parametrize("r, s", [(0, 50), (50, 0)])
     def test_formula_sieves_once_at_a_border_key(self, monkeypatch, r, s):
         real, bounds = exact_arith.primes_up_to, []
@@ -304,6 +311,14 @@ class TestDenominators:
         assert hash(from_list) == hash(from_tuple)
         assert {from_list, from_tuple} == {from_tuple}
         assert DenomFactorization(0, iter([7, 11])).value == 77
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
+    def test_factorization_survives_copy_and_pickle(self, clone):
+        # __getnewargs__ hands __new__ its two arguments; without it copy passes all three fields
+        fact = denom_formula(8, 8)
+        twin = clone(fact)
+        assert type(twin) is DenomFactorization
+        assert twin == fact and (twin.eps2, twin.primes, twin.value) == (0, (3, 5, 11, 13, 17), 36465)
 
     def test_formula_structure(self):
         for r in range(1, 31):

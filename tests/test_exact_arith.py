@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 import bernshift.exact_arith as exact_arith
 from bernshift.exact_arith import (
     _binomial_row,
+    _lockstep,
     _lowest_terms,
     _mirror_rows,
     _product_tree,
@@ -208,6 +209,26 @@ class TestMirrorRows:
         for n in range(31):
             _, seed = _scaled_bernoulli(cache, n)
             assert list(_mirror_rows(seed)) == list(_triangle_rows(seed)), n
+
+
+class TestLockstep:
+    """_lockstep(ranks, *walks): the steps (r, *rows) for r in ranks, and no row past the last rank."""
+
+    @staticmethod
+    def counted(tag, made):
+        r = 0
+        while True:
+            made.append((tag, r))
+            yield f"{tag}{r}"
+            r += 1
+
+    @pytest.mark.parametrize("ranks", [range(6), range(2, 6), [0, 3], [1, 4, 5], range(1, 1), []])
+    def test_steps_are_the_ranks_with_the_walks_rows_in_step(self, ranks):
+        made = []
+        steps = list(_lockstep(ranks, self.counted("x", made), self.counted("y", made)))
+        assert steps == [(r, f"x{r}", f"y{r}") for r in ranks]
+        last = max(ranks, default=-1)
+        assert sorted(made) == [(tag, r) for tag in "xy" for r in range(last + 1)]
 
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(tuple)

@@ -49,6 +49,19 @@ def chi_7_12(monkeypatch):
     monkeypatch.setattr(denom, "_psi_seed", mutated)
 
 
+def chi_2_6(monkeypatch):
+    """chi_2(6) read as 0 in every psi seed, though 2 - 1 divides 6: psi(r, s, 2) is no longer 2^(r-1)."""
+    real = denom._psi_seed
+
+    def mutated(p, n):
+        seed = real(p, n)
+        if p == 2 and n >= 6:
+            seed[6] = 0
+        return seed
+
+    monkeypatch.setattr(denom, "_psi_seed", mutated)
+
+
 def formula_factor(monkeypatch):
     """F(2, 7) times 3 in the closed denominator formula; F(7, 2) is left right."""
     real = denom._denom_formula
@@ -124,6 +137,8 @@ MUTATION_GOLDEN = (
     (chi_7_12, "psi-congruences", 20, 20, 1, "847980ab348d38e79aad7b118f6fe6d83a207f11fdab2d704757bf47fd8a3e11"),
     (chi_7_12, "integrality", 20, 20, 1, "d06b87a60f6278b790ea6088e213095ab4d04fd321b00f49a3db517a99148dff"),
     (chi_7_12, "integrality", 20, 20, 3, "d06b87a60f6278b790ea6088e213095ab4d04fd321b00f49a3db517a99148dff"),
+    (chi_2_6, "integrality", 10, 10, 1, "5c8c4326105a8b5a3739dc32479e640c31346203f18aae0dd38d7d3011c1e930"),
+    (chi_2_6, "integrality", 10, 10, 3, "5c8c4326105a8b5a3739dc32479e640c31346203f18aae0dd38d7d3011c1e930"),
     (chi_7_12, "denominators", 20, 20, 1, "9ec1ebc831ed6928efc21c83213726a8710fdd5a12655eb4a36f372da032cc89"),
     (chi_7_12, "denominators", 20, 20, 3, "9ec1ebc831ed6928efc21c83213726a8710fdd5a12655eb4a36f372da032cc89"),
     (formula_factor, "denominators", 10, 10, 1, "7b432985f89544299fda2d09538a6ca7f2e26e73f88f3698d7db749a2043bba9"),

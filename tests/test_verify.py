@@ -517,6 +517,21 @@ def test_walk_makes_no_row_past_its_last_rank(monkeypatch, mirror):
         assert sorted(pulled) == [(tag, r) for tag in seeds for r in range(max(rows) + 1)]
 
 
+@pytest.mark.parametrize(("max_r", "ranks"), [(1, []), (2, [2]), (10, list(range(2, 11)))])
+def test_integrality_walks_only_the_ranks_it_checks(monkeypatch, max_r, ranks):
+    real, made = umbral._triangle_rows, []
+
+    def counted(seed):
+        for r, row in enumerate(real(seed)):
+            made.append(r)
+            yield row
+
+    monkeypatch.setattr(umbral, "_triangle_rows", counted)
+    report = run_verify("integrality", max_r, 30)
+    assert report.ok and report.instances == len(ranks) * 29
+    assert made == list(range(max(ranks, default=-1) + 1))  # a --max-r 1 run makes no row at all
+
+
 # the runners that read D * B[r,s] through umbral._walk; the psi and classical sweeps keep their own walks
 WALKED = {
     "reciprocity", "antidiagonal", "paths", "poly-reciprocity", "nonvanishing",
@@ -587,6 +602,22 @@ def test_every_walk_of_the_table_is_umbral_walk(monkeypatch, capsys):
     for name in sorted(WALKED):
         assert run_verify(name, *SMALL[name]).ok, name
     assert callers == ["_walk"] * (len(LIBRARY_READERS) + len(WALKED))  # one walk of D * B[r,s] each
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTIES))
+def test_every_lockstep_walk_is_exact_arith_lockstep(monkeypatch, name):
+    real, widths = exact_arith._lockstep, []
+
+    def spy(ranks, *walks):
+        widths.append(len(walks))
+        return real(ranks, *walks)
+
+    monkeypatch.setattr(exact_arith, "_lockstep", spy)
+    assert run_verify(name, *SMALL[name]).ok
+    if name == "psi-congruences":  # a triangle and its mirror for each prime 3..11
+        assert widths == [2] * 4
+    else:
+        assert len(widths) == (name in WALKED)
 
 
 def _edit_triangle(monkeypatch, r, s, value):
