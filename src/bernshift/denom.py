@@ -17,7 +17,7 @@ _psi_sum_seed for many at once, as sum((P // p) * psi) with P their
 product, where p divides that sum exactly when it divides psi.
 umbral._walk walks them beside D * B[r,s], and psi-congruences walks
 _psi_seed's triangle beside its transpose (exact_arith._mirror_rows).  psi
-walks the binomial sum, which serves any prime and is the triangles'
+sums a run of exact_arith._binomials, serves any prime and is the triangles'
 oracle.  The recurrence is exact_arith._triangle_rows, so this module
 loads neither umbral nor bernoulli, and a psi or denom request builds no
 Bernoulli number and loads no fractions, not even to word a failure.
@@ -32,7 +32,7 @@ from math import comb, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvariantViolation
-from .exact_arith import _product_tree, _quotient_text, clausen_primes, is_prime, primes_up_to
+from .exact_arith import _binomials, _product_tree, _quotient_text, clausen_primes, is_prime, primes_up_to
 
 if TYPE_CHECKING:
     from .bernoulli import BernoulliCache
@@ -58,22 +58,11 @@ def _psi_indices(r: int, s: int, p: int) -> range:
 
 
 def _psi_value(r: int, s: int, p: int) -> int:
-    """psi(r, s, p).value without the argument checks, for a p known to be prime.
-
-    Walks C(r, v + 1) = C(r, v) * (r - v) // (v + 1) from the first admissible v to the last.
-    """
+    """psi(r, s, p).value without the argument checks, for a p known to be prime: one run of binomials, stepped."""
     indices = _psi_indices(r, s, p)
     if not indices:
         return 0
-    v = indices[0]
-    binom = comb(r, v)  # C(r, v)
-    total = 0
-    for target in indices:
-        while v < target:
-            binom = binom * (r - v) // (v + 1)
-            v += 1
-        total += binom
-    return total
+    return sum(islice(_binomials(r, indices.start), 0, None, indices.step))
 
 
 def _psi_seed(p: int, n: int) -> list[int]:
@@ -222,7 +211,7 @@ def psi_matrix(p: int) -> tuple[tuple[int, ...], ...]:
     (r + s < p - 1), exactly 1 on it, and nonzero mod p below it, since
     with r <= p - 2 that binomial is a product of factors below p.  Any
     violation raises InvariantViolation; the grid is returned row-major,
-    grid[r-1][s-1].
+    grid[r-1][s-1].  Each expected entry is math.comb's, made apart from psi's run.
     """
     if p < 5 or not is_prime(p):
         raise ValueError(f"psi_matrix: requires a prime p >= 5, got {p}")

@@ -41,13 +41,15 @@ def _sweep_denominators(max_r: int, max_s: int, rows: Sequence[int]) -> SweepRes
 
 def _sweep_integrality(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     """B[r,s] + sum(psi/p) over D, and psi divisibility, read from one walk of the psi sums."""
+    ranks = [r for r in rows if r >= 2]
+    if not ranks or max_s < 2:
+        return 0, [], []  # no key to check, so nothing is built
     from .denom import _integral, _psi_seed, _psi_sum_seed
     from .exact_arith import primes_up_to
 
     n = max_r + max_s
     primes = primes_up_to(n + 1)
     _, psi_sums = _psi_sum_seed(primes, n)  # over P = D: D * sum(psi/p)
-    ranks = [r for r in rows if r >= 2]
     d, _, steps = _walk(bernoulli.BernoulliCache(n), n, ranks, psi_sums, _psi_seed(2, n), _psi_seed(3, n))
     failures = []
     for r, row, sums, psi2, psi3 in steps:
@@ -65,7 +67,7 @@ def _sweep_integrality(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResu
                 for s in range(max(2, step), max_s + 1, step)
                 if sums[s] % p == 0
             )
-    return len(ranks) * max(0, max_s - 1), failures, []
+    return len(ranks) * (max_s - 1), failures, []
 
 
 def _sweep_denom_divisibility(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:

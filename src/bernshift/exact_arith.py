@@ -8,15 +8,14 @@ reduction of a quotient to lowest terms, and _quotient_text(x, d) its one
 wording in a failure message.  The triangle recurrence
 X[r+1,s] = X[r,s] + X[r,s+1] fills both D * B[r,s] (umbral) and psi
 (denom); it is stated here once, so that the psi sweeps need not load umbral.
-The sums weighted by a whole row C(n, 0..n) -- the defining sum, the forward
-differences and the polynomial coefficients (umbral) -- read it from
-_binomial_row(n), which keeps rows to order 400; the hermite-stern sweep,
-which walks every order, makes its rows by Pascal's rule itself.
+_binomials(n, k) is the one producer of binomial runs C(n, k..n): umbral's
+sums over a whole row C(n, 0..n) read the row from _binomial_row(n), kept to
+order 400, and psi (denom) sums one run, one binomial held.  The hermite-stern
+sweep needs every order, so it makes its rows by Pascal's rule itself.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import comb, gcd, prod
 from operator import add
 from typing import Iterable, Iterator, Sequence
@@ -60,11 +59,20 @@ _KEPT_ROWS = 400
 _ROWS: dict[int, tuple[int, ...]] = {}
 
 
+def _binomials(n: int, k: int = 0) -> Iterator[int]:
+    """C(n, k), ..., C(n, n) one at a time, for 0 <= k <= n: the first by math.comb, each next from the last."""
+    binom = comb(n, k)
+    yield binom
+    for j in range(k, n):
+        binom = binom * (n - j) // (j + 1)  # C(n, j + 1)
+        yield binom
+
+
 def _binomial_row(n: int) -> tuple[int, ...]:
-    """(C(n, 0), C(n, 1), ..., C(n, n)) by math.comb, kept when n <= _KEPT_ROWS."""
+    """(C(n, 0), C(n, 1), ..., C(n, n)) from _binomials, kept when n <= _KEPT_ROWS."""
     row = _ROWS.get(n)
     if row is None:
-        row = tuple(map(comb, repeat(n), range(n + 1)))
+        row = tuple(_binomials(n))
         if n <= _KEPT_ROWS:
             _ROWS[n] = row
     return row

@@ -55,7 +55,7 @@ def _sweep_psi_congruences(max_r: int, max_s: int, rows: Sequence[int]) -> Sweep
 
 
 def _sweep_hermite_stern(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    """Walks the rows C(m, 0..m) for m = 1..max_r by Pascal's rule, one held at a time; checks the m in rows."""
+    """Walks C(m, 0..m) for every m <= max_r by Pascal's rule, one row held: cheaper than a _binomials run each."""
     from operator import add
 
     from .exact_arith import _hermite_stern_residue, primes_up_to

@@ -71,9 +71,9 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> Swee
     failures = []
     for r in rows:
         for s in range(max_s + 1):
-            mirrored = s in rows and r <= max_s  # the key (s, r) is also this chunk's
+            mirrored = s <= max_r and r <= max_s  # the key (s, r) is also in the rectangle
             if mirrored and s < r:
-                continue  # the key (s, r) made both polynomials
+                continue  # the chunk holding rank s makes both polynomials at the key (s, r)
             lhs = _scaled_polynomial(table[: r + 1], r, s, d)
             rhs = lhs if r == s else _scaled_polynomial(table[: s + 1], s, r, d)
             pairs = enumerate(zip(lhs, rhs))

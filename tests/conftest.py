@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from bernshift import BernoulliCache, bs_direct
+
+# The same examples on every run and every machine: drawn from a fixed seed, none read from or saved to a database.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

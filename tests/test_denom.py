@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from math import comb, gcd, prod
@@ -106,9 +107,20 @@ class TestPsi:
     def test_empty_index_set_does_no_work(self, monkeypatch):
         import bernshift.denom as denom
 
-        monkeypatch.setattr(denom, "comb", None)  # any binomial would raise
+        monkeypatch.setattr(denom, "_binomials", None)  # any binomial run would raise
         assert _psi_value(5, 3, 101) == 0
         assert _psi_value(10**6, 1, 10**11 + 3) == 0
+
+    def test_large_rank_holds_one_binomial_at_a_time(self):
+        # a whole row of order 20,000 takes about 39 MB; the run holds one binomial of about 2.5 KB
+        tracemalloc.start()
+        try:
+            value = _psi_value(20000, 1, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 2**19999  # the odd v, half of the row's sum 2^20000
+        assert peak < 1 << 20, peak
 
     def test_tables_match_binomial_sum(self):
         # psi by the recurrence seeded with chi_p, for every prime that can be nonzero

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 import bernshift.exact_arith as exact_arith
 from bernshift.exact_arith import (
     _binomial_row,
+    _binomials,
     _lockstep,
     _lowest_terms,
     _mirror_rows,
@@ -114,6 +115,18 @@ class TestForwardDifference:
             forward_difference(lambda k: k, -1)
 
 
+class TestBinomials:
+    def test_every_run_matches_comb(self):
+        for n in range(121):
+            for k in range(n + 1):
+                assert list(_binomials(n, k)) == [comb(n, j) for j in range(k, n + 1)], (n, k)
+
+    @pytest.mark.parametrize("n", [401, 1000])
+    def test_long_runs_match_comb(self, n):
+        for k in (0, n // 2, n):
+            assert list(_binomials(n, k)) == [comb(n, j) for j in range(k, n + 1)], (n, k)
+
+
 class TestBinomialRow:
     def test_rows_in_order_match_comb(self, monkeypatch):
         monkeypatch.setattr(exact_arith, "_ROWS", {})
@@ -140,7 +153,7 @@ class TestBinomialRow:
         assert sorted(exact_arith._ROWS) == [7, top]
 
     def test_at_most_one_row_past_the_bound_is_held(self, monkeypatch):
-        # one rule, in any order: a row up to the bound is made once by math.comb; none past it is held
+        # one rule, in any order: a row up to the bound is made once, from one math.comb call; none past it is held
         calls = []
 
         def counted(n, k):
@@ -159,7 +172,8 @@ class TestBinomialRow:
         assert sorted(exact_arith._ROWS) == list(range(top - 20, top + 1))
         made = sorted({n for n, _ in calls})
         assert made == list(range(top - 20, top + 60))
-        assert all(sum(n == m for n, _ in calls) == m + 1 for m in range(top - 20, top + 1))
+        assert all(k == 0 for _, k in calls)  # each row is one run of _binomials from C(n, 0)
+        assert all(calls.count((m, 0)) == 1 for m in range(top - 20, top + 1))
 
 
 class TestProductTree:

@@ -344,12 +344,18 @@ def test_poly_reciprocity_computes_each_ordered_key_once(monkeypatch):
         return real(rows, r, s, d)
 
     monkeypatch.setattr(umbral, "_scaled_polynomial", counted)
-    assert PROPERTIES["poly-reciprocity"].runner(8, 8, range(9)) == (81, [], [])
-    assert len(calls) == len(set(calls)) == 81
-    calls.clear()
-    assert PROPERTIES["poly-reciprocity"].runner(5, 8, range(6)) == (54, [], [])
-    # the 54 keys, and the mirrors (s, r) of the 18 keys with s > 5, each made once
-    assert len(calls) == len(set(calls)) == 54 + 18
+    runner = PROPERTIES["poly-reciprocity"].runner
+    # at 5 x 8: the 54 keys, and the mirrors (s, r) of the 18 keys with s > 5, each made once
+    for max_r, max_s, made in ((8, 8, 81), (5, 8, 54 + 18)):
+        instances = (max_r + 1) * (max_s + 1)
+        calls.clear()
+        assert runner(max_r, max_s, range(max_r + 1)) == (instances, [], [])
+        assert len(calls) == len(set(calls)) == made
+        solo, calls[:] = set(calls), []
+        # split three ways, a pair whose ranks fall in two chunks is still made once
+        chunks = plan_chunks(max_r, 3, cpus=3)
+        assert merge_results(runner(max_r, max_s, rows) for rows in chunks) == (instances, [], [])
+        assert len(calls) == len(set(calls)) == made and set(calls) == solo
 
 
 class _Polynomial(list):
@@ -530,6 +536,17 @@ def test_integrality_walks_only_the_ranks_it_checks(monkeypatch, max_r, ranks):
     report = run_verify("integrality", max_r, 30)
     assert report.ok and report.instances == len(ranks) * 29
     assert made == list(range(max(ranks, default=-1) + 1))  # a --max-r 1 run makes no row at all
+
+
+@pytest.mark.parametrize(("max_r", "max_s"), [(1, 1200), (5, 1)])
+def test_integrality_builds_nothing_when_it_checks_no_key(monkeypatch, max_r, max_s):
+    def refuse(*args):
+        raise AssertionError("a sweep with no key to check built its data")
+
+    monkeypatch.setattr(bernoulli, "BernoulliCache", refuse)
+    monkeypatch.setattr(denom, "_psi_sum_seed", refuse)
+    report = run_verify("integrality", max_r, max_s)
+    assert report.ok and report.instances == 0
 
 
 # the runners that read D * B[r,s] through umbral._walk; the psi and classical sweeps keep their own walks
