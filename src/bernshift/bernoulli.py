@@ -7,8 +7,9 @@ holds each B_n as its reduced numerator and denominator: cache.pair(n) reads
 them, and only cache[n] makes a Fraction, importing fractions when it is
 first called, so a CLI request never loads it.  The defining recurrence
 sum(C(n+1, k) * B_k) = 0 is kept only as a test oracle.
-The closed denominator formula (the product of exact_arith.clausen_primes)
-and the von Staudt-Clausen witness give two independent handles on the
+The closed denominator formula (the product of exact_arith.clausen_primes,
+the primes d + 1 over the divisors d of n, found without a sieve) and the
+von Staudt-Clausen witness give two independent handles on the
 fractional part of B_n that the test suite plays against the cached values.
 No polynomial is built here: umbral gives B[r,s](x) as a tuple of its
 coefficients.
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InvariantViolation
-from .exact_arith import _lowest_terms, _product_tree, _quotient_text, clausen_primes
+from .exact_arith import _TALLY, _lowest_terms, _product_tree, _quotient_text, clausen_primes
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -40,6 +41,7 @@ class BernoulliCache:
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
+        _TALLY["cache_capacity"] += capacity
         n = capacity // 2
         tangent = [0] * (n + 1)
         if n:

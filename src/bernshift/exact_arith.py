@@ -3,7 +3,8 @@
 Everything here takes and returns plain Python ints; no floats, and no
 rationals either -- those live in bernoulli and umbral.  clausen_primes(n)
 is the one statement of von Staudt-Clausen: the primes dividing denom(B_n),
-which bernoulli and denom both read.  _lowest_terms(x, d) is the one
+which bernoulli and denom both read, found among the divisors of n by trial
+division to sqrt(n), with no sieve.  _lowest_terms(x, d) is the one
 reduction of a quotient to lowest terms, and _quotient_text(x, d) its one
 wording in a failure message.  The triangle recurrence
 X[r+1,s] = X[r,s] + X[r,s+1] fills both D * B[r,s] (umbral) and psi
@@ -16,8 +17,10 @@ sweep needs every order, so it makes its rows by Pascal's rule itself.
 
 from __future__ import annotations
 
-from math import comb, gcd, prod
+from collections import Counter
+from math import comb, gcd, isqrt, prod
 from operator import add
+from sys import maxsize
 from typing import Iterable, Iterator, Sequence
 
 from .render import fraction_text
@@ -42,7 +45,8 @@ def clausen_primes(n: int) -> list[int]:
     """The primes dividing denom(B_n), increasing: von Staudt-Clausen, stated once.
 
     None for n = 0 and odd n >= 3, [2] for n = 1 (B_1 = -1/2), and for even
-    n >= 2 the primes p with p - 1 | n, each at most n + 1.
+    n >= 2 the primes p = d + 1 over the divisors d of n, listed by trial
+    division to sqrt(n): O(sqrt(n)) time and no sieve, for at most d(n) primes.
     """
     if n < 0:
         raise ValueError("clausen_primes: n must be >= 0")
@@ -50,13 +54,19 @@ def clausen_primes(n: int) -> list[int]:
         return [2]
     if n == 0 or n % 2:
         return []
-    return [p for p in primes_up_to(n + 1) if n % (p - 1) == 0]
+    if n > maxsize:  # the sieve's old index limit, not a cost limit: below it trial division runs to sqrt(n)
+        raise OverflowError(f"clausen_primes: {n} is too large to be an index")
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]  # the divisors d with d * d <= n
+    divisors = low + [n // d for d in reversed(low) if d * d < n]
+    return [d + 1 for d in divisors if is_prime(d + 1)]
 
 
 # Rows up to this order are kept once built: all 401 of them take 5.1 MB.
 # A higher order is made afresh at each call and never kept.
 _KEPT_ROWS = 400
 _ROWS: dict[int, tuple[int, ...]] = {}
+# The rows and cells _triangle_rows makes and the B_n capacity BernoulliCache builds: verify clears it per runner.
+_TALLY: Counter[str] = Counter()
 
 
 def _binomials(n: int, k: int = 0) -> Iterator[int]:
@@ -159,10 +169,10 @@ def _triangle_rows(seed: Sequence[int]) -> Iterator[list[int]]:
     step, with _mirror_rows beside them for a sweep reading transposed keys.
     """
     row = list(seed)
-    yield row
-    for _ in range(len(row) - 1):
-        row = list(map(add, row, row[1:]))
+    for _ in range(len(row)):
+        _TALLY.update(walk_rows=1, walk_cells=len(row))
         yield row
+        row = list(map(add, row, row[1:]))
 
 
 def _mirror_rows(seed: Sequence[int]) -> Iterator[list[int]]:

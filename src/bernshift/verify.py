@@ -23,8 +23,10 @@ from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import WorkerDied
+from .exact_arith import _TALLY
 
 SweepResult = tuple[int, list[str], list[str]]  # instances, failures, notes
+BUILT = ("walk_rows", "walk_cells", "cache_capacity")  # the counts _chunk_worker reads from exact_arith._TALLY
 
 
 class VerifyReport(NamedTuple):
@@ -36,6 +38,7 @@ class VerifyReport(NamedTuple):
     notes: tuple[str, ...]
     seconds: float
     workers: int = 1  # processes the sweep ran in: 1 when it stayed in this one
+    built: tuple[int, ...] = (0, 0, 0)  # the BUILT counts, summed over those processes
 
     @property
     def ok(self) -> bool:
@@ -97,8 +100,9 @@ PROPERTIES: dict[str, PropertySpec] = {
 }
 
 
-def _chunk_worker(name: str, max_r: int, max_s: int, rows: list[int]) -> SweepResult:
-    return PROPERTIES[name].runner(max_r, max_s, rows)
+def _chunk_worker(name: str, max_r: int, max_s: int, rows: Sequence[int]) -> tuple[SweepResult, tuple[int, ...]]:
+    _TALLY.clear()
+    return PROPERTIES[name].runner(max_r, max_s, rows), tuple(_TALLY[key] for key in BUILT)
 
 
 def plan_chunks(max_r: int, jobs: int, cpus: int) -> list[list[int]]:
@@ -132,7 +136,7 @@ def run_verify(name: str, max_r: int, max_s: int, jobs: int = 1) -> VerifyReport
     chunks = plan_chunks(max_r, jobs, os.cpu_count() or 1) if pays else []
     workers = max(1, len(chunks))
     if workers == 1:
-        parts = [spec.runner(max_r, max_s, range(max_r + 1))]
+        parts = [_chunk_worker(name, max_r, max_s, range(max_r + 1))]
     else:
         # Imported here: concurrent.futures pulls in logging and multiprocessing,
         # which no other request needs.
@@ -144,7 +148,7 @@ def run_verify(name: str, max_r: int, max_s: int, jobs: int = 1) -> VerifyReport
                 parts = [future.result() for future in futures]
         except BrokenExecutor as exc:
             raise WorkerDied(str(exc)) from exc
-    instances, failures, notes = merge_results(parts)
+    instances, failures, notes = merge_results(result for result, _ in parts)
     return VerifyReport(
         property_name=name,
         max_r=max_r,
@@ -154,6 +158,7 @@ def run_verify(name: str, max_r: int, max_s: int, jobs: int = 1) -> VerifyReport
         notes=tuple(notes),
         seconds=perf_counter() - start,
         workers=workers,
+        built=tuple(map(sum, zip(*(built for _, built in parts)))),
     )
 
 
@@ -181,5 +186,6 @@ def report_payload(report: VerifyReport) -> dict:
         "notes": list(report.notes),
         "pass": report.ok,
         # everything above is deterministic; the timing below is not
-        "timing": {"wall_ms": int(report.seconds * 1000), "workers": report.workers},
+        "timing": {"wall_ms": int(report.seconds * 1000), "workers": report.workers}
+        | dict(zip(BUILT, report.built)),
     }

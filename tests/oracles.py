@@ -10,16 +10,17 @@ the caller holds, and the wrappers below state the congruences from psi's
 checked entry point, one (rank, shift) pair at a time.
 
 The slow forms are the library's sums as they read on paper: one math.comb
-per term, and the denominator formula in least positive residues.  The
-library sums whole binomial rows and tests residues inline instead; each
-slow form is the oracle of its fast one.
+per term, the denominator formula in least positive residues, and von
+Staudt-Clausen by a sieve to n + 1.  The library sums whole binomial rows,
+tests residues inline and lists the divisors of n instead; each slow form is
+the oracle of its fast one.
 """
 
 from fractions import Fraction
 from math import comb
 
 from bernshift.denom import psi
-from bernshift.exact_arith import primes_up_to
+from bernshift.exact_arith import is_prime, primes_up_to
 
 
 def evaluate(coeffs, x):
@@ -126,3 +127,21 @@ def denom_formula(r, s):
         if p >= 5 and least_positive_residue(r, p - 1) + least_positive_residue(s, p - 1) >= p - 1
     ]
     return eps2, tuple(odd)
+
+
+def clausen_primes(n):
+    """von Staudt-Clausen as first stated: the primes p <= n + 1 with p - 1 | n, by a sieve to n + 1 (even n >= 2)."""
+    if n == 1:
+        return [2]
+    return [] if n == 0 or n % 2 else [p for p in primes_up_to(n + 1) if n % (p - 1) == 0]
+
+
+def clausen_primes_over(n, primes):
+    """clausen_primes(n) for an even n that factors over primes: its divisors d made from that factorization."""
+    divisors, rest = {1}, n
+    for p in primes:
+        while rest % p == 0:
+            rest //= p
+            divisors |= {d * p for d in divisors}
+    assert rest == 1, f"{n} does not factor over {primes}"
+    return [d + 1 for d in sorted(divisors) if is_prime(d + 1)]

@@ -8,6 +8,8 @@ from bernshift.bernoulli import BernoulliCache, bernoulli_denominator, von_staud
 from bernshift.denom import denom_formula
 from bernshift.exact_arith import _binomial_row, _hermite_stern_residue, clausen_primes, primes_up_to
 from oracles import bernoulli_polynomial, evaluate, hermite_stern_residue
+from oracles import clausen_primes as sieved_clausen_primes
+from routes import SIEVED_UP_TO
 
 
 def _akiyama_tanigawa(limit):
@@ -165,6 +167,11 @@ class TestClausenPrimes:
             assert primes == sorted(set(primes)), n
             assert prod(primes) == cache[n].denominator == bernoulli_denominator(n), n
             assert denom_formula(0, n).value == denom_formula(n, 0).value == prod(primes), n
+
+    def test_matches_the_sieve_at_every_n(self):
+        # the divisor walk against von Staudt-Clausen's first statement; tests/routes.py draws larger n
+        for n in range(SIEVED_UP_TO + 1):
+            assert clausen_primes(n) == sieved_clausen_primes(n), n
 
     def test_examples(self):
         assert clausen_primes(0) == []

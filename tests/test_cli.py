@@ -5,17 +5,20 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from math import prod
 from pathlib import Path
 
 import pytest
 
 from bernshift import bernoulli, cli, verify
 from bernshift.cli import build_parser, main
+from bernshift.exact_arith import is_prime
 from bernshift.render import json_int, latex_fraction, render_json
 from reference_grid import REFERENCE_GRID
 
@@ -422,6 +425,22 @@ def test_a_request_too_large_to_index_exits_two(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "out of memory" not in err
+
+
+def test_denom_of_a_billion_answers_within_a_gigabyte():
+    # the primes of denom(B_n) come from the divisors of n: a sieve to 10**9 + 1 ran out of memory under this limit
+    limit = (10**9, 10**9)  # bytes of address space, as `ulimit -v 1000000`
+    proc = subprocess.run(
+        [sys.executable, "-m", "bernshift", "denom", "0", str(10**9), "--factor"],
+        capture_output=True, text=True, env=_env(), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    value, factors = proc.stdout.removesuffix("\n").split(" = ")
+    primes = [int(p) for p in factors.split(" * ")]
+    assert all(is_prime(p) and 10**9 % (p - 1) == 0 for p in primes), primes
+    divisors = [2**a * 5**b for a in range(10) for b in range(10)]  # all 100 of 10**9 = 2^9 * 5^9
+    assert primes == sorted(d + 1 for d in divisors if is_prime(d + 1)) and int(value) == prod(primes)
 
 
 def test_default_verify_with_two_jobs_starts_no_pool():

@@ -17,10 +17,7 @@ import pytest
 import bernshift.bernoulli as bernoulli
 import bernshift.cli as cli
 import bernshift.denom as denom
-import bernshift.denom_sweeps as denom_sweeps
 import bernshift.exact_arith as exact_arith
-import bernshift.psi_sweeps as psi_sweeps
-import bernshift.table_sweeps as table_sweeps
 import bernshift.umbral as umbral
 import bernshift.verify as verify
 from bernshift.errors import InvariantViolation
@@ -221,9 +218,10 @@ def test_report_text_and_payload():
         "pass",
         "timing",
     ]
-    assert list(payload["timing"]) == ["wall_ms", "workers"]
+    assert list(payload["timing"]) == ["wall_ms", "workers", "walk_rows", "walk_cells", "cache_capacity"]
     assert isinstance(payload["timing"]["wall_ms"], int)
-    assert payload["timing"]["workers"] == 1
+    # rows 0..6 of the triangle r + s <= 12 and of its mirror, the mirror's column walk of all 13 rows, B_0..B_12
+    assert list(payload["timing"].values())[1:] == [1, 7 + 7 + 13, 70 + 70 + 91, 12]
 
 
 class InlinePool:
@@ -381,6 +379,7 @@ def test_poly_reciprocity_holds_at_most_four_polynomials(monkeypatch, max_r, max
 
 @pytest.mark.parametrize("name", ["reciprocity", "poly-reciprocity"])
 def test_both_key_orders_come_from_one_seed(monkeypatch, name):
+    # a seed rebuilt for the mirror walk makes the same rows and cells, so the BUILT pins cannot see it
     real, seeds = umbral._scaled_bernoulli, []
 
     def counted(cache, n):
@@ -395,18 +394,10 @@ def test_both_key_orders_come_from_one_seed(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(PROPERTIES))
-def test_a_sweep_builds_at_most_one_bernoulli_cache(name, monkeypatch):
-    # a non-square range: reciprocity and poly-reciprocity read both key orders from one cache
-    built = []
-
-    class Counted(bernoulli.BernoulliCache):
-        def __init__(self, capacity):
-            built.append(capacity)
-            super().__init__(capacity)
-
-    monkeypatch.setattr(bernoulli, "BernoulliCache", Counted)
-    assert run_verify(name, 6, 9).ok
-    assert len(built) <= 1, built
+def test_a_sweep_builds_at_most_one_bernoulli_cache(name):
+    # a non-square range: reciprocity and poly-reciprocity read both key orders from one cache of B_0..B_15
+    report = run_verify(name, 6, 9)
+    assert report.ok and report.built[2] <= 6 + 9, report.built
 
 
 @pytest.mark.parametrize("name", ["denominators", "integrality", "reciprocity", "psi-congruences", "denom-divisibility"])
@@ -493,49 +484,27 @@ def test_walk_matches_the_explicit_frame(max_r, max_s, count, mirror):
 
 
 @pytest.mark.parametrize("mirror", [False, True])
-def test_walk_makes_no_row_past_its_last_rank(monkeypatch, mirror):
-    real, made, pulled = umbral._triangle_rows, [], []
+def test_walk_makes_no_row_past_its_last_rank(mirror):
     seeds = {tag: [tag] * 21 for tag in (1, 2, 3)}  # row r of a seed's triangle is [tag * 2^r] * (21 - r)
-
-    def counted(seed):
-        for r, row in enumerate(real(seed)):
-            made.append(r)
-            yield row
-
-    def beside(seed):  # exact_arith's walk, which the mirror also reads: only the beside seeds are logged
-        tag = next((tag for tag, own in seeds.items() if own is seed), None)
-        for r, row in enumerate(real(seed)):
-            if tag:
-                pulled.append((tag, r))
-            yield row
-
-    monkeypatch.setattr(umbral, "_triangle_rows", counted)
-    monkeypatch.setattr(exact_arith, "_triangle_rows", beside)
     cache = bernoulli.BernoulliCache(20)
     for rows in plan_chunks(10, 3, cpus=3):  # [0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8]: each skips ranks
-        made.clear()
-        pulled.clear()
+        exact_arith._TALLY.clear()
         steps = list(umbral._walk(cache, 20, rows, *seeds.values(), mirror=mirror)[2])
         assert [step[0] for step in steps] == rows
-        in_step = ([[tag * 2 ** step[0]] * (21 - step[0]) for tag in seeds] for step in steps)
-        assert all(list(step[-3:]) == rows_made for step, rows_made in zip(steps, in_step))
-        assert made == list(range(max(rows) + 1))
-        assert sorted(pulled) == [(tag, r) for tag in seeds for r in range(max(rows) + 1)]
+        assert all(list(step[-3:]) == [[tag * 2 ** step[0]] * (21 - step[0]) for tag in seeds] for step in steps)
+        # D * B, [its mirror,] the three beside seeds to the last rank; and the mirror's column, a whole walk
+        walks, last = 4 + mirror, max(rows)
+        assert exact_arith._TALLY["walk_rows"] == walks * (last + 1) + 21 * mirror
+        assert exact_arith._TALLY["walk_cells"] == walks * sum(21 - r for r in range(last + 1)) + 231 * mirror
 
 
 @pytest.mark.parametrize(("max_r", "ranks"), [(1, []), (2, [2]), (10, list(range(2, 11)))])
-def test_integrality_walks_only_the_ranks_it_checks(monkeypatch, max_r, ranks):
-    real, made = umbral._triangle_rows, []
-
-    def counted(seed):
-        for r, row in enumerate(real(seed)):
-            made.append(r)
-            yield row
-
-    monkeypatch.setattr(umbral, "_triangle_rows", counted)
+def test_integrality_walks_only_the_ranks_it_checks(max_r, ranks):
+    # four triangles over r + s <= n (D * B, the psi sums, psi(2), psi(3)), each walked to the last rank checked
     report = run_verify("integrality", max_r, 30)
     assert report.ok and report.instances == len(ranks) * 29
-    assert made == list(range(max(ranks, default=-1) + 1))  # a --max-r 1 run makes no row at all
+    n, last = max_r + 30, max(ranks, default=-1)  # a --max-r 1 run makes no row at all
+    assert report.built == (4 * (last + 1), 4 * sum(n + 1 - r for r in range(last + 1)), n if ranks else 0)
 
 
 @pytest.mark.parametrize(("max_r", "max_s"), [(1, 1200), (5, 1)])
@@ -543,10 +512,12 @@ def test_integrality_builds_nothing_when_it_checks_no_key(monkeypatch, max_r, ma
     def refuse(*args):
         raise AssertionError("a sweep with no key to check built its data")
 
-    monkeypatch.setattr(bernoulli, "BernoulliCache", refuse)
+    # the primes and the psi seeds are made before any walk, so the built counts cannot see them
+    monkeypatch.setattr(exact_arith, "primes_up_to", refuse)
     monkeypatch.setattr(denom, "_psi_sum_seed", refuse)
+    monkeypatch.setattr(denom, "_psi_seed", refuse)
     report = run_verify("integrality", max_r, max_s)
-    assert report.ok and report.instances == 0
+    assert (report.ok, report.instances, report.built) == (True, 0, (0, 0, 0))
 
 
 # the runners that read D * B[r,s] through umbral._walk; the psi and classical sweeps keep their own walks
@@ -555,28 +526,45 @@ WALKED = {
     "denominators", "integrality", "denom-divisibility",
 }
 
+# The report's built counts (walk rows, walk cells, cache capacity) at each default range: in one process,
+# and summed over a 3-way split.  A second walk or cache, a walk past the last rank or an oversized cache
+# moves one.  Runners that ignore their ranks (antidiagonal, the psi and classical sweeps) build it all
+# in each chunk, which is why run_verify never splits them.
+BUILT_AT_DEFAULTS = {
+    "antidiagonal": ((101, 5151, 100), (303, 15453, 300)),
+    "denom-divisibility": ((163, 8323, 80), (483, 24721, 240)),
+    "denominators": ((162, 19602, 160), (480, 58318, 480)),
+    "hermite-stern": ((0, 0, 0), (0, 0, 0)),
+    "integrality": ((324, 39204, 160), (960, 116636, 480)),
+    "nonvanishing": ((61, 5551, 120), (180, 16469, 360)),
+    "paths": ((81, 3321, 80), (240, 9959, 240)),
+    "poly-reciprocity": ((26, 1001, 50), (78, 3003, 150)),
+    "psi-congruences": ((2673, 203313, 0), (8019, 609939, 0)),
+    "psi-matrix": ((0, 0, 0), (0, 0, 0)),
+    "reciprocity": ((323, 32643, 160), (963, 97441, 480)),
+    "staudt-clausen": ((0, 0, 200), (0, 0, 600)),
+}
+
 
 @pytest.mark.parametrize("name", sorted(PROPERTIES))
 def test_the_table_sweeps_walk_once_per_call(monkeypatch, name):
-    real, calls = umbral._walk, []
+    spec = PROPERTIES[name]
+    # the split runs after the solo in this process: the solo's tally must not show in it
+    solo = run_verify(name, spec.default_r, spec.default_s)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setitem(PROPERTIES, name, spec._replace(parallel=True, pool_from=0))
+    split = run_verify(name, spec.default_r, spec.default_s, jobs=3)
+    assert (solo.ok, split.ok, split.workers) == (True, True, 3)
+    assert (solo.built, split.built) == BUILT_AT_DEFAULTS[name]
 
-    def spy(cache, n, *args, **kwargs):
-        calls.append((cache.capacity, n))
-        return real(cache, n, *args, **kwargs)
 
-    for module in (umbral, table_sweeps, denom_sweeps, psi_sweeps):
-        if getattr(module, "_walk", None) is real:
-            monkeypatch.setattr(module, "_walk", spy)
-    max_r, max_s = SMALL[name]
-    chunks = plan_chunks(max_r, 3, cpus=3)
-    if PROPERTIES[name].parallel:
-        _solo_and_split(name, max_r, max_s)
-    else:  # run_verify never splits it, but its runner walks once whatever ranks it is given
-        assert run_verify(name, max_r, max_s, jobs=1).ok
-        for rows in chunks:
-            PROPERTIES[name].runner(max_r, max_s, rows)
-    n = max(max_r, max_s) if name == "paths" else max_r + max_s
-    assert calls == ([(n, n)] * (1 + len(chunks)) if name in WALKED else [])  # a cache sized to the walk
+def test_pooled_workers_built_counts_are_summed(monkeypatch):
+    # three real worker processes: each clears and reads its own tally, and run_verify adds them up
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setitem(PROPERTIES, "denominators", PROPERTIES["denominators"]._replace(pool_from=0))
+    report = run_verify("denominators", 80, 80, jobs=3)
+    assert (report.ok, report.workers, report.built) == (True, 3, BUILT_AT_DEFAULTS["denominators"][1])
 
 
 # the library's readers of the table, each with the walk (n, ranks) it should make
@@ -758,28 +746,19 @@ def test_hermite_stern_walks_pascals_rule_past_the_kept_rows(monkeypatch):
 
 def test_paths_builds_one_cache_and_one_seed_at_the_size_it_checks(monkeypatch):
     # the keys checked have r + s <= max(max_r, max_s), so no B_n past that is needed
-    built, seeds = [], []
+    real, seeds = umbral._scaled_bernoulli, []
 
-    class Counted(bernoulli.BernoulliCache):
-        def __init__(self, capacity):
-            built.append(capacity)
-            super().__init__(capacity)
-
-    real = umbral._scaled_bernoulli
-
-    def counted(cache, n):
+    def counted(cache, n):  # a second seed of the same size walks no more rows: only this spy sees it
         seeds.append(n)
         return real(cache, n)
 
-    monkeypatch.setattr(bernoulli, "BernoulliCache", Counted)
     monkeypatch.setattr(umbral, "_scaled_bernoulli", counted)
     for max_r, max_s in ((6, 9), (10, 10), (9, 4)):
-        built.clear()
         seeds.clear()
-        assert run_verify("paths", max_r, max_s).ok
+        report = run_verify("paths", max_r, max_s)
         bound = max(max_r, max_s)
-        assert len(built) == 1 and built[0] <= bound + 2, built
-        assert seeds == [bound]
+        assert report.ok and seeds == [bound]
+        assert report.built == (max_r + 1, sum(bound + 1 - r for r in range(max_r + 1)), bound)
 
 
 def test_denom_divisibility_names_a_square_factor_and_a_large_prime(monkeypatch):
