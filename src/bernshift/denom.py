@@ -32,7 +32,7 @@ from math import comb, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvariantViolation
-from .exact_arith import _binomials, _product_tree, _quotient_text, clausen_primes, is_prime, primes_up_to
+from .exact_arith import _TALLY, _binomials, _product_tree, _quotient_text, clausen_primes, is_prime, primes_up_to
 
 if TYPE_CHECKING:
     from .bernoulli import BernoulliCache
@@ -70,6 +70,7 @@ def _psi_seed(p: int, n: int) -> list[int]:
     seed = [0] * (n + 1)
     ones = _psi_indices(n, 0, p)
     seed[ones.start :: ones.step] = [1] * len(ones)
+    _TALLY["seeds"] += 1
     return seed
 
 
@@ -89,6 +90,7 @@ def _psi_sum_seed(primes: Sequence[int], n: int) -> tuple[int, list[int]]:
         share = big // p
         for t in compress(range(n + 1), _psi_seed(p, n)):
             seed[t] += share
+    _TALLY["seeds"] += 1
     return big, seed
 
 

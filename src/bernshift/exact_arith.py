@@ -28,6 +28,7 @@ from .render import fraction_text
 
 def primes_up_to(bound: int) -> list[int]:
     """All primes p <= bound in increasing order (empty for bound < 2)."""
+    _TALLY["sieves"] += 1
     if bound < 2:
         return []
     sieve = bytearray([1]) * (bound + 1)
@@ -65,7 +66,7 @@ def clausen_primes(n: int) -> list[int]:
 # A higher order is made afresh at each call and never kept.
 _KEPT_ROWS = 400
 _ROWS: dict[int, tuple[int, ...]] = {}
-# The rows and cells _triangle_rows makes and the B_n capacity BernoulliCache builds: verify clears it per runner.
+# Rows, cells, B_n capacity, seeds and sieves, each counted where it is made: verify clears it per runner.
 _TALLY: Counter[str] = Counter()
 
 
@@ -170,7 +171,8 @@ def _triangle_rows(seed: Sequence[int]) -> Iterator[list[int]]:
     """
     row = list(seed)
     for _ in range(len(row)):
-        _TALLY.update(walk_rows=1, walk_cells=len(row))
+        _TALLY["walk_rows"] += 1
+        _TALLY["walk_cells"] += len(row)
         yield row
         row = list(map(add, row, row[1:]))
 

@@ -85,6 +85,7 @@ def _scaled_bernoulli(cache: BernoulliCache, n: int) -> tuple[int, list[int]]:
         if rest:
             raise InvariantViolation(f"denom(B_{k}) = {den} does not divide {d}")
         seed.append(num * share)
+    exact_arith._TALLY["seeds"] += 1
     return d, seed
 
 

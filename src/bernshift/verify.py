@@ -26,7 +26,7 @@ from .errors import WorkerDied
 from .exact_arith import _TALLY
 
 SweepResult = tuple[int, list[str], list[str]]  # instances, failures, notes
-BUILT = ("walk_rows", "walk_cells", "cache_capacity")  # the counts _chunk_worker reads from exact_arith._TALLY
+BUILT = ("walk_rows", "walk_cells", "cache_capacity", "seeds", "sieves")  # the _TALLY counts a worker reports
 
 
 class VerifyReport(NamedTuple):
@@ -38,7 +38,7 @@ class VerifyReport(NamedTuple):
     notes: tuple[str, ...]
     seconds: float
     workers: int = 1  # processes the sweep ran in: 1 when it stayed in this one
-    built: tuple[int, ...] = (0, 0, 0)  # the BUILT counts, summed over those processes
+    built: tuple[int, ...] = (0,) * len(BUILT)  # the BUILT counts, summed over those processes
 
     @property
     def ok(self) -> bool:

@@ -3,8 +3,9 @@ from hypothesis import settings
 
 from bernshift import BernoulliCache, bs_direct
 
-# The same examples on every run and every machine: drawn from a fixed seed, none read from or saved to a database.
-settings.register_profile("tier1", derandomize=True, database=None)
+# The same examples on every run and every machine: drawn from a fixed seed, none read from or saved to a database,
+# and no deadline, so a slow or busy machine fails no example.  max_examples is left to each test.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
 
 

@@ -21,7 +21,7 @@ _LATEX = re.compile(r"\$(-?)\\frac\{(\d+)\}\{(\d+)\}\$|\$(-?\d+)\$")
 indices = st.integers(min_value=0, max_value=30)
 formats = st.sampled_from(FORMATS)
 small_primes = st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
-examples = settings(max_examples=60, deadline=None)
+examples = settings(max_examples=60)
 
 
 def _json_number(v) -> int:

@@ -7,7 +7,6 @@ from math import comb, gcd, prod
 
 import pytest
 
-import bernshift.denom as denom
 import bernshift.exact_arith as exact_arith
 from bernshift.bernoulli import bernoulli_denominator
 from bernshift.denom import (
@@ -275,17 +274,10 @@ class TestDenominators:
             denom_formula(r, s)
 
     @pytest.mark.parametrize("r, s", [(0, 50), (50, 0)])
-    def test_formula_sieves_nothing_at_a_border_key(self, monkeypatch, r, s):
-        real, bounds = exact_arith.primes_up_to, []
-
-        def counted(bound):
-            bounds.append(bound)
-            return real(bound)
-
-        monkeypatch.setattr(exact_arith, "primes_up_to", counted)
-        monkeypatch.setattr(denom, "primes_up_to", counted)
+    def test_formula_sieves_nothing_at_a_border_key(self, r, s):
+        exact_arith._TALLY.clear()
         value = denom_formula(r, s).value
-        assert bounds == []  # clausen_primes(50) lists the divisors of 50: no sieve at all
+        assert exact_arith._TALLY["sieves"] == 0  # clausen_primes(50) lists the divisors of 50: no sieve at all
         assert value == bernoulli_denominator(50)
 
     def test_formula_symmetric(self):

@@ -12,7 +12,7 @@ from routes import ROUTES
 
 
 def check(route):
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(route.strategy)
     def agrees(x):
         got, expected = route.fast(x), route.oracle(x)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb, prod
 
@@ -6,7 +7,7 @@ import pytest
 from bernshift import CapacityError, InvariantViolation
 from bernshift.bernoulli import BernoulliCache
 from bernshift.denom import denom_exact
-from bernshift.exact_arith import primes_up_to
+from bernshift.exact_arith import _TALLY, primes_up_to
 from bernshift.umbral import (
     _scaled_bernoulli,
     _scaled_polynomial,
@@ -264,17 +265,21 @@ class TestBsPolynomial:
                 scaled = _scaled_polynomial(table.scaled[: r + 1], r, s, table.denominator)
                 assert over_denominator(table, scaled) == bs_polynomial(cache, r, s)
 
-    def test_never_builds_a_whole_table(self, cache, monkeypatch):
-        import bernshift.umbral as umbral
-
+    def test_never_builds_a_whole_table(self, cache):
         table = bs_table_recursive(cache, 7, 5)
         expected = over_denominator(table, column_polynomial(table, 7, 5))
-
-        def refuse(*args):
-            raise AssertionError("bs_polynomial built a whole table")
-
-        monkeypatch.setattr(umbral, "bs_table_recursive", refuse)
+        _TALLY.clear()
         assert bs_polynomial(cache, 7, 5) == expected
+        # rows 0..7 of the triangle r + s <= 12, from one seed: a whole BsTable built beside them doubles each
+        assert [_TALLY[key] for key in ("walk_rows", "walk_cells", "seeds")] == [8, sum(13 - r for r in range(8)), 1]
+        tracemalloc.start()
+        try:
+            bs_polynomial(cache, 60, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 42 KB; read from a whole BsTable in place of the stream, which walks the same rows, 282 KB
+        assert peak < 120_000, peak
 
     def test_wrong_table_is_not_monic(self):
         # the leading coefficient of B[r,s](x) is read from B[0,0], here 3/2 instead of 1

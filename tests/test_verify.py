@@ -102,16 +102,6 @@ def test_each_property_passes_at_small_scale(name):
 
 
 @pytest.mark.parametrize("name", sorted(PROPERTIES))
-def test_sweeps_build_no_whole_table(name, monkeypatch):
-    # the table sweeps stream umbral._triangle_rows; bs_table_recursive is the library's record only
-    def refuse(*args):
-        raise AssertionError("a sweep built a whole BsTable")
-
-    monkeypatch.setattr(umbral, "bs_table_recursive", refuse)
-    assert run_verify(name, *SMALL[name]).ok
-
-
-@pytest.mark.parametrize("name", sorted(PROPERTIES))
 def test_pinned_instances_and_notes(name):
     report = run_verify(name, *SMALL[name])
     assert (report.instances, report.notes) == PINNED[name]
@@ -218,10 +208,12 @@ def test_report_text_and_payload():
         "pass",
         "timing",
     ]
-    assert list(payload["timing"]) == ["wall_ms", "workers", "walk_rows", "walk_cells", "cache_capacity"]
+    assert list(payload["timing"]) == ["wall_ms", "workers", *verify.BUILT]
+    assert verify.BUILT == ("walk_rows", "walk_cells", "cache_capacity", "seeds", "sieves")
     assert isinstance(payload["timing"]["wall_ms"], int)
-    # rows 0..6 of the triangle r + s <= 12 and of its mirror, the mirror's column walk of all 13 rows, B_0..B_12
-    assert list(payload["timing"].values())[1:] == [1, 7 + 7 + 13, 70 + 70 + 91, 12]
+    # rows 0..6 of the triangle r + s <= 12 and of its mirror, the mirror's column walk of all 13 rows, B_0..B_12,
+    # and one seed D * B_0..D * B_12, its D from one sieve
+    assert list(payload["timing"].values())[1:] == [1, 7 + 7 + 13, 70 + 70 + 91, 12, 1, 1]
 
 
 class InlinePool:
@@ -377,27 +369,11 @@ def test_poly_reciprocity_holds_at_most_four_polynomials(monkeypatch, max_r, max
     assert counts and max(counts) <= 4, max(counts)
 
 
-@pytest.mark.parametrize("name", ["reciprocity", "poly-reciprocity"])
-def test_both_key_orders_come_from_one_seed(monkeypatch, name):
-    # a seed rebuilt for the mirror walk makes the same rows and cells, so the BUILT pins cannot see it
-    real, seeds = umbral._scaled_bernoulli, []
-
-    def counted(cache, n):
-        seeds.append(n)
-        return real(cache, n)
-
-    monkeypatch.setattr(umbral, "_scaled_bernoulli", counted)
-    for max_r, max_s in ((6, 9), (9, 6)):
-        seeds.clear()
-        assert run_verify(name, max_r, max_s).ok
-        assert seeds == [max_r + max_s]
-
-
 @pytest.mark.parametrize("name", sorted(PROPERTIES))
 def test_a_sweep_builds_at_most_one_bernoulli_cache(name):
     # a non-square range: reciprocity and poly-reciprocity read both key orders from one cache of B_0..B_15
     report = run_verify(name, 6, 9)
-    assert report.ok and report.built[2] <= 6 + 9, report.built
+    assert report.ok and dict(zip(verify.BUILT, report.built))["cache_capacity"] <= 6 + 9, report.built
 
 
 @pytest.mark.parametrize("name", ["denominators", "integrality", "reciprocity", "psi-congruences", "denom-divisibility"])
@@ -500,24 +476,20 @@ def test_walk_makes_no_row_past_its_last_rank(mirror):
 
 @pytest.mark.parametrize(("max_r", "ranks"), [(1, []), (2, [2]), (10, list(range(2, 11)))])
 def test_integrality_walks_only_the_ranks_it_checks(max_r, ranks):
-    # four triangles over r + s <= n (D * B, the psi sums, psi(2), psi(3)), each walked to the last rank checked
+    # four triangles over r + s <= n (D * B, the psi sums, psi(2), psi(3)), each walked to the last rank checked;
+    # their seeds, and a psi seed for each of the primes <= n + 1 that the psi sums add up; D sieves them again
     report = run_verify("integrality", max_r, 30)
     assert report.ok and report.instances == len(ranks) * 29
-    n, last = max_r + 30, max(ranks, default=-1)  # a --max-r 1 run makes no row at all
-    assert report.built == (4 * (last + 1), 4 * sum(n + 1 - r for r in range(last + 1)), n if ranks else 0)
+    n, last = max_r + 30, max(ranks, default=-1)  # a --max-r 1 run builds nothing at all
+    seeds = len(exact_arith.primes_up_to(n + 1)) + 4
+    walked = (4 * (last + 1), 4 * sum(n + 1 - r for r in range(last + 1)), n, seeds, 2)
+    assert report.built == (walked if ranks else (0,) * len(verify.BUILT))
 
 
 @pytest.mark.parametrize(("max_r", "max_s"), [(1, 1200), (5, 1)])
-def test_integrality_builds_nothing_when_it_checks_no_key(monkeypatch, max_r, max_s):
-    def refuse(*args):
-        raise AssertionError("a sweep with no key to check built its data")
-
-    # the primes and the psi seeds are made before any walk, so the built counts cannot see them
-    monkeypatch.setattr(exact_arith, "primes_up_to", refuse)
-    monkeypatch.setattr(denom, "_psi_sum_seed", refuse)
-    monkeypatch.setattr(denom, "_psi_seed", refuse)
+def test_integrality_builds_nothing_when_it_checks_no_key(max_r, max_s):
     report = run_verify("integrality", max_r, max_s)
-    assert (report.ok, report.instances, report.built) == (True, 0, (0, 0, 0))
+    assert (report.ok, report.instances, report.built) == (True, 0, (0,) * len(verify.BUILT))
 
 
 # the runners that read D * B[r,s] through umbral._walk; the psi and classical sweeps keep their own walks
@@ -526,23 +498,24 @@ WALKED = {
     "denominators", "integrality", "denom-divisibility",
 }
 
-# The report's built counts (walk rows, walk cells, cache capacity) at each default range: in one process,
-# and summed over a 3-way split.  A second walk or cache, a walk past the last rank or an oversized cache
-# moves one.  Runners that ignore their ranks (antidiagonal, the psi and classical sweeps) build it all
-# in each chunk, which is why run_verify never splits them.
+# The report's built counts (walk rows, walk cells, cache capacity, seeds, sieves) at each default range: in
+# one process, and summed over a 3-way split.  A second walk, cache, seed or sieve (a whole BsTable beside
+# the walk, a mirror from its own seed), a walk past the last rank or an oversized cache moves one.  Runners
+# that ignore their ranks (antidiagonal, the psi and classical sweeps) build it all in each chunk, which is
+# why run_verify never splits them.
 BUILT_AT_DEFAULTS = {
-    "antidiagonal": ((101, 5151, 100), (303, 15453, 300)),
-    "denom-divisibility": ((163, 8323, 80), (483, 24721, 240)),
-    "denominators": ((162, 19602, 160), (480, 58318, 480)),
-    "hermite-stern": ((0, 0, 0), (0, 0, 0)),
-    "integrality": ((324, 39204, 160), (960, 116636, 480)),
-    "nonvanishing": ((61, 5551, 120), (180, 16469, 360)),
-    "paths": ((81, 3321, 80), (240, 9959, 240)),
-    "poly-reciprocity": ((26, 1001, 50), (78, 3003, 150)),
-    "psi-congruences": ((2673, 203313, 0), (8019, 609939, 0)),
-    "psi-matrix": ((0, 0, 0), (0, 0, 0)),
-    "reciprocity": ((323, 32643, 160), (963, 97441, 480)),
-    "staudt-clausen": ((0, 0, 200), (0, 0, 600)),
+    "antidiagonal": ((101, 5151, 100, 1, 1), (303, 15453, 300, 3, 3)),
+    "denom-divisibility": ((163, 8323, 80, 1, 2), (483, 24721, 240, 3, 6)),
+    "denominators": ((162, 19602, 160, 38, 2), (480, 58318, 480, 114, 6)),
+    "hermite-stern": ((0, 0, 0, 0, 1), (0, 0, 0, 0, 3)),
+    "integrality": ((324, 39204, 160, 41, 2), (960, 116636, 480, 123, 6)),
+    "nonvanishing": ((61, 5551, 120, 1, 1), (180, 16469, 360, 3, 3)),
+    "paths": ((81, 3321, 80, 1, 1), (240, 9959, 240, 3, 3)),
+    "poly-reciprocity": ((26, 1001, 50, 1, 1), (78, 3003, 150, 3, 3)),
+    "psi-congruences": ((2673, 203313, 0, 11, 1), (8019, 609939, 0, 33, 3)),
+    "psi-matrix": ((0, 0, 0, 0, 1), (0, 0, 0, 0, 3)),
+    "reciprocity": ((323, 32643, 160, 1, 1), (963, 97441, 480, 3, 3)),
+    "staudt-clausen": ((0, 0, 200, 0, 0), (0, 0, 600, 0, 0)),
 }
 
 
@@ -581,17 +554,13 @@ LIBRARY_READERS = {
 
 
 @pytest.mark.parametrize("reader", sorted(LIBRARY_READERS))
-def test_the_library_readers_walk_once(monkeypatch, capsys, reader):
-    real, calls = umbral._walk, []
-
-    def spy(cache, n, ranks, *beside, **kwargs):
-        calls.append((n, ranks, beside, kwargs))
-        return real(cache, n, ranks, *beside, **kwargs)
-
-    monkeypatch.setattr(umbral, "_walk", spy)
+def test_the_library_readers_walk_once(capsys, reader):
     read, n, ranks = LIBRARY_READERS[reader]
+    exact_arith._TALLY.clear()
     read()
-    assert calls == [(n, ranks, (), {})]
+    # one walk of D * B over r + s <= n to its last rank, with no mirror or beside walk, from one seed and sieve
+    built = [exact_arith._TALLY[key] for key in ("walk_rows", "walk_cells", "seeds", "sieves")]
+    assert built == [len(ranks), sum(n + 1 - r for r in ranks), 1, 1]
 
 
 def test_every_walk_of_the_table_is_umbral_walk(monkeypatch, capsys):
@@ -744,21 +713,12 @@ def test_hermite_stern_walks_pascals_rule_past_the_kept_rows(monkeypatch):
     assert calls == [] and exact_arith._ROWS == {}
 
 
-def test_paths_builds_one_cache_and_one_seed_at_the_size_it_checks(monkeypatch):
+def test_paths_builds_one_cache_and_one_seed_at_the_size_it_checks():
     # the keys checked have r + s <= max(max_r, max_s), so no B_n past that is needed
-    real, seeds = umbral._scaled_bernoulli, []
-
-    def counted(cache, n):  # a second seed of the same size walks no more rows: only this spy sees it
-        seeds.append(n)
-        return real(cache, n)
-
-    monkeypatch.setattr(umbral, "_scaled_bernoulli", counted)
     for max_r, max_s in ((6, 9), (10, 10), (9, 4)):
-        seeds.clear()
         report = run_verify("paths", max_r, max_s)
         bound = max(max_r, max_s)
-        assert report.ok and seeds == [bound]
-        assert report.built == (max_r + 1, sum(bound + 1 - r for r in range(max_r + 1)), bound)
+        assert report.ok and report.built == (max_r + 1, sum(bound + 1 - r for r in range(max_r + 1)), bound, 1, 1)
 
 
 def test_denom_divisibility_names_a_square_factor_and_a_large_prime(monkeypatch):
