@@ -9,11 +9,11 @@ prints nothing).
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import InvariantViolation, WorkerDied
 from .render import (
@@ -27,6 +27,9 @@ from .render import (
     render_fraction_value,
     render_json,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 # sorted(verify.PROPERTIES), spelled out so that a value, table, psi or denom
 # request loads no bernshift.verify; each command imports only its own layer.
@@ -49,6 +52,7 @@ PROPERTY_NAMES = (
 def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
+        import argparse  # only argparse calls this
         raise argparse.ArgumentTypeError("must be a non-negative integer")
     return value
 
@@ -56,6 +60,7 @@ def _nonnegative(text: str) -> int:
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
+        import argparse  # only argparse calls this
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
@@ -152,78 +157,108 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+_FORMAT = ("--format", "fmt", FORMATS, PLAIN, "output format")
+
+# Each command's grammar, stated once: build_parser builds argparse's parser from it and
+# _strict_args reads it.  A command is (func, help, positionals, options), a positional
+# (dest, rule) and an option (flag, dest, rule, default, help); a rule is a tuple of
+# choices, the least integer allowed (None: any), or bool for a switch.
+GRAMMAR = {
+    "value": (cmd_value, "one exact value B[r,s], or its polynomial", (("r", 0), ("s", 0)),
+              (_FORMAT, ("--poly", "poly", bool, False, "coefficients of B[r,s](x), lowest power first"))),
+    "table": (cmd_table, "grid of B[r,s] for 0 <= r <= max_r, 0 <= s <= max_s", (("max_r", 0), ("max_s", 0)),
+              (_FORMAT, ("--denoms", "denoms", bool, False, "render the denominators instead of the values"))),
+    "psi": (cmd_psi, "binomial sum psi(r, s; p) over shifted multiples of p-1", (("r", 0), ("s", 0), ("p", None)),
+            (_FORMAT, ("--show-indices", "show_indices", bool, False, "also print the contributing indices"))),
+    "denom": (cmd_denom, "denominator of B[r,s] by the closed product formula", (("r", 0), ("s", 0)),
+              (_FORMAT, ("--factor", "factor", bool, False, "print the prime factorization"))),
+    "verify": (cmd_verify, "sweep one property over a range and report", (("property", PROPERTY_NAMES),), (
+        ("--format", "fmt", (PLAIN, JSON), PLAIN, "output format"),
+        ("--jobs", "jobs", 1, 1, "worker processes for sweeps"),
+        ("--max-r", "max_r", 0, None, None),
+        ("--max-s", "max_s", 0, None, None),
+    )),
+}
+
+
+def _kind(rule: object) -> dict[str, object]:
+    """argparse's keywords for a rule of GRAMMAR."""
+    if rule is bool:
+        return {"action": "store_true"}
+    if isinstance(rule, tuple):
+        return {"choices": rule}
+    return {"type": {None: int, 0: _nonnegative, 1: _positive}[rule]}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", dest="fmt", choices=FORMATS, default=PLAIN, help="output format"
-    )
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="bernshift",
         description="Exact shifted-sum Bernoulli numbers, their denominators, and verification sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_value = sub.add_parser(
-        "value", parents=[common], help="one exact value B[r,s], or its polynomial"
-    )
-    p_value.add_argument("r", type=_nonnegative)
-    p_value.add_argument("s", type=_nonnegative)
-    p_value.add_argument(
-        "--poly", action="store_true", help="coefficients of B[r,s](x), lowest power first"
-    )
-    p_value.set_defaults(func=cmd_value)
-
-    p_table = sub.add_parser(
-        "table", parents=[common], help="grid of B[r,s] for 0 <= r <= max_r, 0 <= s <= max_s"
-    )
-    p_table.add_argument("max_r", type=_nonnegative)
-    p_table.add_argument("max_s", type=_nonnegative)
-    p_table.add_argument(
-        "--denoms", action="store_true", help="render the denominators instead of the values"
-    )
-    p_table.set_defaults(func=cmd_table)
-
-    p_psi = sub.add_parser(
-        "psi", parents=[common], help="binomial sum psi(r, s; p) over shifted multiples of p-1"
-    )
-    p_psi.add_argument("r", type=_nonnegative)
-    p_psi.add_argument("s", type=_nonnegative)
-    p_psi.add_argument("p", type=int)
-    p_psi.add_argument(
-        "--show-indices", action="store_true", help="also print the contributing indices"
-    )
-    p_psi.set_defaults(func=cmd_psi)
-
-    p_denom = sub.add_parser(
-        "denom", parents=[common], help="denominator of B[r,s] by the closed product formula"
-    )
-    p_denom.add_argument("r", type=_nonnegative)
-    p_denom.add_argument("s", type=_nonnegative)
-    p_denom.add_argument(
-        "--factor", action="store_true", help="print the prime factorization"
-    )
-    p_denom.set_defaults(func=cmd_denom)
-
-    p_verify = sub.add_parser("verify", help="sweep one property over a range and report")
-    p_verify.add_argument("property", choices=PROPERTY_NAMES)
-    p_verify.add_argument(
-        "--format", dest="fmt", choices=(PLAIN, JSON), default=PLAIN, help="output format"
-    )
-    p_verify.add_argument("--jobs", type=_positive, default=1, help="worker processes for sweeps")
-    p_verify.add_argument("--max-r", type=_nonnegative, default=None)
-    p_verify.add_argument("--max-s", type=_nonnegative, default=None)
-    p_verify.set_defaults(func=cmd_verify)
-
+    for command, (func, summary, positionals, options) in GRAMMAR.items():
+        p_command = sub.add_parser(command, help=summary)
+        # help and usage list the optionals in add order, then the positionals in theirs
+        for flag, dest, rule, default, text in options:
+            p_command.add_argument(flag, dest=dest, default=default, help=text, **_kind(rule))
+        for dest, rule in positionals:
+            p_command.add_argument(dest, **_kind(rule))
+        p_command.set_defaults(func=func)
     return parser
 
 
+def _strict_value(rule: object, text: str) -> object:
+    """text read under rule as argparse reads it, or None where argparse would refuse it."""
+    if text.startswith("-"):
+        return None
+    if isinstance(rule, tuple):
+        return text if text in rule else None
+    try:
+        value = int(text)
+    except ValueError:  # also past the int-digit cap, still on here
+        return None
+    return value if rule is None or value >= rule else None
+
+
+def _strict_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse would build from argv, read straight off GRAMMAR, or None.
+
+    Only a command, its exact option spellings with their values, and its positionals, in
+    any order, are read; for anything else (an abbreviation, --opt=value, --, -h, a value
+    argparse would refuse) argparse parses the request or words its error.
+    """
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    func, _, positionals, options = GRAMMAR[argv[0]]
+    args = {"command": argv[0], "func": func, **{dest: default for _, dest, _, default, _ in options}}
+    rules = {flag: (dest, rule) for flag, dest, rule, _, _ in options}
+    positionals, tokens = list(positionals), iter(argv[1:])
+    for token in tokens:
+        if token in rules:
+            dest, rule = rules[token]
+            value = True if rule is bool else _strict_value(rule, next(tokens, "-"))
+        elif positionals:
+            dest, rule = positionals.pop(0)
+            value = _strict_value(rule, token)
+        else:
+            return None
+        if value is None:
+            return None
+        args[dest] = value
+    return None if positionals else SimpleNamespace(**args)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    # With no bytecode cache, a request's peak memory is compiling its largest
-    # module, umbral for value and table, which they import first.  The parser
-    # is garbage by then, held only by its own reference cycles: free it first.
-    gc.collect(0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _strict_args(argv)
+    if args is None:  # not the plain form: argparse parses it, or words the error and exits 2
+        args = build_parser().parse_args(argv)
+        # With no bytecode cache, a request's peak memory is compiling its largest
+        # module, umbral for value and table, which they import first.  The parser
+        # is garbage by then, held only by its own reference cycles: free it first.
+        gc.collect(0)
     # Python caps int <-> str conversion at 4300 digits (3.10.7+).  The cap
     # stays on while arguments are parsed, where it stops quadratic parsing of
     # huge numbers, and is lifted for the answer, which may be any size.

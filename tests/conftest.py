@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -7,6 +11,8 @@ from bernshift import BernoulliCache, bs_direct
 # and no deadline, so a slow or busy machine fails no example.  max_examples is left to each test.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +25,13 @@ def cache():
 def grid80(cache):
     """B[r,s] for 0 <= r,s <= 80, all computed by the defining sum."""
     return {(r, s): bs_direct(cache, r, s) for r in range(81) for s in range(81)}
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, loaded by path: perfbench is no package."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up here
+    spec.loader.exec_module(module)
+    return module

@@ -1,17 +1,22 @@
 """The differential table: each fast route beside the slow form it replaced, kept as its oracle.
 
-A row is (name, fast, oracle, strategy): fast(x) must equal oracle(x) for every x the strategy draws.
+A row is (name, fast, oracle, strategy, examples): fast(x) must equal oracle(x) for every x of the
+examples (60 unless a row asks for more) the strategy draws.
 test_routes.py checks each row under the derandomized tier1 profile, so a failure names a shrunk witness.
 """
 
+import contextlib
+import io
 from collections import namedtuple
+from itertools import chain
 
 from hypothesis import strategies as st
 
 import oracles
+from bernshift import cli
 from bernshift.exact_arith import clausen_primes
 
-Route = namedtuple("Route", "name fast oracle strategy")
+Route = namedtuple("Route", "name fast oracle strategy examples", defaults=(60,))
 
 SIEVED_UP_TO = 5000  # the sieve oracle's reach: tests/test_bernoulli.py checks every n up to it
 KNOWN_PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 9_901, 999_983)  # a larger n is a product of these
@@ -26,6 +31,49 @@ def _known_products(draw, bound):
     return n
 
 
+def parsed(parse, argv):
+    """The dict of the namespace parse(argv) returns, or ("exit", code) where argparse exits; its writes are dropped."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code)
+
+
+def main_args(argv, strict=cli._strict_args):
+    """What main runs with: the strict parser's namespace, or argparse's where the strict parser declines."""
+    return parsed(lambda argv: strict(argv) or cli.build_parser().parse_args(argv), argv)
+
+
+# what only argparse reads or refuses: spellings, values, a number past the int-digit cap, a command
+SLIPS = ("--", "-h", "--help", "--fac", "--form", "--max", "--j", "--format=json", "--jobs=2", "-x", "-7",
+         "+5", "1_0", " 3", "", "two", "xml", "no-such-property", "1" * 4301, "bogus")
+
+
+def _values(rule):
+    """Values under a rule of cli.GRAMMAR: each choice, or the least integer allowed and its neighbours."""
+    if isinstance(rule, tuple):
+        return st.sampled_from(rule)
+    least = 0 if rule is None else rule
+    return st.integers(least - 1, least + 1).map(str)
+
+
+@st.composite
+def _command_lines(draw):
+    """A command with its positionals and options (repeats allowed) in any order, then at most one slip:
+    a token dropped, replaced or joined by one of SLIPS."""
+    command = draw(st.sampled_from(list(cli.GRAMMAR)))
+    _, _, positionals, options = cli.GRAMMAR[command]
+    chunks = [[draw(_values(rule))] for _, rule in positionals]
+    for flag, _, rule, _, _ in draw(st.lists(st.sampled_from(options), max_size=4)):
+        chunks.append([flag] if rule is bool else [flag, draw(_values(rule))])
+    argv = [command, *chain.from_iterable(draw(st.permutations(chunks)))]
+    if draw(st.booleans()):
+        at, slip = draw(st.integers(0, len(argv))), draw(st.sampled_from(SLIPS))
+        argv[at : at + draw(st.integers(0, 1))] = draw(st.sampled_from(([], [slip])))
+    return argv
+
+
 ROUTES = {
     "clausen_primes": Route(
         "clausen_primes",
@@ -37,5 +85,12 @@ ROUTES = {
             _known_products(10**12),
             _known_products(10**6).map(lambda root: root * root),
         ),
+    ),
+    "cli-args": Route(
+        "cli-args",
+        main_args,
+        lambda argv: parsed(cli.build_parser().parse_args, argv),
+        _command_lines(),
+        300,  # a slip in one option of one command shows only on a plain line of that command
     ),
 }

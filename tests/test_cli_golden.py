@@ -15,6 +15,7 @@ Those digests were recorded while every sweep still read its values from
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -141,3 +142,32 @@ def test_verify_json_is_pinned_apart_from_timing(capsys, name, code, digest):
     assert isinstance(payload.pop("timing")["wall_ms"], int)
     text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# (command line, exit code, sha256 of what argparse writes: the help on stdout, a usage error on
+# stderr), recorded at COLUMNS=80 from the parser build_parser made before it read GRAMMAR
+USAGE_GOLDEN = (
+    ("--help", 0, "a0148cb73409c882af5de34878f6a6ff0ff4131165cbd84c070afd207ce8cebc"),
+    ("value --help", 0, "4bdea5fff958e5cfda0151670bb97d1d9c2f405b702896b444420dab1ab5375c"),
+    ("table --help", 0, "7074a9cf4c3c6cb8d985810748f001af880fb1529f543514bf1e1a4dc458a4a2"),
+    ("psi --help", 0, "e99b25c3f4f1d32d9a477d4ef6e859992eac6596a9348475cf39eae6b21f7290"),
+    ("denom --help", 0, "3398ec27e719d0b98532030683d45085ee1a8cbcdbd0f2664a979ccc011239aa"),
+    ("verify --help", 0, "c0103a2a2d8e517bc6298ffad58eb614927f08f1b3f3dfe7d4772fb3bed0e5d6"),
+    ("value -- -3 4", 2, "d8ecc0147d124d3d8c03e3e01f6f7e12e9ba40c44c5e23d6988e4a2368193031"),
+    ("table 3 4 --format xml", 2, "42b6892ddc60aee9ade5fec47c0393c99099b33c69fc8459342c4db600061df9"),
+    ("verify paths --format csv", 2, "033394bbe2d77edbb278a757896f84669421c0935f392196b48da749d4e7237e"),
+    ("verify no-such-property", 2, "0b270384c423a10b83314458022985e73468c75dddb003f4a3902a20e4d4d651"),
+)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="recorded from Python 3.11's argparse, whose wording moves")
+@pytest.mark.parametrize(("command", "code", "digest"), USAGE_GOLDEN, ids=[row[0] for row in USAGE_GOLDEN])
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, command, code, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(command.split())
+    assert excinfo.value.code == code
+    captured = capsys.readouterr()
+    written, silent = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
+    assert silent == ""
+    assert hashlib.sha256(written.encode()).hexdigest() == digest

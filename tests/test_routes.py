@@ -3,16 +3,18 @@
 import inspect
 import re
 import textwrap
+import types
 
 import pytest
 from hypothesis import given, settings
 
+import bernshift.cli as cli
 import bernshift.exact_arith as exact_arith
-from routes import ROUTES
+from routes import ROUTES, main_args
 
 
 def check(route):
-    @settings(max_examples=60)
+    @settings(max_examples=route.examples)
     @given(route.strategy)
     def agrees(x):
         got, expected = route.fast(x), route.oracle(x)
@@ -35,3 +37,15 @@ def test_a_divisor_walk_stopping_short_of_the_root_is_found_and_shrunk():
     exec(compile(slipped, exact_arith.__file__, "exec"), namespace)
     with pytest.raises(AssertionError, match=re.escape("clausen_primes(4) = [2, 5], expected [2, 3, 5]")):
         check(ROUTES["clausen_primes"]._replace(fast=namespace["clausen_primes"]))
+
+
+def test_a_jobs_minimum_slipped_to_zero_in_the_strict_parser_is_found_and_shrunk():
+    # the strict parser alone reads --jobs from 0; argparse, built from the table as it is, still refuses 0
+    func, summary, positionals, options = cli.GRAMMAR["verify"]
+    slipped = tuple(option[:2] + (0,) + option[3:] if option[0] == "--jobs" else option for option in options)
+    assert slipped != options
+    grammar = {**cli.GRAMMAR, "verify": (func, summary, positionals, slipped)}
+    strict = types.FunctionType(cli._strict_args.__code__, {**vars(cli), "GRAMMAR": grammar})
+    witness = re.escape("cli-args(['verify', 'antidiagonal', '--jobs', '0']) = {")
+    with pytest.raises(AssertionError, match=witness + ".*, expected \\('exit', 2\\)"):
+        check(ROUTES["cli-args"]._replace(fast=lambda argv: main_args(argv, strict)))

@@ -1,5 +1,4 @@
 import concurrent.futures
-import importlib.util
 import inspect
 import os
 import re
@@ -9,7 +8,6 @@ import tracemalloc
 import weakref
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -32,7 +30,6 @@ from bernshift.verify import (
     run_verify,
 )
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 SMALL = {
     "reciprocity": (10, 10),
@@ -764,11 +761,7 @@ def test_a_one_prime_slip_in_the_residue_test_is_named(monkeypatch):
     assert all(" != exact " in f for f in solo.failures), solo.failures
 
 
-def test_default_sweeps_pass_with_benchmark_counts(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up here
-    spec.loader.exec_module(workloads)
+def test_default_sweeps_pass_with_benchmark_counts(workloads):
     assert set(workloads.PROPERTY_INSTANCES) == set(PROPERTIES)
     for name, prop in PROPERTIES.items():
         report = run_verify(name, prop.default_r, prop.default_s, jobs=1)
