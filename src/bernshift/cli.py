@@ -66,7 +66,7 @@ def _positive(text: str) -> int:
 
 
 def cmd_value(args: argparse.Namespace) -> int:
-    from .umbral import bs_direct, bs_polynomial  # before bernoulli: see main
+    from .umbral import bs_direct, bs_polynomial  # before bernoulli: uncached, umbral compiles in less peak memory
     from .bernoulli import BernoulliCache
 
     # Two entries past B_{r+s}, the last one read: perfbench's tracer test pins
@@ -83,7 +83,7 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    from .umbral import reduced_rows  # before bernoulli: see main
+    from .umbral import reduced_rows  # before bernoulli: uncached, umbral compiles in less peak memory
     from .bernoulli import BernoulliCache
 
     rows = reduced_rows(BernoulliCache(args.max_r + args.max_s), args.max_r, args.max_s)
@@ -255,10 +255,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _strict_args(argv)
     if args is None:  # not the plain form: argparse parses it, or words the error and exits 2
         args = build_parser().parse_args(argv)
-        # With no bytecode cache, a request's peak memory is compiling its largest
-        # module, umbral for value and table, which they import first.  The parser
-        # is garbage by then, held only by its own reference cycles: free it first.
-        gc.collect(0)
     # Python caps int <-> str conversion at 4300 digits (3.10.7+).  The cap
     # stays on while arguments are parsed, where it stops quadratic parsing of
     # huge numbers, and is lifted for the answer, which may be any size.

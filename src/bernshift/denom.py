@@ -12,11 +12,11 @@ cross-checked.
 
 psi(r, s, p) is B[r,s] with B_n replaced by its von Staudt-Clausen indicator
 chi_p(n), so it obeys the same recurrence psi[r+1,s] = psi[r,s] + psi[r,s+1].
-This module states the seeds only: _psi_seed for one prime, and
-_psi_sum_seed for many at once, as sum((P // p) * psi) with P their
-product, where p divides that sum exactly when it divides psi.
-umbral._walk walks them beside D * B[r,s], and psi-congruences walks
-_psi_seed's triangle beside its transpose (exact_arith._mirror_rows).  psi
+This module states the seed only: _psi_sum_seed, sum((P // p) * chi_p)
+over some primes with P their product, where p divides its triangle's
+entries exactly where it divides psi; with one prime p it is chi_p.
+umbral._walk walks it beside D * B[r,s], and psi-congruences walks one
+prime's triangle beside its transpose (exact_arith._mirror_rows).  psi
 sums a run of exact_arith._binomials, serves any prime and is the triangles'
 oracle.  The recurrence is exact_arith._triangle_rows, so this module
 loads neither umbral nor bernoulli, and a psi or denom request builds no
@@ -65,15 +65,6 @@ def _psi_value(r: int, s: int, p: int) -> int:
     return sum(islice(_binomials(r, indices.start), 0, None, indices.step))
 
 
-def _psi_seed(p: int, n: int) -> list[int]:
-    """chi_p(0..n): 1 at the even t where p divides denom(B_t), the t in _psi_indices(n, 0, p); else 0."""
-    seed = [0] * (n + 1)
-    ones = _psi_indices(n, 0, p)
-    seed[ones.start :: ones.step] = [1] * len(ones)
-    _TALLY["seeds"] += 1
-    return seed
-
-
 def _psi_sum_seed(primes: Sequence[int], n: int) -> tuple[int, list[int]]:
     """(P, sum((P // p) * chi_p(0..n)) over the primes), P = product(primes).
 
@@ -82,13 +73,13 @@ def _psi_sum_seed(primes: Sequence[int], n: int) -> tuple[int, list[int]]:
     Each other prime's term is a multiple of p and P // p is prime to p, so
     p divides S[r][s] exactly when p divides psi(r, s, p): one walk reads
     every prime's residue by divisibility (Harvey's multimodular idea).
-    With one prime, S is that prime's psi.
+    With one prime p, P = p and the seed is chi_p: S is that prime's psi.
     """
     big = _product_tree(primes)
     seed = [0] * (n + 1)
     for p in primes:
         share = big // p
-        for t in compress(range(n + 1), _psi_seed(p, n)):
+        for t in _psi_indices(n, 0, p):  # chi_p(t) = 1: p divides denom(B_t)
             seed[t] += share
     _TALLY["seeds"] += 1
     return big, seed

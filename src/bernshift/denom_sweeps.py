@@ -44,13 +44,14 @@ def _sweep_integrality(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResu
     ranks = [r for r in rows if r >= 2]
     if not ranks or max_s < 2:
         return 0, [], []  # no key to check, so nothing is built
-    from .denom import _integral, _psi_seed, _psi_sum_seed
+    from .denom import _integral, _psi_sum_seed
     from .exact_arith import primes_up_to
 
     n = max_r + max_s
     primes = primes_up_to(n + 1)
     _, psi_sums = _psi_sum_seed(primes, n)  # over P = D: D * sum(psi/p)
-    d, _, steps = _walk(bernoulli.BernoulliCache(n), n, ranks, psi_sums, _psi_seed(2, n), _psi_seed(3, n))
+    chi2, chi3 = (_psi_sum_seed((p,), n)[1] for p in (2, 3))
+    d, _, steps = _walk(bernoulli.BernoulliCache(n), n, ranks, psi_sums, chi2, chi3)
     failures = []
     for r, row, sums, psi2, psi3 in steps:
         for s in range(2, max_s + 1):

@@ -27,14 +27,14 @@ def _sweep_psi_matrix(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResul
 
 
 def _sweep_psi_congruences(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    from .denom import _psi_seed
+    from .denom import _psi_sum_seed
     from .exact_arith import _lockstep, _mirror_rows, _triangle_rows, primes_up_to
 
     bound = max(max_r, max_s)
     instances, failures = 0, []
     for p in primes_up_to(min(37, bound + 1))[1:]:  # p >= 3
         step = p - 1
-        seed = _psi_seed(p, 2 * bound)
+        _, seed = _psi_sum_seed((p,), 2 * bound)  # chi_p
         held = deque(maxlen=p)  # rows r - step..r: the only rows kept
         for r, row, mirror in _lockstep(range(1, bound + 1), _triangle_rows(seed), _mirror_rows(seed)):
             held.append(row)

@@ -6,6 +6,7 @@ test_routes.py checks each row under the derandomized tier1 profile, so a failur
 """
 
 import contextlib
+import functools
 import io
 from collections import namedtuple
 from itertools import chain
@@ -40,9 +41,15 @@ def parsed(parse, argv):
         return ("exit", exc.code)
 
 
+@functools.cache
+def parser():
+    """cli.build_parser(), built once and shared: the cli-args row reads hundreds of lines."""
+    return cli.build_parser()
+
+
 def main_args(argv, strict=cli._strict_args):
     """What main runs with: the strict parser's namespace, or argparse's where the strict parser declines."""
-    return parsed(lambda argv: strict(argv) or cli.build_parser().parse_args(argv), argv)
+    return parsed(lambda argv: strict(argv) or parser().parse_args(argv), argv)
 
 
 # what only argparse reads or refuses: spellings, values, a number past the int-digit cap, a command
@@ -89,7 +96,7 @@ ROUTES = {
     "cli-args": Route(
         "cli-args",
         main_args,
-        lambda argv: parsed(cli.build_parser().parse_args, argv),
+        lambda argv: parsed(parser().parse_args, argv),
         _command_lines(),
         300,  # a slip in one option of one command shows only on a plain line of that command
     ),

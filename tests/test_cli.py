@@ -619,38 +619,6 @@ def test_value_and_table_compile_umbral_before_bernoulli(argv):
     assert order.index("bernshift.umbral") < min(order.index("bernshift.bernoulli"), order.index("bernshift.exact_arith"))
 
 
-def test_the_parser_is_freed_before_the_command_runs():
-    # a plain request builds no parser; one only argparse reads (an abbreviation) holds its
-    # parser by its own reference cycles once the arguments are read, so main collects it
-    code = textwrap.dedent(
-        """
-        import weakref
-        from bernshift import cli
-
-        built, alive = [], []
-        real = cli.build_parser
-
-        def build():
-            parser = real()
-            built.append(weakref.ref(parser))
-            return parser
-
-        def run(args):  # the table holds the command, so the spy goes there
-            alive.append([ref() is not None for ref in built])
-            return 0
-
-        cli.build_parser = build
-        cli.GRAMMAR["denom"] = (run, *cli.GRAMMAR["denom"][1:])
-        assert cli.main(["denom", "4", "4"]) == 0
-        assert cli.main(["denom", "4", "4", "--fac"]) == 0
-        print(alive)
-        """
-    )
-    proc = _python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[[], [False]]\n"
-
-
 class TestEntry:
     """entry freezes the heap after main returns, so that shutdown skips the collector's walk."""
 

@@ -12,7 +12,6 @@ from bernshift.bernoulli import bernoulli_denominator
 from bernshift.denom import (
     DenomFactorization,
     _psi_indices,
-    _psi_seed,
     _psi_sum_seed,
     _psi_value,
     denom_exact,
@@ -35,8 +34,8 @@ def psi_sum_rows(primes, max_r, max_s):
 
 
 def psi_rows(p, max_r, max_s):
-    """psi(r, 0..max_s, p) for r <= max_r: _psi_seed(p, n)'s triangle, n = max_r + max_s."""
-    return [row[: max_s + 1] for row in islice(_triangle_rows(_psi_seed(p, max_r + max_s)), max_r + 1)]
+    """psi(r, 0..max_s, p) for r <= max_r: the triangle of the one-prime seed chi_p, n = max_r + max_s."""
+    return psi_sum_rows((p,), max_r, max_s)[1]
 
 
 @pytest.fixture(scope="module")
@@ -199,10 +198,12 @@ class TestPsiSumRows:
         n = max_r + max_s
         assert _psi_sum_seed(primes_up_to(n + 1), n)[0] == _scaled_bernoulli(cache, n)[0]
 
-    @pytest.mark.parametrize("n", [0, 1, 12, 40])
+    @pytest.mark.parametrize("n", [0, 1, 12, 40, 600])
     def test_one_prime_seeds_its_own_psi(self, n):
+        # chi_p(t) = 1 exactly when t > 0 is even and p divides denom(B_t), read from the divisors of t
+        clausen = [exact_arith.clausen_primes(t) if t > 0 and t % 2 == 0 else [] for t in range(n + 1)]
         for p in primes_up_to(n + 1):
-            assert _psi_sum_seed([p], n) == (p, _psi_seed(p, n)), (p, n)
+            assert _psi_sum_seed((p,), n) == (p, [int(p in primes) for primes in clausen]), (p, n)
 
 
 class TestIntegralityWitness:
@@ -304,8 +305,9 @@ class TestDenominators:
             DenomFactorization(eps2=0, primes=(4,))
         with pytest.raises(ValueError):
             DenomFactorization(eps2=0, primes=(9,))
-        with pytest.raises(ValueError):
-            DenomFactorization(eps2=0, primes=(5, 3))
+        for primes in [(5, 3), (3, 3), (3, 5, 5)]:  # strictly increasing: no prime out of order or repeated
+            with pytest.raises(ValueError):
+                DenomFactorization(eps2=0, primes=primes)
 
     def test_factorization_normalises_primes(self):
         from_list = DenomFactorization(1, [3, 5])

@@ -38,28 +38,28 @@ def seed_b11(monkeypatch):
 
 def chi_7_12(monkeypatch):
     """chi_7(12) read as 0 in every psi seed, though 7 - 1 divides 12."""
-    real = denom._psi_seed
+    real = denom._psi_sum_seed
 
-    def mutated(p, n):
-        seed = real(p, n)
-        if p == 7 and n >= 12:
-            seed[12] = 0
-        return seed
+    def mutated(primes, n):
+        big, seed = real(primes, n)
+        if 7 in primes and n >= 12:
+            seed[12] -= big // 7  # chi_7(12)'s share taken back out of the sum
+        return big, seed
 
-    monkeypatch.setattr(denom, "_psi_seed", mutated)
+    monkeypatch.setattr(denom, "_psi_sum_seed", mutated)
 
 
 def chi_2_6(monkeypatch):
     """chi_2(6) read as 0 in every psi seed, though 2 - 1 divides 6: psi(r, s, 2) is no longer 2^(r-1)."""
-    real = denom._psi_seed
+    real = denom._psi_sum_seed
 
-    def mutated(p, n):
-        seed = real(p, n)
-        if p == 2 and n >= 6:
-            seed[6] = 0
-        return seed
+    def mutated(primes, n):
+        big, seed = real(primes, n)
+        if 2 in primes and n >= 6:
+            seed[6] -= big // 2  # chi_2(6)'s share taken back out of the sum
+        return big, seed
 
-    monkeypatch.setattr(denom, "_psi_seed", mutated)
+    monkeypatch.setattr(denom, "_psi_sum_seed", mutated)
 
 
 def formula_factor(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 import bernshift.cli as cli
 import bernshift.exact_arith as exact_arith
-from routes import ROUTES, main_args
+from routes import ROUTES, SLIPS, main_args, parsed, parser
 
 
 def check(route):
@@ -26,6 +26,16 @@ def check(route):
 @pytest.mark.parametrize("name", sorted(ROUTES))
 def test_fast_route_matches_its_oracle(name):
     check(ROUTES[name])
+
+
+def test_the_shared_parser_reads_every_slip_as_a_fresh_one():
+    # the cli-args row reads every line with one parser: no line it has read may change how it reads the next
+    lines = [[slip] for slip in SLIPS]
+    for command, (_, _, positionals, _) in cli.GRAMMAR.items():
+        plain = [rule[0] if isinstance(rule, tuple) else "2" for _, rule in positionals]
+        lines += [[command, *plain, slip] for slip in SLIPS] + [[command, slip, *plain] for slip in SLIPS]
+    for argv in lines:
+        assert parsed(parser().parse_args, argv) == parsed(cli.build_parser().parse_args, argv), argv
 
 
 def test_a_divisor_walk_stopping_short_of_the_root_is_found_and_shrunk():

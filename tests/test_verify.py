@@ -437,7 +437,7 @@ def _solo_and_split(name, max_r, max_s):
 
 def _psi_seeds(count, n):
     """The seeds chi_p(0..n) of the first `count` of the primes 2, 3, 5."""
-    return [denom._psi_seed(p, n) for p in (2, 3, 5)[:count]]
+    return [denom._psi_sum_seed((p,), n)[1] for p in (2, 3, 5)[:count]]
 
 
 @pytest.mark.parametrize("mirror", [False, True])
@@ -473,13 +473,12 @@ def test_walk_makes_no_row_past_its_last_rank(mirror):
 
 @pytest.mark.parametrize(("max_r", "ranks"), [(1, []), (2, [2]), (10, list(range(2, 11)))])
 def test_integrality_walks_only_the_ranks_it_checks(max_r, ranks):
-    # four triangles over r + s <= n (D * B, the psi sums, psi(2), psi(3)), each walked to the last rank checked;
-    # their seeds, and a psi seed for each of the primes <= n + 1 that the psi sums add up; D sieves them again
+    # four triangles over r + s <= n (D * B, the psi sums, psi(2), psi(3)), each walked to the last rank checked
+    # from its one seed; the sweep sieves the primes <= n + 1 for the psi sums, and D sieves them again
     report = run_verify("integrality", max_r, 30)
     assert report.ok and report.instances == len(ranks) * 29
     n, last = max_r + 30, max(ranks, default=-1)  # a --max-r 1 run builds nothing at all
-    seeds = len(exact_arith.primes_up_to(n + 1)) + 4
-    walked = (4 * (last + 1), 4 * sum(n + 1 - r for r in range(last + 1)), n, seeds, 2)
+    walked = (4 * (last + 1), 4 * sum(n + 1 - r for r in range(last + 1)), n, 4, 2)
     assert report.built == (walked if ranks else (0,) * len(verify.BUILT))
 
 
@@ -503,9 +502,9 @@ WALKED = {
 BUILT_AT_DEFAULTS = {
     "antidiagonal": ((101, 5151, 100, 1, 1), (303, 15453, 300, 3, 3)),
     "denom-divisibility": ((163, 8323, 80, 1, 2), (483, 24721, 240, 3, 6)),
-    "denominators": ((162, 19602, 160, 38, 2), (480, 58318, 480, 114, 6)),
+    "denominators": ((162, 19602, 160, 2, 2), (480, 58318, 480, 6, 6)),
     "hermite-stern": ((0, 0, 0, 0, 1), (0, 0, 0, 0, 3)),
-    "integrality": ((324, 39204, 160, 41, 2), (960, 116636, 480, 123, 6)),
+    "integrality": ((324, 39204, 160, 4, 2), (960, 116636, 480, 12, 6)),
     "nonvanishing": ((61, 5551, 120, 1, 1), (180, 16469, 360, 3, 3)),
     "paths": ((81, 3321, 80, 1, 1), (240, 9959, 240, 3, 3)),
     "poly-reciprocity": ((26, 1001, 50, 1, 1), (78, 3003, 150, 3, 3)),
@@ -628,15 +627,15 @@ def test_nonvanishing_names_a_lost_and_a_stray_zero(monkeypatch):
 
 @pytest.mark.parametrize("name", ["integrality", "denominators", "psi-congruences"])
 def test_one_wrong_psi_seed_is_named(monkeypatch, name):
-    real = denom._psi_seed
+    real = denom._psi_sum_seed
 
-    def flipped(p, n):  # chi_7(12) = 1 read as 0
-        seed = real(p, n)
-        if p == 7 and n >= 12:
-            seed[12] = 0
-        return seed
+    def flipped(primes, n):  # chi_7(12) = 1 read as 0
+        big, seed = real(primes, n)
+        if 7 in primes and n >= 12:
+            seed[12] -= big // 7
+        return big, seed
 
-    monkeypatch.setattr(denom, "_psi_seed", flipped)
+    monkeypatch.setattr(denom, "_psi_sum_seed", flipped)
     if PROPERTIES[name].parallel:
         report = _solo_and_split(name, 10, 10)
     else:
