@@ -70,9 +70,8 @@ def cmd_value(args: argparse.Namespace) -> int:
     from .bernoulli import BernoulliCache
 
     # Two entries past B_{r+s}, the last one read: perfbench's tracer test pins
-    # bernoulli.cache_build.capacity_max at r + s + 2 for a value request, so
-    # this capacity moves with the benchmark's next change (ROADMAP item 3).
-    # The two extra entries cost one more tangent number, O(r + s) steps.
+    # bernoulli.cache_build.capacity_max at r + s + 2 for a value request, and
+    # ROADMAP item 18 moves both to r + s.  The two extras cost O(r + s) steps.
     cache = BernoulliCache(args.r + args.s + 2)
     if args.poly:
         pairs = bs_polynomial(cache, args.r, args.s, pairs=True)

@@ -9,10 +9,9 @@ reduction of a quotient to lowest terms, and _quotient_text(x, d) its one
 wording in a failure message.  The triangle recurrence
 X[r+1,s] = X[r,s] + X[r,s+1] fills both D * B[r,s] (umbral) and psi
 (denom); it is stated here once, so that the psi sweeps need not load umbral.
-_binomials(n, k) is the one producer of binomial runs C(n, k..n): umbral's
-sums over a whole row C(n, 0..n) read the row from _binomial_row(n), kept to
-order 400, and psi (denom) sums one run, one binomial held.  The hermite-stern
-sweep needs every order, so it makes its rows by Pascal's rule itself.
+_binomials(n, k) is the one producer of binomial runs C(n, k..n), for the
+row of a one-key route (umbral) or a psi run (denom); a sweep reading rows of
+every order takes them from one walk of _pascal_rows, and none is kept.
 """
 
 from __future__ import annotations
@@ -62,11 +61,7 @@ def clausen_primes(n: int) -> list[int]:
     return [d + 1 for d in divisors if is_prime(d + 1)]
 
 
-# Rows up to this order are kept once built: all 401 of them take 5.1 MB.
-# A higher order is made afresh at each call and never kept.
-_KEPT_ROWS = 400
-_ROWS: dict[int, tuple[int, ...]] = {}
-# Rows, cells, B_n capacity, seeds and sieves, each counted where it is made: verify clears it per runner.
+# Walk rows, cells, B_n capacity, seeds, sieves, binomial rows: each counted where made; verify clears it per runner.
 _TALLY: Counter[str] = Counter()
 
 
@@ -79,14 +74,13 @@ def _binomials(n: int, k: int = 0) -> Iterator[int]:
         yield binom
 
 
-def _binomial_row(n: int) -> tuple[int, ...]:
-    """(C(n, 0), C(n, 1), ..., C(n, n)) from _binomials, kept when n <= _KEPT_ROWS."""
-    row = _ROWS.get(n)
-    if row is None:
-        row = tuple(_binomials(n))
-        if n <= _KEPT_ROWS:
-            _ROWS[n] = row
-    return row
+def _pascal_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """The rows (C(m, 0), ..., C(m, m)) for m = 0..n, one at a time, each from the last by Pascal's rule."""
+    row = ()
+    for _ in range(n + 1):
+        row = tuple(map(add, (0, *row), (*row, 0))) if row else (1,)
+        _TALLY["binomial_rows"] += 1
+        yield row
 
 
 def _hermite_stern_residue(row: Sequence[int], p: int) -> int:

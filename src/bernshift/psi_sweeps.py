@@ -55,17 +55,13 @@ def _sweep_psi_congruences(max_r: int, max_s: int, rows: Sequence[int]) -> Sweep
 
 
 def _sweep_hermite_stern(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
-    """Walks C(m, 0..m) for every m <= max_r by Pascal's rule, one row held: cheaper than a _binomials run each."""
-    from operator import add
-
-    from .exact_arith import _hermite_stern_residue, primes_up_to
+    """Reads C(m, 0..m) for every m <= max_r from one walk of exact_arith._pascal_rows, one row held."""
+    from .exact_arith import _hermite_stern_residue, _pascal_rows, primes_up_to
 
     primes = primes_up_to(max_s)
     instances, failures = 0, []
-    row = (1,)
-    for m in range(1, max_r + 1):
-        row = tuple(map(add, (0, *row), (*row, 0)))
-        if m not in rows:
+    for m, row in enumerate(_pascal_rows(max_r)):
+        if m == 0 or m not in rows:  # C(0, 0) alone: no v with 0 < v < m
             continue
         for p in primes:
             instances += 1

@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import bernoulli
-from .exact_arith import _quotient_text
+from .exact_arith import _pascal_rows, _quotient_text
 from .umbral import _walk
 from .verify import SweepResult, _exceptional_zero
 
@@ -43,12 +43,13 @@ def _sweep_paths(max_r: int, max_s: int, rows: Sequence[int]) -> SweepResult:
     bound = max(max_r, max_s)  # the keys checked are those with r + s <= bound
     d, seed, steps = _walk(bernoulli.BernoulliCache(bound), bound, rows)
     signed = [-x if n % 2 else x for n, x in enumerate(seed)]  # D * (-1)^n B_n
+    binoms = list(_pascal_rows(bound))  # C(m, 0..m) for every order m <= bound, read at many keys
     instances, failures = 0, []
     for r, row in steps:
         for s in range(min(max_s, bound - r) + 1):
             instances += 1
-            direct = _defining_sum(seed, r, s)
-            rank_form, shift_form = _difference_forms(signed.__getitem__, r, s)
+            direct = _defining_sum(seed, s, binoms[r])
+            rank_form, shift_form = _difference_forms(signed, binoms[r], binoms[s])
             if rank_form != shift_form:
                 failures.append(
                     f"difference forms disagree at (r={r}, s={s}): "
@@ -68,14 +69,15 @@ def _sweep_poly_reciprocity(max_r: int, max_s: int, rows: Sequence[int]) -> Swee
 
     d, _, steps = _walk(bernoulli.BernoulliCache(max_r + max_s), max_r + max_s, range(max(max_r, max_s) + 1))
     table = [row for _, row in steps]  # held: the sums reread both key orders
+    binoms = list(_pascal_rows(max(max_r, max_s)))  # and C(m, 0..m) for every order m they read
     failures = []
     for r in rows:
         for s in range(max_s + 1):
             mirrored = s <= max_r and r <= max_s  # the key (s, r) is also in the rectangle
             if mirrored and s < r:
                 continue  # the chunk holding rank s makes both polynomials at the key (s, r)
-            lhs = _scaled_polynomial(table[: r + 1], r, s, d)
-            rhs = lhs if r == s else _scaled_polynomial(table[: s + 1], s, r, d)
+            lhs = _scaled_polynomial(table[: r + 1], binoms[r], binoms[s], d)
+            rhs = lhs if r == s else _scaled_polynomial(table[: s + 1], binoms[s], binoms[r], d)
             pairs = enumerate(zip(lhs, rhs))
             k = next((k for k, (a, b) in pairs if a != (-b if (r + s + k) % 2 else b)), None)
             if k is not None:  # the first power of x where the sides differ, as for the key (s, r)

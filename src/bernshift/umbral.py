@@ -6,7 +6,8 @@ arise three independent ways -- the defining binomial sum, a Pascal-style
 recurrence filling the table row by row (_walk, the package's one walk of
 it, with denom's psi seeds beside), and iterated forward differences of
 (-1)^n B_n (forward_difference, here) -- and every path is exposed so the
-suite can play them against each other.  Every route runs in integers.  The
+suite can play them against each other.  Every route runs in integers, and
+each sum is handed the binomial rows it reads (see exact_arith).  The
 defining sum scales B_s..B_{s+r} to their least common denominator.  The
 table scales the seed: by von Staudt-Clausen every denominator of B_0..B_n
 divides D = product(primes <= n + 1), so D * B[r,s] is an integer for
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 from . import exact_arith
 from .bernoulli import BernoulliCache
 from .errors import InvariantViolation
-from .exact_arith import _binomial_row, _lowest_terms, _product_tree, _quotient_text, _triangle_rows, primes_up_to
+from .exact_arith import _binomials, _lowest_terms, _product_tree, _quotient_text, _triangle_rows, primes_up_to
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -41,10 +42,10 @@ if TYPE_CHECKING:
 Scalar = Union[int, "Fraction"]
 
 
-def _defining_sum(b: Sequence[Scalar], r: int, s: int) -> Scalar:
-    """sum(C(r, v) * b[s + v] for v in 0..r), zero terms skipped; b is B_n or D * B_n."""
-    terms = list(map(b.__getitem__, range(s, s + r + 1)))
-    return sum(map(mul, compress(_binomial_row(r), terms), filter(None, terms)))
+def _defining_sum(b: Sequence[Scalar], s: int, comb_r: Sequence[int]) -> Scalar:
+    """sum(C(r, v) * b[s + v] for v in 0..r) from comb_r = C(r, 0..r), zero terms skipped; b is B_n or D * B_n."""
+    terms = list(map(b.__getitem__, range(s, s + len(comb_r))))
+    return sum(map(mul, compress(comb_r, terms), filter(None, terms)))
 
 
 def bs_direct(cache: BernoulliCache, r: int, s: int, *, pair: bool = False) -> Fraction | tuple[int, int]:
@@ -62,7 +63,7 @@ def bs_direct(cache: BernoulliCache, r: int, s: int, *, pair: bool = False) -> F
     window = list(map(cache.pair, range(s, s + r + 1)))
     common = lcm(*(den for _, den in window))
     scaled = [num * (common // den) for num, den in window]  # L * B_{s+v} for v = 0..r
-    num, den = _lowest_terms(_defining_sum(scaled, r, 0), common)
+    num, den = _lowest_terms(_defining_sum(scaled, 0, tuple(_binomials(r))), common)
     if pair:
         return num, den
     from fractions import Fraction
@@ -89,15 +90,18 @@ def _scaled_bernoulli(cache: BernoulliCache, n: int) -> tuple[int, list[int]]:
     return d, seed
 
 
-def _scaled_polynomial(rows: Iterable[Sequence[int]], r: int, s: int, d: int) -> list[int]:
+def _scaled_polynomial(
+    rows: Iterable[Sequence[int]], comb_r: Sequence[int], comb_s: Sequence[int], d: int
+) -> list[int]:
     """D times the coefficients of B[r,s](x), lowest power first, from the rows D * B[i, 0..s], i <= r.
 
     [x^k] B[r,s](x) = sum(C(r, j) * C(s, t) * B[r - j, s - t]) over j + t = k,
-    which is Vandermonde on the umbral form (B + 1 + x)^r (B + x)^s.  Row
-    i = r - j adds all of its terms at once, so the rows are read one at a
-    time.  B[r,s](x) is monic: InvariantViolation unless [x^(r+s)] is D.
+    which is Vandermonde on the umbral form (B + 1 + x)^r (B + x)^s, with
+    comb_r = C(r, 0..r) and comb_s = C(s, 0..s).  Row i = r - j adds all of
+    its terms at once, so the rows are read one at a time.  B[r,s](x) is
+    monic: InvariantViolation unless [x^(r+s)] is D.
     """
-    comb_r, comb_s = _binomial_row(r), _binomial_row(s)
+    r, s = len(comb_r) - 1, len(comb_s) - 1
     coeffs = [0] * (r + s + 1)
     for i, row in enumerate(rows):
         weight = comb_r[i]  # C(r, j) for j = r - i
@@ -183,17 +187,21 @@ def forward_difference(f: Callable[[int], Scalar], order: int, start: int = 0) -
     if order < 0:
         raise ValueError("forward_difference: order must be non-negative")
     values = list(map(f, range(start, start + order + 1)))  # f's errors before any binomial
-    row = _binomial_row(order)
+    return _difference(values, tuple(_binomials(order)))
+
+
+def _difference(values: Sequence[Scalar], row: Sequence[int]) -> Scalar:
+    """sum(C(order, v) * (-1)^(order-v) * values[v]) for v in 0..order, from row = C(order, 0..order)."""
     # the terms at even v and at odd v, each summed without its sign
     even = sum(map(mul, row[::2], values[::2]))
     odd = sum(map(mul, row[1::2], values[1::2]))
-    return odd - even if order % 2 else even - odd
+    return even - odd if len(row) % 2 else odd - even
 
 
-def _difference_forms(f: Callable[[int], Scalar], r: int, s: int) -> tuple[Scalar, Scalar]:
-    """(-1)^(r+s) * delta^r f at s, and delta^s f at r: both equal B[r,s] for f(n) = (-1)^n B_n."""
-    sign = -1 if (r + s) % 2 else 1
-    return sign * forward_difference(f, r, s), forward_difference(f, s, r)
+def _difference_forms(b: Sequence[Scalar], comb_r: Sequence[int], comb_s: Sequence[int]) -> tuple[Scalar, Scalar]:
+    """(-1)^(r+s) delta^r b at s and delta^s b at r, by the rows C(r, 0..r), C(s, 0..s): B[r,s] if b[n] = (-1)^n B_n."""
+    r, s = len(comb_r) - 1, len(comb_s) - 1
+    return (-1) ** (r + s) * _difference(b[s : s + r + 1], comb_r), _difference(b[r : r + s + 1], comb_s)
 
 
 def bs_via_difference(cache: BernoulliCache, r: int, s: int) -> Fraction:
@@ -208,7 +216,7 @@ def bs_via_difference(cache: BernoulliCache, r: int, s: int) -> Fraction:
         b = cache[n]
         return -b if n % 2 else b
 
-    rank_form, shift_form = _difference_forms(f, r, s)
+    rank_form, shift_form = (-1) ** (r + s) * forward_difference(f, r, s), forward_difference(f, s, r)
     if rank_form != shift_form:
         raise InvariantViolation(
             f"difference forms disagree at (r={r}, s={s}): {rank_form} != {shift_form}"
@@ -246,7 +254,8 @@ def bs_polynomial(
     as the CLI prints them, and no Fraction is made.
     """
     d, rows = _table_rows(cache, r, s)
-    reduced = tuple(map(_lowest_terms, _scaled_polynomial(rows, r, s, d), repeat(d)))
+    coeffs = _scaled_polynomial(rows, tuple(_binomials(r)), tuple(_binomials(s)), d)
+    reduced = tuple(map(_lowest_terms, coeffs, repeat(d)))
     if pairs:
         return reduced
     from fractions import Fraction

@@ -26,7 +26,7 @@ from .errors import WorkerDied
 from .exact_arith import _TALLY
 
 SweepResult = tuple[int, list[str], list[str]]  # instances, failures, notes
-BUILT = ("walk_rows", "walk_cells", "cache_capacity", "seeds", "sieves")  # the _TALLY counts a worker reports
+BUILT = ("walk_rows", "walk_cells", "cache_capacity", "seeds", "sieves", "binomial_rows")  # the _TALLY counts reported
 
 
 class VerifyReport(NamedTuple):

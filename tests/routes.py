@@ -10,12 +10,13 @@ import functools
 import io
 from collections import namedtuple
 from itertools import chain
+from math import comb
 
 from hypothesis import strategies as st
 
 import oracles
 from bernshift import cli
-from bernshift.exact_arith import clausen_primes
+from bernshift.exact_arith import _pascal_rows, clausen_primes
 
 Route = namedtuple("Route", "name fast oracle strategy examples", defaults=(60,))
 
@@ -30,6 +31,12 @@ def _known_products(draw, bound):
     for p in draw(st.lists(st.sampled_from(KNOWN_PRIMES), max_size=40)):
         n *= p if n * p <= bound else 1
     return n
+
+
+def pascal_rows_at(orders, walk=_pascal_rows):
+    """The rows C(m, 0..m) at each of the orders, taken from one walk to the largest of them."""
+    rows = list(walk(max(orders)))
+    return [rows[m] for m in orders]
 
 
 def parsed(parse, argv):
@@ -92,6 +99,14 @@ ROUTES = {
             _known_products(10**12),
             _known_products(10**6).map(lambda root: root * root),
         ),
+    ),
+    "pascal-rows": Route(
+        "pascal-rows",
+        pascal_rows_at,
+        lambda orders: [tuple(comb(m, v) for v in range(m + 1)) for m in orders],
+        # orders up to 500, far past those the sweeps read at their defaults: each row of a walk, however long, is right
+        st.lists(st.integers(0, 500), min_size=1, max_size=4),
+        12,  # each example walks to its largest order: 18 ms at 500
     ),
     "cli-args": Route(
         "cli-args",

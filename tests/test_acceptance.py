@@ -11,7 +11,7 @@ from math import comb
 
 from bernshift.bernoulli import bernoulli_denominator, von_staudt_clausen_witness
 from bernshift.denom import denom_formula, denom_via_psi, psi, psi_matrix
-from bernshift.exact_arith import _binomial_row, _hermite_stern_residue, primes_up_to
+from bernshift.exact_arith import _hermite_stern_residue, primes_up_to
 from bernshift.umbral import (
     _scaled_polynomial,
     antidiagonal_sums,
@@ -127,9 +127,10 @@ def test_06_reciprocity(cache, grid80):
                 bad.append((r, s))
     poly_bad = []
     table = bs_table_recursive(cache, 25, 25)
+    binoms = [tuple(comb(m, v) for v in range(m + 1)) for m in range(26)]
 
     def scaled_polynomial(r, s):
-        return _scaled_polynomial(table.scaled[: r + 1], r, s, table.denominator)
+        return _scaled_polynomial(table.scaled[: r + 1], binoms[r], binoms[s], table.denominator)
 
     for r in range(26):
         for s in range(26):
@@ -168,7 +169,7 @@ def test_08_hermite_stern():
         (m, p)
         for m in range(1, 201)
         for p in primes_up_to(31)
-        if _hermite_stern_residue(_binomial_row(m), p) != 0
+        if _hermite_stern_residue(tuple(comb(m, v) for v in range(m + 1)), p) != 0
     ]
     _report(
         "binomial congruence, m <= 200, p <= 31",

@@ -6,7 +6,7 @@ import pytest
 from bernshift import CapacityError
 from bernshift.bernoulli import BernoulliCache, bernoulli_denominator, von_staudt_clausen_witness
 from bernshift.denom import denom_formula
-from bernshift.exact_arith import _binomial_row, _hermite_stern_residue, clausen_primes, primes_up_to
+from bernshift.exact_arith import _hermite_stern_residue, clausen_primes, primes_up_to
 from oracles import bernoulli_polynomial, evaluate, hermite_stern_residue
 from oracles import clausen_primes as sieved_clausen_primes
 from routes import SIEVED_UP_TO
@@ -210,4 +210,4 @@ class TestHermiteStern:
     def test_small_sweep(self):
         for m in range(1, 61):
             for p in primes_up_to(13):
-                assert _hermite_stern_residue(_binomial_row(m), p) == 0
+                assert _hermite_stern_residue(tuple(comb(m, v) for v in range(m + 1)), p) == 0

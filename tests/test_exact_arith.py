@@ -12,13 +12,12 @@ from math import comb, prod
 import pytest
 from hypothesis import given, strategies as st
 
-import bernshift.exact_arith as exact_arith
 from bernshift.exact_arith import (
-    _binomial_row,
     _binomials,
     _lockstep,
     _lowest_terms,
     _mirror_rows,
+    _pascal_rows,
     _product_tree,
     _quotient_text,
     _triangle_rows,
@@ -128,52 +127,17 @@ class TestBinomials:
 
 
 class TestBinomialRow:
-    def test_rows_in_order_match_comb(self, monkeypatch):
-        monkeypatch.setattr(exact_arith, "_ROWS", {})
-        for n in range(301):
-            assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
+    def test_rows_in_order_match_comb(self):
+        for n, row in enumerate(_pascal_rows(300)):
+            assert row == tuple(comb(n, v) for v in range(n + 1)), n
 
-    def test_rows_out_of_order_match_comb(self, monkeypatch):
-        monkeypatch.setattr(exact_arith, "_ROWS", {})
+    def test_rows_out_of_order_match_comb(self):
+        # the table sweeps hold one walk's rows and read them at any order, as here
+        rows = list(_pascal_rows(300))
         orders = list(range(301))
         random.Random(12).shuffle(orders)
         for n in orders:
-            assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
-
-    def test_only_low_orders_are_kept(self, monkeypatch):
-        # every order up to the bound is kept and reread; past it, a row is made afresh and not held
-        monkeypatch.setattr(exact_arith, "_ROWS", {})
-        top = exact_arith._KEPT_ROWS
-        for n in (top, top + 1, top + 50, 7):
-            assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
-        assert _binomial_row(top) is _binomial_row(top)
-        assert _binomial_row(top + 50) is not _binomial_row(top + 50)
-        assert sorted(exact_arith._ROWS) == [7, top]
-        assert _binomial_row(top + 51) == tuple(comb(top + 51, v) for v in range(top + 52))
-        assert sorted(exact_arith._ROWS) == [7, top]
-
-    def test_at_most_one_row_past_the_bound_is_held(self, monkeypatch):
-        # one rule, in any order: a row up to the bound is made once, from one math.comb call; none past it is held
-        calls = []
-
-        def counted(n, k):
-            calls.append((n, k))
-            return comb(n, k)
-
-        monkeypatch.setattr(exact_arith, "_ROWS", {})
-        monkeypatch.setattr(exact_arith, "comb", counted)
-        top = exact_arith._KEPT_ROWS
-        orders = list(range(top - 20, top + 60)) * 2
-        random.Random(5).shuffle(orders)
-        for n in orders:
-            assert _binomial_row(n) == tuple(comb(n, v) for v in range(n + 1)), n
-            assert (_binomial_row(n) is _binomial_row(n)) == (n <= top), n
-            assert not any(k > top for k in exact_arith._ROWS), n
-        assert sorted(exact_arith._ROWS) == list(range(top - 20, top + 1))
-        made = sorted({n for n, _ in calls})
-        assert made == list(range(top - 20, top + 60))
-        assert all(k == 0 for _, k in calls)  # each row is one run of _binomials from C(n, 0)
-        assert all(calls.count((m, 0)) == 1 for m in range(top - 20, top + 1))
+            assert rows[n] == tuple(comb(n, v) for v in range(n + 1)), n
 
 
 class TestProductTree:

@@ -77,9 +77,9 @@ def coefficient(monkeypatch):
     """[x^2] of D * B[3,5](x) plus 1."""
     real = umbral._scaled_polynomial
 
-    def mutated(rows, r, s, d):
-        coeffs = real(rows, r, s, d)
-        if (r, s) == (3, 5):
+    def mutated(rows, comb_r, comb_s, d):
+        coeffs = real(rows, comb_r, comb_s, d)
+        if (len(comb_r), len(comb_s)) == (4, 6):  # the rows C(3, 0..3) and C(5, 0..5)
             coeffs[2] += 1
         return coeffs
 

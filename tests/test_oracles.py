@@ -1,8 +1,9 @@
 """Each fast form in the library against its slow form in oracles.
 
-The library sums whole binomial rows from exact_arith._binomial_row and
-tests the denominator formula's residues inline; oracles keeps the per-term
-math.comb sums and the least-positive-residue formula they replace.
+The library sums whole binomial rows, which a sweep takes from one walk of
+exact_arith._pascal_rows, and tests the denominator formula's residues
+inline; oracles keeps the per-term math.comb sums and the
+least-positive-residue formula they replace.
 """
 
 from fractions import Fraction
@@ -12,10 +13,11 @@ import pytest
 import oracles
 from bernshift.bernoulli import BernoulliCache
 from bernshift.denom import _denom_formula
-from bernshift.exact_arith import _binomial_row, _hermite_stern_residue, primes_up_to
+from bernshift.exact_arith import _hermite_stern_residue, _pascal_rows, primes_up_to
 from bernshift.umbral import _defining_sum, _scaled_bernoulli, bs_direct, bs_polynomial, forward_difference
 
 BOUND = 60
+ROWS = list(_pascal_rows(BOUND))  # C(m, 0..m) for every order m a sum below reads
 
 
 @pytest.fixture(scope="module")
@@ -27,16 +29,16 @@ def seed():
 def test_defining_sum(seed):
     for r in range(BOUND + 1):
         for s in range(BOUND + 1):
-            assert _defining_sum(seed, r, s) == oracles.defining_sum(seed, r, s), (r, s)
+            assert _defining_sum(seed, s, ROWS[r]) == oracles.defining_sum(seed, r, s), (r, s)
 
 
 def test_defining_sum_over_fractions():
     cache = BernoulliCache(2 * BOUND)
     for r in range(0, BOUND + 1, 3):
         for s in range(0, BOUND + 1, 4):
-            fast = _defining_sum(cache, r, s)
+            fast = _defining_sum(cache, s, ROWS[r])
             assert fast == oracles.defining_sum(cache, r, s), (r, s)
-    assert _defining_sum(cache, 0, 3) == 0  # only zero terms: nothing is summed
+    assert _defining_sum(cache, 3, ROWS[0]) == 0  # only zero terms: nothing is summed
 
 
 def test_value_pairs_match_the_fraction_defining_sum(cache):
@@ -76,10 +78,10 @@ def test_forward_difference_over_fractions():
 
 
 def test_hermite_stern():
-    for m in range(1, 201):
+    for m, row in enumerate(_pascal_rows(200)):
         for p in primes_up_to(31):
             expected = oracles.hermite_stern_residue(m, p)
-            assert _hermite_stern_residue(_binomial_row(m), p) == expected, (m, p)
+            assert _hermite_stern_residue(row, p) == expected, (m, p)
 
 
 def test_denominator_formula():

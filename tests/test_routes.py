@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 import bernshift.cli as cli
 import bernshift.exact_arith as exact_arith
-from routes import ROUTES, SLIPS, main_args, parsed, parser
+from routes import ROUTES, SLIPS, main_args, parsed, parser, pascal_rows_at
 
 
 def check(route):
@@ -47,6 +47,17 @@ def test_a_divisor_walk_stopping_short_of_the_root_is_found_and_shrunk():
     exec(compile(slipped, exact_arith.__file__, "exec"), namespace)
     with pytest.raises(AssertionError, match=re.escape("clausen_primes(4) = [2, 5], expected [2, 3, 5]")):
         check(ROUTES["clausen_primes"]._replace(fast=namespace["clausen_primes"]))
+
+
+def test_a_pascal_walk_carrying_a_one_into_each_next_row_is_found_and_shrunk():
+    # Pascal's rule pads the row with 0 at both ends; a 1 at its right end makes row 1 (1, 2)
+    source = textwrap.dedent(inspect.getsource(exact_arith._pascal_rows))
+    slipped = source.replace("(*row, 0)", "(*row, 1)")
+    assert slipped != source
+    namespace = dict(vars(exact_arith))
+    exec(compile(slipped, exact_arith.__file__, "exec"), namespace)
+    with pytest.raises(AssertionError, match=re.escape("pascal-rows([1]) = [(1, 2)], expected [(1, 1)]")):
+        check(ROUTES["pascal-rows"]._replace(fast=lambda orders: pascal_rows_at(orders, namespace["_pascal_rows"])))
 
 
 def test_a_jobs_minimum_slipped_to_zero_in_the_strict_parser_is_found_and_shrunk():

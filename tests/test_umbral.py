@@ -7,7 +7,7 @@ import pytest
 from bernshift import CapacityError, InvariantViolation
 from bernshift.bernoulli import BernoulliCache
 from bernshift.denom import denom_exact
-from bernshift.exact_arith import _TALLY, primes_up_to
+from bernshift.exact_arith import _TALLY, _pascal_rows, primes_up_to
 from bernshift.umbral import (
     _scaled_bernoulli,
     _scaled_polynomial,
@@ -29,6 +29,8 @@ from oracles import (
     translate,
 )
 from reference_grid import REFERENCE_GRID
+
+ROWS = list(_pascal_rows(20))  # C(m, 0..m) for every order m a polynomial below reads
 
 
 class TestBsDirect:
@@ -245,7 +247,7 @@ class TestBsPolynomial:
                     (comb(r, v), bernoulli_polynomial(cache, s + v)) for v in range(r + 1)
                 )
                 assert bs_polynomial(cache, r, s) == expected
-                scaled = _scaled_polynomial(square.scaled[: r + 1], r, s, square.denominator)
+                scaled = _scaled_polynomial(square.scaled[: r + 1], ROWS[r], ROWS[s], square.denominator)
                 assert over_denominator(square, scaled) == expected
 
     @pytest.mark.parametrize("max_r, max_s", [(12, 12), (9, 4), (4, 9)])
@@ -256,13 +258,13 @@ class TestBsPolynomial:
                 expected = column_polynomial(table, r, s)
                 # rows i = 0..r, longer than s + 1, read once from an iterator
                 rows = iter(table.scaled[: r + 1])
-                assert _scaled_polynomial(rows, r, s, table.denominator) == expected
+                assert _scaled_polynomial(rows, ROWS[r], ROWS[s], table.denominator) == expected
 
     def test_table_polynomial_on_non_square_table(self, cache):
         table = bs_table_recursive(cache, 9, 4)
         for r in range(10):
             for s in range(5):
-                scaled = _scaled_polynomial(table.scaled[: r + 1], r, s, table.denominator)
+                scaled = _scaled_polynomial(table.scaled[: r + 1], ROWS[r], ROWS[s], table.denominator)
                 assert over_denominator(table, scaled) == bs_polynomial(cache, r, s)
 
     def test_never_builds_a_whole_table(self, cache):
@@ -284,7 +286,7 @@ class TestBsPolynomial:
     def test_wrong_table_is_not_monic(self):
         # the leading coefficient of B[r,s](x) is read from B[0,0], here 3/2 instead of 1
         with pytest.raises(InvariantViolation, match=r"B\[1,1\]\(x\) .* leading coefficient 3/2$"):
-            _scaled_polynomial(((3, 1), (1, 1)), 1, 1, 2)
+            _scaled_polynomial(((3, 1), (1, 1)), ROWS[1], ROWS[1], 2)
 
     def test_bounds(self):
         with pytest.raises(CapacityError):
@@ -305,8 +307,8 @@ def _polynomial_identity_failures(cache, scaled_polynomial, bound=20):
     """The keys r, s <= bound where D * B[r,s](x) breaks the derivative and the difference identity."""
     d, seed = _scaled_bernoulli(cache, 2 * bound)
     rows = list(_triangle_rows(seed))  # one table: every polynomial is over the same D
-    polys = {(r, s): scaled_polynomial(rows[: r + 1], r, s, d) for r in range(bound + 1) for s in range(bound + 1)}
-    keys = sorted(polys)
+    keys = [(r, s) for r in range(bound + 1) for s in range(bound + 1)]
+    polys = {(r, s): scaled_polynomial(rows[: r + 1], ROWS[r], ROWS[s], d) for r, s in keys}
     derivative_failures = [key for key in keys if derivative(polys[key]) != derivative_identity(polys.get, *key)]
     difference_failures = []
     for key in keys:
@@ -321,9 +323,9 @@ def test_polynomials_obey_the_derivative_and_difference_identities(cache):
 
 
 def test_one_wrong_polynomial_coefficient_breaks_both_identities(cache):
-    def mutated(rows, r, s, d):  # [x^2] of D * B[3,5](x) plus 1
-        coeffs = _scaled_polynomial(rows, r, s, d)
-        if (r, s) == (3, 5):
+    def mutated(rows, comb_r, comb_s, d):  # [x^2] of D * B[3,5](x) plus 1
+        coeffs = _scaled_polynomial(rows, comb_r, comb_s, d)
+        if (len(comb_r), len(comb_s)) == (4, 6):
             coeffs[2] += 1
         return coeffs
 
@@ -377,7 +379,7 @@ def test_every_route_reads_its_bernoulli_numbers_before_any_work(route, monkeypa
         raise AssertionError(f"worked to order {n} before reading the cache")
 
     monkeypatch.setattr(umbral, "primes_up_to", refuse)
-    monkeypatch.setattr(umbral, "_binomial_row", refuse)
+    monkeypatch.setattr(umbral, "_binomials", refuse)
     # the cache's own check, naming the first B_n it lacks, not the key
     with pytest.raises(CapacityError, match=r"^B_\d+ requested"):
         route(BernoulliCache(5))

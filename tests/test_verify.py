@@ -206,11 +206,11 @@ def test_report_text_and_payload():
         "timing",
     ]
     assert list(payload["timing"]) == ["wall_ms", "workers", *verify.BUILT]
-    assert verify.BUILT == ("walk_rows", "walk_cells", "cache_capacity", "seeds", "sieves")
+    assert verify.BUILT == ("walk_rows", "walk_cells", "cache_capacity", "seeds", "sieves", "binomial_rows")
     assert isinstance(payload["timing"]["wall_ms"], int)
     # rows 0..6 of the triangle r + s <= 12 and of its mirror, the mirror's column walk of all 13 rows, B_0..B_12,
-    # and one seed D * B_0..D * B_12, its D from one sieve
-    assert list(payload["timing"].values())[1:] == [1, 7 + 7 + 13, 70 + 70 + 91, 12, 1, 1]
+    # and one seed D * B_0..D * B_12, its D from one sieve; reciprocity reads no binomial row
+    assert list(payload["timing"].values())[1:] == [1, 7 + 7 + 13, 70 + 70 + 91, 12, 1, 1, 0]
 
 
 class InlinePool:
@@ -290,8 +290,8 @@ def test_failures_are_reported_with_witnesses(monkeypatch):
 
 
 def test_poly_reciprocity_failure_names_a_witness(monkeypatch):
-    def wrong_polynomial(rows, r, s, d):
-        return [r + 1, 0, 1]
+    def wrong_polynomial(rows, comb_r, comb_s, d):
+        return [len(comb_r), 0, 1]  # r + 1
 
     monkeypatch.setattr(umbral, "_scaled_polynomial", wrong_polynomial)
     instances, failures, _notes = PROPERTIES["poly-reciprocity"].runner(3, 3, range(4))
@@ -326,9 +326,9 @@ def test_denominators_evaluate_each_ordered_key_twice(monkeypatch):
 def test_poly_reciprocity_computes_each_ordered_key_once(monkeypatch):
     real, calls = umbral._scaled_polynomial, []
 
-    def counted(rows, r, s, d):
-        calls.append((r, s))
-        return real(rows, r, s, d)
+    def counted(rows, comb_r, comb_s, d):
+        calls.append((len(comb_r) - 1, len(comb_s) - 1))
+        return real(rows, comb_r, comb_s, d)
 
     monkeypatch.setattr(umbral, "_scaled_polynomial", counted)
     runner = PROPERTIES["poly-reciprocity"].runner
@@ -354,9 +354,9 @@ def test_poly_reciprocity_holds_at_most_four_polynomials(monkeypatch, max_r, max
     # each pair of keys is made, compared and dropped: no polynomial is kept for later
     real, alive, counts = umbral._scaled_polynomial, weakref.WeakSet(), []
 
-    def tracked(rows, r, s, d):
+    def tracked(rows, comb_r, comb_s, d):
         counts.append(len(alive))
-        polynomial = _Polynomial(real(rows, r, s, d))
+        polynomial = _Polynomial(real(rows, comb_r, comb_s, d))
         alive.add(polynomial)
         return polynomial
 
@@ -478,7 +478,7 @@ def test_integrality_walks_only_the_ranks_it_checks(max_r, ranks):
     report = run_verify("integrality", max_r, 30)
     assert report.ok and report.instances == len(ranks) * 29
     n, last = max_r + 30, max(ranks, default=-1)  # a --max-r 1 run builds nothing at all
-    walked = (4 * (last + 1), 4 * sum(n + 1 - r for r in range(last + 1)), n, 4, 2)
+    walked = (4 * (last + 1), 4 * sum(n + 1 - r for r in range(last + 1)), n, 4, 2, 0)
     assert report.built == (walked if ranks else (0,) * len(verify.BUILT))
 
 
@@ -494,24 +494,25 @@ WALKED = {
     "denominators", "integrality", "denom-divisibility",
 }
 
-# The report's built counts (walk rows, walk cells, cache capacity, seeds, sieves) at each default range: in
-# one process, and summed over a 3-way split.  A second walk, cache, seed or sieve (a whole BsTable beside
-# the walk, a mirror from its own seed), a walk past the last rank or an oversized cache moves one.  Runners
-# that ignore their ranks (antidiagonal, the psi and classical sweeps) build it all in each chunk, which is
-# why run_verify never splits them.
+# The report's built counts (walk rows, walk cells, cache capacity, seeds, sieves, binomial rows) at each
+# default range: in one process, and summed over a 3-way split.  A second walk, cache, seed, sieve or Pascal
+# walk (a whole BsTable beside the walk, a mirror from its own seed), a walk past the last rank or an oversized
+# cache moves one.  Runners that ignore their ranks (antidiagonal, the psi and classical sweeps) build it all
+# in each chunk, which is why run_verify never splits them; paths and poly-reciprocity read binomial rows of
+# every order at any rank, so each chunk makes them all.
 BUILT_AT_DEFAULTS = {
-    "antidiagonal": ((101, 5151, 100, 1, 1), (303, 15453, 300, 3, 3)),
-    "denom-divisibility": ((163, 8323, 80, 1, 2), (483, 24721, 240, 3, 6)),
-    "denominators": ((162, 19602, 160, 2, 2), (480, 58318, 480, 6, 6)),
-    "hermite-stern": ((0, 0, 0, 0, 1), (0, 0, 0, 0, 3)),
-    "integrality": ((324, 39204, 160, 4, 2), (960, 116636, 480, 12, 6)),
-    "nonvanishing": ((61, 5551, 120, 1, 1), (180, 16469, 360, 3, 3)),
-    "paths": ((81, 3321, 80, 1, 1), (240, 9959, 240, 3, 3)),
-    "poly-reciprocity": ((26, 1001, 50, 1, 1), (78, 3003, 150, 3, 3)),
-    "psi-congruences": ((2673, 203313, 0, 11, 1), (8019, 609939, 0, 33, 3)),
-    "psi-matrix": ((0, 0, 0, 0, 1), (0, 0, 0, 0, 3)),
-    "reciprocity": ((323, 32643, 160, 1, 1), (963, 97441, 480, 3, 3)),
-    "staudt-clausen": ((0, 0, 200, 0, 0), (0, 0, 600, 0, 0)),
+    "antidiagonal": ((101, 5151, 100, 1, 1, 0), (303, 15453, 300, 3, 3, 0)),
+    "denom-divisibility": ((163, 8323, 80, 1, 2, 0), (483, 24721, 240, 3, 6, 0)),
+    "denominators": ((162, 19602, 160, 2, 2, 0), (480, 58318, 480, 6, 6, 0)),
+    "hermite-stern": ((0, 0, 0, 0, 1, 201), (0, 0, 0, 0, 3, 603)),
+    "integrality": ((324, 39204, 160, 4, 2, 0), (960, 116636, 480, 12, 6, 0)),
+    "nonvanishing": ((61, 5551, 120, 1, 1, 0), (180, 16469, 360, 3, 3, 0)),
+    "paths": ((81, 3321, 80, 1, 1, 81), (240, 9959, 240, 3, 3, 243)),
+    "poly-reciprocity": ((26, 1001, 50, 1, 1, 26), (78, 3003, 150, 3, 3, 78)),
+    "psi-congruences": ((2673, 203313, 0, 11, 1, 0), (8019, 609939, 0, 33, 3, 0)),
+    "psi-matrix": ((0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 3, 0)),
+    "reciprocity": ((323, 32643, 160, 1, 1, 0), (963, 97441, 480, 3, 3, 0)),
+    "staudt-clausen": ((0, 0, 200, 0, 0, 0), (0, 0, 600, 0, 0, 0)),
 }
 
 
@@ -662,14 +663,14 @@ def test_one_wrong_psi_matrix_entry_is_named(monkeypatch, r, s):
 
 
 def _one_wrong_binomial(monkeypatch, order, index):
-    """Every reader of _binomial_row sees C(order, index) off by one; other rows stay right."""
-    real = exact_arith._binomial_row
+    """The table sweeps' Pascal walks yield C(order, index) off by one; every row after it is still made right."""
+    real = exact_arith._pascal_rows
 
     def wrong(n):
-        row = real(n)
-        return row[:index] + (row[index] + 1,) + row[index + 1 :] if n == order else row
+        for m, row in enumerate(real(n)):
+            yield row[:index] + (row[index] + 1,) + row[index + 1 :] if m == order else row
 
-    monkeypatch.setattr(umbral, "_binomial_row", wrong)
+    monkeypatch.setattr("bernshift.table_sweeps._pascal_rows", wrong)
 
 
 def test_one_wrong_binomial_row_fails_paths_at_its_rank(monkeypatch):
@@ -695,18 +696,23 @@ def test_one_wrong_binomial_row_fails_hermite_stern_at_its_m(monkeypatch):
 
 
 def test_hermite_stern_walks_pascals_rule_past_the_kept_rows(monkeypatch):
-    # the sweep makes its own rows by additions: no math.comb, and no row kept in _binomial_row's store
+    # the sweep makes its rows by additions, one walk to order 450: no math.comb call, and no row made twice
     calls = []
 
     def counted(n, k):
         calls.append((n, k))
         return comb(n, k)
 
-    monkeypatch.setattr(exact_arith, "_ROWS", {})
     monkeypatch.setattr(exact_arith, "comb", counted)
     report = run_verify("hermite-stern", 450, 31)
     assert (report.ok, report.instances) == (True, 450 * 11)  # 11 primes <= 31
-    assert calls == [] and exact_arith._ROWS == {}
+    assert calls == [] and dict(zip(verify.BUILT, report.built))["binomial_rows"] == 451
+
+
+def test_paths_makes_each_pascal_row_once():
+    # one Pascal walk to the largest order read, here 410: no row is made twice, however high the order
+    report = run_verify("paths", 410, 0)
+    assert report.ok and dict(zip(verify.BUILT, report.built))["binomial_rows"] == 411
 
 
 def test_paths_builds_one_cache_and_one_seed_at_the_size_it_checks():
@@ -714,7 +720,8 @@ def test_paths_builds_one_cache_and_one_seed_at_the_size_it_checks():
     for max_r, max_s in ((6, 9), (10, 10), (9, 4)):
         report = run_verify("paths", max_r, max_s)
         bound = max(max_r, max_s)
-        assert report.ok and report.built == (max_r + 1, sum(bound + 1 - r for r in range(max_r + 1)), bound, 1, 1)
+        walked = (max_r + 1, sum(bound + 1 - r for r in range(max_r + 1)), bound, 1, 1, bound + 1)
+        assert report.ok and report.built == walked
 
 
 def test_denom_divisibility_names_a_square_factor_and_a_large_prime(monkeypatch):
