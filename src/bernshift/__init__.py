@@ -23,8 +23,7 @@ _EXPORTS = {  # module -> the names it exports here
     "errors": ("CapacityError", "InvariantViolation"),
     "exact_arith": ("is_prime", "primes_up_to"),
     "umbral": (
-        "BsTable", "antidiagonal_sums", "bs_direct", "bs_polynomial", "bs_table_recursive",
-        "bs_via_difference", "forward_difference",
+        "BsTable", "antidiagonal_sums", "bs_direct", "bs_polynomial", "bs_table_recursive", "bs_via_difference",
     ),
     "verify": ("PROPERTIES", "VerifyReport", "run_verify"),
 }

@@ -102,13 +102,13 @@ def cmd_psi(args: argparse.Namespace) -> int:
     result = psi(args.r, args.s, args.p)
     if args.fmt == JSON:
         payload: dict[str, object] = {
-            "r": args.r,
-            "s": args.s,
-            "p": args.p,
+            "r": json_int(args.r),
+            "s": json_int(args.s),
+            "p": json_int(args.p),
             "value": json_int(result.value),
         }
         if args.show_indices:
-            payload["indices"] = list(result.index_set)
+            payload["indices"] = list(map(json_int, result.index_set))
         sys.stdout.write(render_json(payload))
     elif args.fmt == PLAIN and args.show_indices:
         inside = ", ".join(f"ν={v}" for v in result.index_set)
@@ -126,11 +126,11 @@ def cmd_denom(args: argparse.Namespace) -> int:
         sys.stdout.write(
             render_json(
                 {
-                    "r": args.r,
-                    "s": args.s,
+                    "r": json_int(args.r),
+                    "s": json_int(args.s),
                     "value": json_int(fact.value),
                     "eps2": fact.eps2,
-                    "primes": list(fact.primes),
+                    "primes": list(map(json_int, fact.primes)),
                 }
             )
         )

@@ -111,19 +111,18 @@ def _integral(r: int, s: int, numerator: int, d: int) -> int:
 def integrality_witness(table: BsTable, r: int, s: int) -> int:
     """The integer B[r,s] + sum(psi(r, s, p) / p over primes p <= r + s + 1).
 
-    B[r,s] is read from the table, which raises ValueError for a key outside
-    it.  The sum over all primes is finite because psi vanishes for
-    p > r + s + 1; the p = 2 term is itself an integer for r >= 2 and is
-    included.  Everything is summed over the table's denominator, which every
-    such p divides.  A non-integral total raises InvariantViolation and must
-    never happen.
+    D * B[r,s] is read off the table's scaled rows, after a key read that
+    raises ValueError for a key outside the table.  The sum over all primes
+    is finite because psi vanishes for p > r + s + 1; the p = 2 term is
+    itself an integer for r >= 2 and is included.  Everything is summed over
+    the table's denominator, which every such p divides.  A non-integral
+    total raises InvariantViolation and must never happen.
     """
     if r < 2 or s < 2:
         raise ValueError("integrality_witness: requires r >= 2 and s >= 2")
-    b, d = table[r, s], table.denominator
-    numerator = b.numerator * (d // b.denominator) + sum(  # the first term is table.scaled[r][s]
-        _psi_value(r, s, p) * (d // p) for p in primes_up_to(r + s + 1)
-    )
+    table[r, s]  # the key check
+    d = table.denominator
+    numerator = table.scaled[r][s] + sum(_psi_value(r, s, p) * (d // p) for p in primes_up_to(r + s + 1))
     return _integral(r, s, numerator, d)
 
 

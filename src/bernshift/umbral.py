@@ -5,7 +5,7 @@ shift s >= 0; row r = 0 is the Bernoulli sequence itself.  The same numbers
 arise three independent ways -- the defining binomial sum, a Pascal-style
 recurrence filling the table row by row (_walk, the package's one walk of
 it, with denom's psi seeds beside), and iterated forward differences of
-(-1)^n B_n (forward_difference, here) -- and every path is exposed so the
+(-1)^n B_n (_difference_forms, here) -- and every path is exposed so the
 suite can play them against each other.  Every route runs in integers, and
 each sum is handed the binomial rows it reads (see exact_arith).  The
 defining sum scales B_s..B_{s+r} to their least common denominator.  The
@@ -19,8 +19,9 @@ one row at a time, and obeys an asymmetric reciprocity in x and -x.
 A value is reduced once, by exact_arith._lowest_terms, to its (numerator,
 denominator) pair, and worded in a failure message by _quotient_text.  A
 Fraction is made only where the library hands a value out -- bs_direct,
-bs_polynomial, a BsTable key read, antidiagonal_sums -- each importing
-fractions when it runs; the CLI asks for the pairs, so no request loads it.
+bs_via_difference, bs_polynomial, a BsTable key read, antidiagonal_sums --
+each importing fractions when it runs; the CLI asks for the pairs, so no
+request loads it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections import namedtuple
 from itertools import compress, repeat
 from math import lcm
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import exact_arith
 from .bernoulli import BernoulliCache
@@ -39,11 +40,9 @@ from .exact_arith import _binomials, _lowest_terms, _product_tree, _quotient_tex
 if TYPE_CHECKING:
     from fractions import Fraction
 
-Scalar = Union[int, "Fraction"]
 
-
-def _defining_sum(b: Sequence[Scalar], s: int, comb_r: Sequence[int]) -> Scalar:
-    """sum(C(r, v) * b[s + v] for v in 0..r) from comb_r = C(r, 0..r), zero terms skipped; b is B_n or D * B_n."""
+def _defining_sum(b: Sequence[int], s: int, comb_r: Sequence[int]) -> int:
+    """sum(C(r, v) * b[s + v] for v in 0..r) from comb_r = C(r, 0..r), zero terms skipped; b is L * B_n or D * B_n."""
     terms = list(map(b.__getitem__, range(s, s + len(comb_r))))
     return sum(map(mul, compress(comb_r, terms), filter(None, terms)))
 
@@ -178,19 +177,7 @@ def reduced_rows(cache: BernoulliCache, max_r: int, max_s: int) -> Iterator[Iter
     return (map(_lowest_terms, row, repeat(d)) for row in rows)
 
 
-def forward_difference(f: Callable[[int], Scalar], order: int, start: int = 0) -> Scalar:
-    """Iterated forward difference: sum(C(order, v) * (-1)^(order-v) * f(start+v)).
-
-    Exact in what f returns: an int-valued f gives an int, a Fraction-valued
-    f a Fraction.
-    """
-    if order < 0:
-        raise ValueError("forward_difference: order must be non-negative")
-    values = list(map(f, range(start, start + order + 1)))  # f's errors before any binomial
-    return _difference(values, tuple(_binomials(order)))
-
-
-def _difference(values: Sequence[Scalar], row: Sequence[int]) -> Scalar:
+def _difference(values: Sequence[int], row: Sequence[int]) -> int:
     """sum(C(order, v) * (-1)^(order-v) * values[v]) for v in 0..order, from row = C(order, 0..order)."""
     # the terms at even v and at odd v, each summed without its sign
     even = sum(map(mul, row[::2], values[::2]))
@@ -198,30 +185,34 @@ def _difference(values: Sequence[Scalar], row: Sequence[int]) -> Scalar:
     return even - odd if len(row) % 2 else odd - even
 
 
-def _difference_forms(b: Sequence[Scalar], comb_r: Sequence[int], comb_s: Sequence[int]) -> tuple[Scalar, Scalar]:
+def _difference_forms(b: Sequence[int], comb_r: Sequence[int], comb_s: Sequence[int]) -> tuple[int, int]:
     """(-1)^(r+s) delta^r b at s and delta^s b at r, by the rows C(r, 0..r), C(s, 0..s): B[r,s] if b[n] = (-1)^n B_n."""
     r, s = len(comb_r) - 1, len(comb_s) - 1
     return (-1) ** (r + s) * _difference(b[s : s + r + 1], comb_r), _difference(b[r : r + s + 1], comb_s)
 
 
 def bs_via_difference(cache: BernoulliCache, r: int, s: int) -> Fraction:
-    """B[r,s] as an iterated forward difference of f(n) = (-1)^n B_n.
+    """B[r,s] as an iterated forward difference of f(n) = (-1)^n B_n, in integers over D.
 
     Both stated forms -- (-1)^(r+s) * delta^r f at s, and delta^s f at r --
-    are evaluated and must agree; disagreement raises InvariantViolation.
-    forward_difference's order check and cache.pair refuse a bad key first.
+    are summed over D * f(0..r+s) and must agree; disagreement raises
+    InvariantViolation.  Scaled by D, not bs_direct's L, and summing
+    differences, not the defining sum, this route stays independent of
+    bs_direct.  cache.pair refuses a key past the capacity before any work.
     """
-
-    def f(n: int) -> Fraction:
-        b = cache[n]
-        return -b if n % 2 else b
-
-    rank_form, shift_form = (-1) ** (r + s) * forward_difference(f, r, s), forward_difference(f, s, r)
+    if r < 0 or s < 0:
+        raise ValueError("rank and shift must be non-negative")
+    d, seed = _scaled_bernoulli(cache, r + s)
+    signed = [-x if n % 2 else x for n, x in enumerate(seed)]  # D * (-1)^n B_n
+    rank_form, shift_form = _difference_forms(signed, tuple(_binomials(r)), tuple(_binomials(s)))
     if rank_form != shift_form:
         raise InvariantViolation(
-            f"difference forms disagree at (r={r}, s={s}): {rank_form} != {shift_form}"
+            f"difference forms disagree at (r={r}, s={s}): "
+            f"{_quotient_text(rank_form, d)} != {_quotient_text(shift_form, d)}"
         )
-    return rank_form
+    from fractions import Fraction
+
+    return Fraction(rank_form, d)
 
 
 def _antidiagonal_totals(cache: BernoulliCache, n: int) -> tuple[int, list[int]]:

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import WorkerDied
 from .exact_arith import _TALLY
+from .render import json_int
 
 SweepResult = tuple[int, list[str], list[str]]  # instances, failures, notes
 BUILT = ("walk_rows", "walk_cells", "cache_capacity", "seeds", "sieves", "binomial_rows")  # the _TALLY counts reported
@@ -179,9 +180,9 @@ def report_text(report: VerifyReport) -> str:
 def report_payload(report: VerifyReport) -> dict:
     return {
         "property": report.property_name,
-        "max_r": report.max_r,
-        "max_s": report.max_s,
-        "instances": report.instances,
+        "max_r": json_int(report.max_r),
+        "max_s": json_int(report.max_s),
+        "instances": json_int(report.instances),
         "failures": list(report.failures),
         "notes": list(report.notes),
         "pass": report.ok,

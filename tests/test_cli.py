@@ -668,3 +668,19 @@ def test_json_int_threshold():
     assert json_int(-(2**53)) == -(2**53)
     assert json_int(2**53 + 1) == str(2**53 + 1)
     assert json_int(-(2**53) - 1) == str(-(2**53) - 1)
+
+
+def test_json_writes_every_integer_past_the_threshold_as_a_string(capsys, monkeypatch):
+    big = str(10**18 + 3)  # a prime
+    code, out, _ = run_cli(capsys, "psi", "3", "3", big, "--show-indices", "--format", "json")
+    assert code == 0 and json.loads(out)["p"] == big
+    code, out, _ = run_cli(capsys, "verify", "integrality", "--max-r", "1", "--max-s", str(10**17), "--format", "json")
+    assert code == 0 and json.loads(out)["max_s"] == str(10**17)
+    # denom 0 2**53 + 4 takes seconds to factor; its largest prime 2**53 + 5 stands in for the answer
+    from bernshift import denom
+
+    n = 2**53 + 4
+    monkeypatch.setattr(denom, "denom_formula", lambda r, s: denom.DenomFactorization(1, (3, n + 1)))
+    code, out, _ = run_cli(capsys, "denom", "0", str(n), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"r": 0, "s": str(n), "value": str(6 * (n + 1)), "eps2": 1, "primes": [3, str(n + 1)]}

@@ -5,7 +5,8 @@ were recorded from the CLI before its rendering was consolidated into
 ``bernshift.render``; a change to any output byte of these commands fails
 here.  The rows cover negative values, zero cells, fractions of 20 and more
 digits, psi at the prime p = 10**18 + 3, and outputs past Python's
-4300-digit int/str conversion limit.
+4300-digit int/str conversion limit.  The JSON digest of that psi was
+recorded again when its "p", past 2**53, became a decimal string.
 
 ``verify --format json`` is pinned for all twelve properties at their default
 ranges, apart from its ``timing`` key, the one part that varies between runs.
@@ -73,7 +74,7 @@ GOLDEN = (
     ("psi 200 200 2 --format latex", 0, "b4350ec3c423651758de4dbb356af6410fe9c0cd8a28cf73f2dcd1855275d521"),
     ("psi 3 3 1000000000000000003 --format plain", 0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
     ("psi 3 3 1000000000000000003 --format csv", 0, "13bf7b3039c63bf5a50491fa3cfd8eb4e699d1ba1436315aef9cbe5711530354"),
-    ("psi 3 3 1000000000000000003 --format json", 0, "5d45c514d98c2797f39bab5069e92f5b5658aa471b425fd3b725f3743c1be216"),
+    ("psi 3 3 1000000000000000003 --format json", 0, "6ca2f3a289e2159c211f4552f3044b14739c20f862609c894afd240fe1dfbf81"),
     ("psi 3 3 1000000000000000003 --format latex", 0, "2755a71501eb5e6db024f0d48aa2110b043fe1df09432f0c0aca548727baf620"),
     ("psi 3 3 5 --show-indices --format plain", 0, "20048fbec41565957b76fc9817a69763b2126af9160a6ab2b58b4f68e5776cf3"),
     ("psi 3 3 5 --show-indices --format csv", 0, "24ba1e99dc06b19351323aae0d7370243d586475a634b7f6ff7927fbc72cfaed"),

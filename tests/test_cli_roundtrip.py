@@ -87,8 +87,9 @@ def no_digit_limit():
 
 
 def test_value_past_the_digit_limit_round_trips(no_digit_limit):
-    # A 1001x1001 table is out of reach at r + s = 2000, so the oracle is the
-    # forward-difference route, independent of the defining sum `value` uses.
+    # A 1001x1001 table is out of reach at r + s = 2000, so the oracle is
+    # bs_via_difference, which sums differences over D where the defining sum
+    # `value` uses sums over L.
     expected = bs_via_difference(BernoulliCache(2000), 1000, 1000)
     assert len(str(expected.numerator)) == 4735
     for fmt in ("plain", "json"):

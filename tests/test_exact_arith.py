@@ -1,6 +1,6 @@
 """The integer substrate, and the small helpers the other tests lean on.
 
-forward_difference is umbral's difference operator, and evaluate and reflect
+_difference is umbral's difference operator, and evaluate and reflect
 are the tests' own helpers on coefficient tuples; all are tested here on
 their own, apart from B[r,s].
 """
@@ -24,7 +24,7 @@ from bernshift.exact_arith import (
     is_prime,
     primes_up_to,
 )
-from bernshift.umbral import _scaled_bernoulli, forward_difference
+from bernshift.umbral import _difference, _scaled_bernoulli
 from oracles import evaluate, least_positive_residue, reflect
 
 
@@ -96,22 +96,23 @@ class TestLeastPositiveResidue:
 
 
 class TestForwardDifference:
+    @staticmethod
+    def delta(f, order, start):
+        """delta^order f at start, by _difference over f(start..start + order)."""
+        return _difference([f(k) for k in range(start, start + order + 1)], tuple(_binomials(order)))
+
     def test_order_zero_is_identity(self):
-        assert forward_difference(lambda k: Fraction(k, 3), 0, start=7) == Fraction(7, 3)
+        assert self.delta(lambda k: 3 * k, 0, 7) == 21
 
     def test_second_difference_of_squares_is_constant(self):
         for start in range(5):
-            assert forward_difference(lambda k: k * k, 2, start=start) == 2
+            assert self.delta(lambda k: k * k, 2, start) == 2
 
     def test_powers_of_two_are_fixed(self):
         # delta 2^k = 2^k, so every order gives 2^start
         for order in range(6):
-            assert forward_difference(lambda k: 2**k, order, start=0) == 1
-            assert forward_difference(lambda k: 2**k, order, start=3) == 8
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            forward_difference(lambda k: k, -1)
+            assert self.delta(lambda k: 2**k, order, 0) == 1
+            assert self.delta(lambda k: 2**k, order, 3) == 8
 
 
 class TestBinomials:

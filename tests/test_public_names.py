@@ -39,15 +39,16 @@ def test_dir_lists_every_name_and_unknown_names_raise():
 
 def test_names_resolve_to_their_defining_modules():
     assert bernshift.BernoulliCache is bernoulli.BernoulliCache
-    assert bernshift.forward_difference is umbral.forward_difference
+    assert bernshift.bs_via_difference is umbral.bs_via_difference
     assert bernshift.BernoulliCache.__module__ == "bernshift.bernoulli"
-    assert bernshift.forward_difference.__module__ == "bernshift.umbral"
+    assert bernshift.bs_via_difference.__module__ == "bernshift.umbral"
 
 
 DELETED = {  # defining module -> the names it no longer has
     bernoulli: ("Poly", "bernoulli_polynomial", "hermite_stern_check"),
     denom: ("psi_periodicity_check", "psi_reciprocity_check", "_psi_periodic", "_psi_reciprocal"),
     exact_arith: ("least_positive_residue",),
+    umbral: ("forward_difference",),
 }
 
 

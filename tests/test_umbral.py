@@ -154,6 +154,21 @@ class TestBsViaDifference:
             for s in range(21 - r):
                 assert bs_via_difference(cache, r, s) == bs_direct(cache, r, s)
 
+    def test_sums_one_scaled_seed_and_walks_no_row(self):
+        small = BernoulliCache(21)
+        _TALLY.clear()
+        bs_via_difference(small, 12, 9)
+        assert [_TALLY[key] for key in ("seeds", "sieves", "walk_rows")] == [1, 1, 0]
+
+    def test_reads_no_fraction_off_the_cache(self, cache, monkeypatch):
+        expected = bs_direct(cache, 12, 9)
+
+        def refuse(self, n):
+            raise AssertionError(f"read B_{n} as a Fraction")
+
+        monkeypatch.setattr(BernoulliCache, "__getitem__", refuse)
+        assert bs_via_difference(BernoulliCache(21), 12, 9) == expected
+
 
 class TestShiftIdentity:
     def test_holds_generally(self, cache):
@@ -338,9 +353,8 @@ def test_one_wrong_polynomial_coefficient_breaks_both_identities(cache):
 def test_difference_disagreement_raises(cache, monkeypatch):
     import bernshift.umbral as umbral
 
-    calls = iter([Fraction(1), Fraction(2)])
-    monkeypatch.setattr(umbral, "forward_difference", lambda *a, **k: next(calls))
-    with pytest.raises(InvariantViolation):
+    monkeypatch.setattr(umbral, "_difference_forms", lambda *a: (1, 2))
+    with pytest.raises(InvariantViolation, match=r"^difference forms disagree at \(r=1, s=1\)"):
         bs_via_difference(cache, 1, 1)
 
 
